@@ -15,6 +15,7 @@ int main() {
   auto workload = bench::MakeWorkload(g, 9);
 
   MStarIndex index(g);
+  DataEvaluator eval(g);
   for (const PathExpression& q : workload) index.Refine(q);
 
   struct Bucket {
@@ -28,16 +29,16 @@ int main() {
   std::map<size_t, Bucket> by_length;
   for (const PathExpression& q : workload) {
     Bucket& b = by_length[q.length()];
-    b.naive += index.QueryNaive(q).stats.total();
-    b.topdown += index.QueryTopDown(q).stats.total();
+    b.naive += index.QueryNaive(q, &eval).stats.total();
+    b.topdown += index.QueryTopDown(q, &eval).stats.total();
     // Pre-filter on the suffix half of the expression (a reasonable
     // static choice; picking the subpath is a query-optimization problem
     // the paper leaves open).
     size_t begin = q.num_steps() / 2;
-    b.prefilter +=
-        index.QueryWithPrefilter(q, begin, q.num_steps() - 1).stats.total();
-    b.bottomup += index.QueryBottomUp(q).stats.total();
-    b.hybrid += index.QueryHybrid(q).stats.total();
+    b.prefilter += index.QueryWithPrefilter(q, begin, q.num_steps() - 1, &eval)
+                       .stats.total();
+    b.bottomup += index.QueryBottomUp(q, &eval).stats.total();
+    b.hybrid += index.QueryHybrid(q, &eval).stats.total();
     ++b.count;
   }
 

@@ -17,6 +17,7 @@ void RunDataset(const std::string& name) {
   auto workload = bench::MakeWorkload(g, 9);
 
   MStarIndex adaptive(g);
+  DataEvaluator eval(g);
   for (const PathExpression& q : workload) adaptive.Refine(q);
 
   MStarIndex static_full = MStarIndex::BuildStaticHierarchy(g, 9);
@@ -25,7 +26,7 @@ void RunDataset(const std::string& name) {
   auto measure = [&](MStarIndex& index) {
     uint64_t cost = 0;
     for (const PathExpression& q : workload) {
-      cost += index.QueryTopDown(q).stats.total();
+      cost += index.QueryTopDown(q, &eval).stats.total();
     }
     return static_cast<double>(cost) / workload.size();
   };

@@ -151,11 +151,12 @@ BENCHMARK(BM_MStarRefineBatchWorkload);
 void BM_MStarTopDownQueries(benchmark::State& state) {
   const DataGraph& g = SharedGraph();
   MStarIndex index(g);
+  DataEvaluator eval(g);
   for (const PathExpression& q : SharedWorkload()) index.Refine(q);
   for (auto _ : state) {
     uint64_t total = 0;
     for (const PathExpression& q : SharedWorkload()) {
-      total += index.QueryTopDown(q).stats.total();
+      total += index.QueryTopDown(q, &eval).stats.total();
     }
     benchmark::DoNotOptimize(total);
   }

@@ -31,10 +31,11 @@ std::vector<PathExpression> ParseAll(const std::vector<const char*>& texts,
   return out;
 }
 
-double AvgCost(MStarIndex& index, const std::vector<PathExpression>& qs) {
+double AvgCost(const MStarIndex& index, DataEvaluator& eval,
+               const std::vector<PathExpression>& qs) {
   uint64_t total = 0;
   for (const PathExpression& q : qs) {
-    total += index.QueryTopDown(q).stats.total();
+    total += index.QueryTopDown(q, &eval).stats.total();
   }
   return qs.empty() ? 0.0 : static_cast<double>(total) / qs.size();
 }
@@ -76,12 +77,14 @@ int main(int argc, char** argv) {
       graph->symbols());
 
   MStarIndex index(*graph);
+  DataEvaluator eval(*graph);
   TableWriter table({"stage", "phase1_avg_cost", "phase2_avg_cost",
                      "components", "physical_nodes"});
 
   auto snapshot = [&](const char* stage) {
-    table.AddRowValues(stage, AvgCost(index, phase1), AvgCost(index, phase2),
-                       index.num_components(), index.PhysicalNodeCount());
+    table.AddRowValues(stage, AvgCost(index, eval, phase1),
+                       AvgCost(index, eval, phase2), index.num_components(),
+                       index.PhysicalNodeCount());
   };
 
   snapshot("fresh A(0)");
@@ -93,8 +96,10 @@ int main(int argc, char** argv) {
   table.RenderText(std::cout);
   std::cout << "\nShort queries stay cheap on the coarse component, e.g. "
                "//person costs "
-            << index.QueryTopDown(
-                     *PathExpression::Parse("//person", graph->symbols()))
+            << index
+                   .QueryTopDown(
+                       *PathExpression::Parse("//person", graph->symbols()),
+                       &eval)
                    .stats.total()
             << " node visits with " << index.num_components()
             << " components built.\n";

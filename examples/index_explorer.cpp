@@ -54,7 +54,8 @@ void RunQuery(MStarIndex& index, const DataGraph& graph,
     index.Refine(*query);
     std::cout << "(refined; components=" << index.num_components() << ")\n";
   }
-  QueryResult result = index.QueryTopDown(*query);
+  DataEvaluator validator(graph);
+  QueryResult result = index.QueryTopDown(*query, &validator);
   std::cout << result.answer.size() << " nodes, cost="
             << result.stats.total()
             << (result.precise ? " precise" : " validated") << ":";

@@ -90,11 +90,12 @@ int main(int argc, char** argv) {
   }
   {
     MStarIndex mstar(*graph);
+    DataEvaluator eval(*graph);
     for (const PathExpression& q : queries) mstar.Refine(q);
     uint64_t cost = 0;
     size_t precise = 0;
     for (const PathExpression& q : queries) {
-      QueryResult r = mstar.QueryTopDown(q);
+      QueryResult r = mstar.QueryTopDown(q, &eval);
       cost += r.stats.total();
       precise += r.precise ? 1 : 0;
     }

@@ -44,8 +44,11 @@ int main() {
             << graph->num_edges() << " edges ("
             << graph->num_reference_edges() << " references)\n";
 
-  // Build the index: starts as a single coarse component (A(0)).
+  // Build the index: starts as a single coarse component (A(0)). Answers
+  // the index cannot certify are validated through a caller-owned
+  // evaluator.
   MStarIndex index(*graph);
+  DataEvaluator eval(*graph);
 
   auto run = [&](const char* text) {
     auto query = PathExpression::Parse(text, graph->symbols());
@@ -53,7 +56,7 @@ int main() {
       std::cerr << "bad query: " << query.status() << "\n";
       return;
     }
-    QueryResult result = index.QueryTopDown(*query);
+    QueryResult result = index.QueryTopDown(*query, &eval);
     std::cout << text << " -> {";
     for (size_t i = 0; i < result.answer.size(); ++i) {
       if (i > 0) std::cout << ", ";

@@ -64,18 +64,6 @@ std::string Snapshot(const std::string& base, size_t s) {
   return base + "@" + std::to_string(s);
 }
 
-QueryResult MStarAnswer(const MStarIndex& index, const std::string& strategy,
-                        const PathExpression& query,
-                        DataEvaluator* validator) {
-  if (strategy == "naive") return index.QueryNaive(query, validator);
-  if (strategy == "bottomup") return index.QueryBottomUp(query, validator);
-  if (strategy == "hybrid") return index.QueryHybrid(query, validator);
-  return index.QueryTopDown(query, validator);
-}
-
-constexpr const char* kMStarStrategies[] = {"naive", "topdown", "bottomup",
-                                            "hybrid"};
-
 }  // namespace
 
 std::vector<NodeId> GroundTruth(const DataGraph& g,
@@ -185,12 +173,12 @@ CaseResult RunDifferentialCase(const DataGraph& g,
     DataEvaluator validator(g);
     for (size_t s = 0; s <= fups.size(); ++s) {
       if (s > 0) index.Refine(fups[s - 1]);
-      for (const char* strategy : kMStarStrategies) {
-        checker.CheckAll(Snapshot(std::string("M*:") + strategy, s),
-                         [&](const PathExpression& q) {
-                           return MStarAnswer(index, strategy, q, &validator)
-                               .answer;
-                         });
+      for (MStarQueryStrategy strategy : kMStarQueryStrategies) {
+        checker.CheckAll(
+            Snapshot(std::string("M*:") + StrategyName(strategy), s),
+            [&](const PathExpression& q) {
+              return index.Query(strategy, q, &validator).answer;
+            });
       }
       if (checker.audit()) {
         checker.Audit(Snapshot("M*", s),
@@ -253,11 +241,12 @@ Result<std::vector<NodeId>> EvaluateClass(
     for (const PathExpression& fup : applied) index.Refine(fup);
     return index.Query(query).answer;
   }
-  if (base.compare(0, 3, "M*:") == 0) {
+  for (MStarQueryStrategy strategy : kMStarQueryStrategies) {
+    if (base != std::string("M*:") + StrategyName(strategy)) continue;
     MStarIndex index(g);
     for (const PathExpression& fup : applied) index.Refine(fup);
     DataEvaluator validator(g);
-    return MStarAnswer(index, base.substr(3), query, &validator).answer;
+    return index.Query(strategy, query, &validator).answer;
   }
   return Status::InvalidArgument("unknown index class: " + index_class);
 }

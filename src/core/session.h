@@ -2,11 +2,12 @@
 #define MRX_CORE_SESSION_H_
 
 #include <cstdint>
-#include <string>
 
 #include "index/m_star_index.h"
+#include "index/strategy_chooser.h"
+#include "query/data_evaluator.h"
 #include "query/path_expression.h"
-#include "util/lru_cache.h"
+#include "server/answer_cache.h"
 #include "workload/fup_extractor.h"
 
 namespace mrx {
@@ -24,6 +25,10 @@ namespace mrx {
 /// Construct over a DataGraph (which must outlive the session), then just
 /// call Query(): refinement happens automatically once a path expression
 /// turns frequent.
+///
+/// It is a thin serial facade over the parts the concurrent server uses:
+/// ResolveStrategy + MStarIndex::Query for evaluation, a StrategyChooser
+/// rebuilt after each refinement, and a one-shard ShardedAnswerCache.
 class AdaptiveIndexSession;
 
 /// Options for AdaptiveIndexSession (a namespace-level type so it can be
@@ -33,7 +38,8 @@ struct SessionOptions {
   size_t refine_after = 2;
 
   /// Evaluation strategy for answering queries. kAuto picks per query
-  /// with StrategyChooser (rebuilt after each refinement).
+  /// with StrategyChooser (rebuilt after each refinement); see
+  /// ResolveStrategy.
   enum class Strategy { kTopDown, kNaive, kBottomUp, kHybrid, kAuto };
   Strategy strategy = Strategy::kTopDown;
 
@@ -47,6 +53,14 @@ struct SessionOptions {
   /// evicted first (a hit refreshes an entry's recency).
   size_t cache_capacity = 1024;
 };
+
+/// Resolves a session strategy for `path`: a fixed strategy maps to its
+/// §4.1 method; kAuto asks `chooser` and counts the decision in
+/// mrx_strategy_chosen_<name>_total. Both sessions and `mrx query` /
+/// `mrx explain` resolve through this one function.
+MStarQueryStrategy ResolveStrategy(SessionOptions::Strategy strategy,
+                                   const StrategyChooser& chooser,
+                                   const PathExpression& path);
 
 class AdaptiveIndexSession {
  public:
@@ -62,7 +76,8 @@ class AdaptiveIndexSession {
   /// Answers without recording the observation (e.g. for monitoring).
   QueryResult Peek(const PathExpression& query);
 
-  /// Forces refinement for `fup` regardless of frequency.
+  /// Forces refinement for `fup` regardless of frequency (then rebuilds
+  /// the chooser and drops cached answers, as an automatic one does).
   void Refine(const PathExpression& fup);
 
   const MStarIndex& index() const { return index_; }
@@ -80,12 +95,16 @@ class AdaptiveIndexSession {
  private:
   SessionOptions options_;
   MStarIndex index_;
+  StrategyChooser chooser_;  ///< Over index_; rebuilt by Refine.
+  DataEvaluator validator_;
   FupExtractor fups_;
   uint64_t queries_answered_ = 0;
   uint64_t cache_hits_ = 0;
   QueryStats cumulative_stats_;
-  /// Memoized answers keyed by canonical query text, LRU-evicted.
-  LruCache<std::string, QueryResult> cache_;
+  /// Memoized answers keyed by canonical query text, LRU-evicted; tagged
+  /// with `epoch_`, which each refinement bumps.
+  server::ShardedAnswerCache cache_;
+  uint64_t epoch_ = 0;
 };
 
 }  // namespace mrx

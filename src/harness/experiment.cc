@@ -3,7 +3,7 @@
 #include "index/a_k_index.h"
 #include "index/d_k_index.h"
 #include "index/m_k_index.h"
-#include "index/m_star_index.h"
+#include "query/data_evaluator.h"
 #include "query/stats.h"
 
 namespace mrx::harness {
@@ -92,7 +92,7 @@ IndexRunResult ExperimentDriver::RunMk(size_t growth_interval) {
 }
 
 IndexRunResult ExperimentDriver::RunMStar(size_t growth_interval,
-                                          MStarStrategy strategy) {
+                                          MStarQueryStrategy strategy) {
   IndexRunResult result;
   result.index_name = "M*(k)";
   MStarIndex index(graph_);
@@ -105,11 +105,11 @@ IndexRunResult ExperimentDriver::RunMStar(size_t growth_interval,
   }
   result.nodes = index.PhysicalNodeCount();
   result.edges = index.PhysicalEdgeCount();
+  DataEvaluator validator(graph_);
   MeasureWorkload(
       workload_,
       [&](const PathExpression& q) {
-        return strategy == MStarStrategy::kTopDown ? index.QueryTopDown(q)
-                                                   : index.QueryNaive(q);
+        return index.Query(strategy, q, &validator);
       },
       &result);
   return result;

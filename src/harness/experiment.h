@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "graph/data_graph.h"
+#include "index/m_star_index.h"
 #include "query/path_expression.h"
 
 namespace mrx::harness {
@@ -25,12 +26,6 @@ struct IndexRunResult {
   double avg_index_cost = 0;  ///< ... the index-graph-visit component.
   double avg_validation_cost = 0;  ///< ... the validation component.
   std::vector<GrowthPoint> growth;  ///< Adaptive indexes only.
-};
-
-/// Which §4.1 evaluation strategy an M*(k) run uses.
-enum class MStarStrategy {
-  kTopDown,  // The paper's choice for §5.
-  kNaive,
 };
 
 /// \brief Replays the paper's experimental procedure (§5) for one dataset
@@ -57,9 +52,11 @@ class ExperimentDriver {
   IndexRunResult RunMk(size_t growth_interval = 50);
 
   /// M*(k): start at {I0}, REFINE* per query, sample physical sizes,
-  /// rerun with the chosen strategy.
-  IndexRunResult RunMStar(size_t growth_interval = 50,
-                          MStarStrategy strategy = MStarStrategy::kTopDown);
+  /// rerun with the given §4.1 strategy (top-down is the paper's choice
+  /// for §5).
+  IndexRunResult RunMStar(
+      size_t growth_interval = 50,
+      MStarQueryStrategy strategy = MStarQueryStrategy::kTopDown);
 
   const std::vector<PathExpression>& workload() const { return workload_; }
   const DataGraph& graph() const { return graph_; }

@@ -406,32 +406,4 @@ bool RefineDkConstructRound(const DataGraph& g, BisimulationPartition* part,
   return true;
 }
 
-// Deprecated (ThreadPool*, RefineScratch*) shims. Bodies live here so the
-// attribute in the header warns at *call* sites, not in this file.
-BisimulationPartition ComputeKBisimulation(const DataGraph& g, int k,
-                                           ThreadPool* pool,
-                                           RefineScratch* scratch) {
-  return ComputeKBisimulation(g, k, RefineOptions{pool, scratch});
-}
-
-bool RefineBisimulationRound(const DataGraph& g, BisimulationPartition* part,
-                             ThreadPool* pool, RefineScratch* scratch) {
-  return RefineBisimulationRound(g, part, RefineOptions{pool, scratch});
-}
-
-BisimulationPartition ComputeDkConstructPartition(
-    const DataGraph& g, const std::vector<int32_t>& kreq_by_label,
-    ThreadPool* pool, RefineScratch* scratch) {
-  return ComputeDkConstructPartition(g, kreq_by_label,
-                                     RefineOptions{pool, scratch});
-}
-
-bool RefineDkConstructRound(const DataGraph& g, BisimulationPartition* part,
-                            const std::vector<int32_t>& kreq_by_label,
-                            int32_t round, ThreadPool* pool,
-                            RefineScratch* scratch) {
-  return RefineDkConstructRound(g, part, kreq_by_label, round,
-                                RefineOptions{pool, scratch});
-}
-
 }  // namespace mrx

@@ -82,13 +82,6 @@ struct RefineOptions {
 BisimulationPartition ComputeKBisimulation(const DataGraph& g, int k,
                                            const RefineOptions& options = {});
 
-/// Transitional shim for the pre-RefineOptions overload; forwards to the
-/// options form. New code should pass RefineOptions.
-[[deprecated("pass RefineOptions{pool, scratch} instead")]]
-BisimulationPartition ComputeKBisimulation(const DataGraph& g, int k,
-                                           ThreadPool* pool,
-                                           RefineScratch* scratch = nullptr);
-
 /// \brief One all-active refinement round applied in place: advances the
 /// A(i) partition in `part` to A(i+1). Returns false — leaving `part`
 /// untouched except for `reached_fixpoint` — when the partition is already
@@ -97,13 +90,6 @@ BisimulationPartition ComputeKBisimulation(const DataGraph& g, int k,
 /// of rebuilding each level from scratch.
 bool RefineBisimulationRound(const DataGraph& g, BisimulationPartition* part,
                              const RefineOptions& options = {});
-
-/// Transitional shim (note: `pool` lost its default so two-argument calls
-/// resolve unambiguously to the options form).
-[[deprecated("pass RefineOptions{pool, scratch} instead")]]
-bool RefineBisimulationRound(const DataGraph& g, BisimulationPartition* part,
-                             ThreadPool* pool,
-                             RefineScratch* scratch = nullptr);
 
 /// \brief The D(k)-construct partition (Chen et al., SIGMOD'03), used by
 /// DkIndex::Construct.
@@ -118,12 +104,6 @@ BisimulationPartition ComputeDkConstructPartition(
     const DataGraph& g, const std::vector<int32_t>& kreq_by_label,
     const RefineOptions& options = {});
 
-/// Transitional shim for the pre-RefineOptions overload.
-[[deprecated("pass RefineOptions{pool, scratch} instead")]]
-BisimulationPartition ComputeDkConstructPartition(
-    const DataGraph& g, const std::vector<int32_t>& kreq_by_label,
-    ThreadPool* pool, RefineScratch* scratch = nullptr);
-
 /// \brief One D(k)-construct refinement round applied in place: advances
 /// the round-(`round`−1) partition in `part` to round `round` under the
 /// freeze schedule `kreq_by_label` (nodes whose label requirement is
@@ -136,13 +116,6 @@ BisimulationPartition ComputeDkConstructPartition(
 bool RefineDkConstructRound(const DataGraph& g, BisimulationPartition* part,
                             const std::vector<int32_t>& kreq_by_label,
                             int32_t round, const RefineOptions& options = {});
-
-/// Transitional shim (no default on `pool`, as above).
-[[deprecated("pass RefineOptions{pool, scratch} instead")]]
-bool RefineDkConstructRound(const DataGraph& g, BisimulationPartition* part,
-                            const std::vector<int32_t>& kreq_by_label,
-                            int32_t round, ThreadPool* pool,
-                            RefineScratch* scratch = nullptr);
 
 }  // namespace mrx
 

@@ -19,22 +19,20 @@ constexpr size_t kParallelCascadeMinNodes = 32;
 
 }  // namespace
 
-MStarIndex::MStarIndex(const DataGraph& g) : data_(g), evaluator_(g) {
+MStarIndex::MStarIndex(const DataGraph& g) : data_(g) {
   IndexGraph g0 = IndexGraph::LabelPartition(g);
   std::vector<IndexNodeId> sup(g0.capacity(), kInvalidIndexNode);
   components_.push_back(Component{std::move(g0), std::move(sup)});
 }
 
-MStarIndex::MStarIndex(const DataGraph& g, EmptyInit)
-    : data_(g), evaluator_(g) {}
+MStarIndex::MStarIndex(const DataGraph& g, EmptyInit) : data_(g) {}
 
 Result<MStarIndex> MStarIndex::FromComponents(
     const DataGraph& g, const std::vector<MStarComponentSpec>& specs) {
   if (specs.empty()) {
     return Status::InvalidArgument("need at least one component spec");
   }
-  MStarIndex index(g);
-  index.components_.clear();
+  MStarIndex index(g, EmptyInit{});
   for (size_t i = 0; i < specs.size(); ++i) {
     const MStarComponentSpec& spec = specs[i];
     if (spec.extents.size() != spec.ks.size() ||
@@ -75,11 +73,6 @@ Result<MStarIndex> MStarIndex::FromComponents(
   }
   MRX_RETURN_IF_ERROR(index.CheckProperties());
   return index;
-}
-
-MStarIndex MStarIndex::BuildStaticHierarchy(const DataGraph& g, int k_max,
-                                            ThreadPool* pool) {
-  return BuildStaticHierarchy(g, k_max, RefineOptions{pool, nullptr});
 }
 
 MStarIndex MStarIndex::BuildStaticHierarchy(const DataGraph& g, int k_max,
@@ -156,18 +149,12 @@ void MStarIndex::AppendComponentCopy() {
   components_.push_back(Component{std::move(graph), std::move(sup)});
 }
 
-void MStarIndex::Refine(const PathExpression& fup) {
-  const int32_t len = static_cast<int32_t>(fup.length());
-  if (len == 0) return;
-  // Descendant-axis expressions have unbounded instances; no finite k
-  // certifies them, so there is nothing to refine toward (queries remain
-  // exact through validation).
-  if (fup.HasDescendantAxis()) return;
-  RefineWithTarget(fup, evaluator_.Evaluate(fup));
-}
+void MStarIndex::Refine(const PathExpression& fup) { RefineBatch({fup}); }
 
 void MStarIndex::RefineBatch(const std::vector<PathExpression>& fups) {
-  // Keep only the expressions Refine would act on, in order.
+  // Keep only the expressions that have something to refine toward, in
+  // order. Descendant-axis expressions have unbounded instances; no finite
+  // k certifies them (queries remain exact through validation).
   std::vector<const PathExpression*> eligible;
   for (const PathExpression& fup : fups) {
     if (fup.length() == 0 || fup.HasDescendantAxis()) continue;
@@ -187,8 +174,9 @@ void MStarIndex::RefineBatch(const std::vector<PathExpression>& fups) {
       }
     });
   } else {
+    DataEvaluator evaluator(data_);
     for (size_t i = 0; i < eligible.size(); ++i) {
-      targets[i] = evaluator_.Evaluate(*eligible[i]);
+      targets[i] = evaluator.Evaluate(*eligible[i]);
     }
   }
 
@@ -533,19 +521,11 @@ bool MStarIndex::PromoteStar(int k, const std::vector<NodeId>& extent,
   return NoFalseInstances(fup);
 }
 
-QueryResult MStarIndex::QueryNaive(const PathExpression& path) {
-  return QueryNaive(path, &evaluator_);
-}
-
 QueryResult MStarIndex::QueryNaive(const PathExpression& path,
                                    DataEvaluator* validator) const {
   const size_t ci = std::min(path.length(), components_.size() - 1);
   obs::CountComponentTouched(ci);
   return AnswerOnIndex(components_[ci].graph, path, validator);
-}
-
-QueryResult MStarIndex::QueryTopDown(const PathExpression& path) {
-  return QueryTopDown(path, &evaluator_);
 }
 
 QueryResult MStarIndex::QueryTopDown(const PathExpression& path,
@@ -615,33 +595,8 @@ QueryResult MStarIndex::QueryTopDown(const PathExpression& path,
   }
 
   // Lines 5-12: collect extents, validating under-refined nodes.
-  SortUnique(&q);
-  result.target = q;
-  const IndexGraph& comp = components_[current_component].graph;
-  const int32_t needed = static_cast<int32_t>(path.length());
-  for (IndexNodeId v : q) {
-    const IndexGraph::Node& node = comp.node(v);
-    obs::CountExtentScan(node.extent.size());
-    if (node.k >= needed && !path.anchored()) {
-      node.extent.AppendTo(&result.answer);
-    } else {
-      result.precise = false;
-      for (NodeId o : node.extent) {
-        if (validator->HasIncomingPath(
-                o, path, &result.stats.data_nodes_validated)) {
-          result.answer.push_back(o);
-        }
-      }
-    }
-  }
-  std::sort(result.answer.begin(), result.answer.end());
+  CollectAnswer(path, current_component, std::move(q), validator, &result);
   return result;
-}
-
-QueryResult MStarIndex::QueryWithPrefilter(const PathExpression& path,
-                                           size_t sub_begin,
-                                           size_t sub_end) {
-  return QueryWithPrefilter(path, sub_begin, sub_end, &evaluator_);
 }
 
 QueryResult MStarIndex::QueryWithPrefilter(const PathExpression& path,
@@ -714,30 +669,12 @@ QueryResult MStarIndex::QueryWithPrefilter(const PathExpression& path,
     frontier = std::move(next);
   }
 
-  SortUnique(&frontier);
-  result.target = frontier;
-  const int32_t needed = static_cast<int32_t>(path.length());
-  for (IndexNodeId v : frontier) {
-    const IndexGraph::Node& node = fine.node(v);
-    obs::CountExtentScan(node.extent.size());
-    if (node.k >= needed && !path.anchored()) {
-      node.extent.AppendTo(&result.answer);
-    } else {
-      result.precise = false;
-      for (NodeId o : node.extent) {
-        if (validator->HasIncomingPath(
-                o, path, &result.stats.data_nodes_validated)) {
-          result.answer.push_back(o);
-        }
-      }
-    }
-  }
-  std::sort(result.answer.begin(), result.answer.end());
+  CollectAnswer(path, cq, std::move(frontier), validator, &result);
   return result;
 }
 
 MStarIndex MStarIndex::Clone() const {
-  MStarIndex copy(data_);
+  MStarIndex copy(data_, EmptyInit{});
   copy.components_ = components_;
   return copy;
 }

@@ -33,6 +33,24 @@ class ThreadPool;
 /// edge between two duplicates, nor the cross link to a duplicate.
 class MStarIndex;
 
+/// The M*(k) evaluation strategies of §4.1.
+enum class MStarQueryStrategy {
+  kNaive,
+  kTopDown,
+  kBottomUp,
+  kHybrid,
+};
+
+/// Every strategy, in enum order (EXPLAIN tables and the differential
+/// oracle iterate it).
+inline constexpr MStarQueryStrategy kMStarQueryStrategies[] = {
+    MStarQueryStrategy::kNaive, MStarQueryStrategy::kTopDown,
+    MStarQueryStrategy::kBottomUp, MStarQueryStrategy::kHybrid};
+
+/// Stable lowercase name for a strategy ("naive", "topdown", "bottomup",
+/// "hybrid") — the spelling used by the CLI, metrics, and explain records.
+const char* StrategyName(MStarQueryStrategy strategy);
+
 /// One component's logical content, used by the storage layer to persist
 /// and reassemble an M*(k)-index. Nodes are identified by their position
 /// ("ordinal") in these parallel vectors.
@@ -49,6 +67,10 @@ class MStarIndex {
   /// Starts with the single component I0 = A(0); `g` must outlive the
   /// index.
   explicit MStarIndex(const DataGraph& g);
+
+  /// Copies are explicit (Clone()); moves are cheap.
+  MStarIndex(const MStarIndex&) = delete;
+  MStarIndex(MStarIndex&&) = default;
 
   /// Reassembles an index from per-component partitions (the storage
   /// layer's load path). Adjacency is recomputed from the data graph
@@ -71,23 +93,18 @@ class MStarIndex {
   static MStarIndex BuildStaticHierarchy(const DataGraph& g, int k_max,
                                          const RefineOptions& options = {});
 
-  /// Transitional shim for the pre-RefineOptions overload (no default on
-  /// `pool` so two-argument calls resolve to the options form).
-  [[deprecated("pass RefineOptions{pool, scratch} instead")]]
-  static MStarIndex BuildStaticHierarchy(const DataGraph& g, int k_max,
-                                         ThreadPool* pool);
-
   /// REFINE* (§4.2): creates components up to I_length(fup) (by copying)
   /// if needed, then refines the hierarchy so `fup` evaluates precisely in
   /// the finest required component, and finally breaks any surviving false
-  /// instance with PROMOTE*.
+  /// instance with PROMOTE*. Same as RefineBatch({fup}).
   void Refine(const PathExpression& fup);
 
   /// Refines for a whole batch of FUPs, equivalent to calling Refine on
   /// each in order. The target sets of all eligible expressions are
   /// evaluated up front — they depend only on the immutable data graph,
-  /// not on index state — and fan out over the thread pool when one is
-  /// attached; the refinement itself stays serial (and deterministic).
+  /// not on index state — with one evaluator per call, or fanned out over
+  /// the thread pool (one evaluator per chunk) when one is attached; the
+  /// refinement itself stays serial (and deterministic).
   void RefineBatch(const std::vector<PathExpression>& fups);
 
   /// Attaches a thread pool used to parallelize batch target evaluation
@@ -97,48 +114,26 @@ class MStarIndex {
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
   ThreadPool* thread_pool() const { return pool_; }
 
+  /// Evaluates `path` with one of the §4.1 strategies — the one dispatch
+  /// every caller (sessions, CLI, oracle, harness) goes through.
+  /// Under-refined index nodes are validated through `validator`. Queries
+  /// never mutate the index, so any number of threads may call the query
+  /// methods on one index concurrently as long as (a) each thread passes
+  /// its own evaluator and (b) no thread is inside Refine() at the same
+  /// time — the server subsystem enforces both (see docs/SERVER.md).
+  QueryResult Query(MStarQueryStrategy strategy, const PathExpression& path,
+                    DataEvaluator* validator) const;
+
   /// §4.1 "Naive evaluation": evaluates in component I_min(length, finest)
   /// with the M(k) query algorithm.
-  QueryResult QueryNaive(const PathExpression& path);
+  QueryResult QueryNaive(const PathExpression& path,
+                         DataEvaluator* validator) const;
 
   /// §4.1 QUERYTOPDOWN: evaluates prefixes of increasing length in
   /// successively finer components, descending through the partition
   /// hierarchy via supernode links, and validates under-refined answers.
-  QueryResult QueryTopDown(const PathExpression& path);
-
-  /// Concurrent-read variants of the query strategies: identical results,
-  /// but validation runs through the caller-supplied evaluator instead of
-  /// the index's internal scratch evaluator. Queries never mutate the
-  /// index, so any number of threads may call these on one index
-  /// concurrently as long as (a) each thread passes its own evaluator and
-  /// (b) no thread is inside Refine() at the same time — the server
-  /// subsystem enforces both (see docs/SERVER.md).
-  QueryResult QueryNaive(const PathExpression& path,
-                         DataEvaluator* validator) const;
   QueryResult QueryTopDown(const PathExpression& path,
                            DataEvaluator* validator) const;
-  QueryResult QueryBottomUp(const PathExpression& path,
-                            DataEvaluator* validator) const;
-  QueryResult QueryHybrid(const PathExpression& path,
-                          DataEvaluator* validator) const;
-  QueryResult QueryHybrid(const PathExpression& path, size_t meet,
-                          DataEvaluator* validator) const;
-  QueryResult QueryWithPrefilter(const PathExpression& path, size_t sub_begin,
-                                 size_t sub_end,
-                                 DataEvaluator* validator) const;
-
-  /// Deep copy over the same data graph. The server's refinement worker
-  /// refines a private master copy off the read path and publishes clones,
-  /// so readers never observe a half-refined hierarchy.
-  MStarIndex Clone() const;
-
-  /// §4.1 "Subpath pre-filtering": evaluates the floating subpath
-  /// steps[sub_begin..sub_end] in the coarse component of its own length,
-  /// maps the survivors down to the finest needed component, and finishes
-  /// the full expression there with the frontier at step `sub_end`
-  /// restricted to the survivors. `sub_begin <= sub_end < num_steps()`.
-  QueryResult QueryWithPrefilter(const PathExpression& path,
-                                 size_t sub_begin, size_t sub_end);
 
   /// §4.1 "Other approaches", bottom-up: evaluates progressively longer
   /// *suffixes* of the expression in progressively finer components.
@@ -147,13 +142,30 @@ class MStarIndex {
   /// overhead the paper predicts makes bottom-up lose to top-down (the
   /// strategy ablation bench quantifies it). Anchored paths are rejected
   /// to the top-down algorithm internally.
-  QueryResult QueryBottomUp(const PathExpression& path);
+  QueryResult QueryBottomUp(const PathExpression& path,
+                            DataEvaluator* validator) const;
 
   /// §4.1 "Other approaches", hybrid: top-down for the prefix up to step
   /// `meet` (default: the middle), bottom-up for the suffix, joined at the
   /// meeting step in the finest needed component.
-  QueryResult QueryHybrid(const PathExpression& path);
-  QueryResult QueryHybrid(const PathExpression& path, size_t meet);
+  QueryResult QueryHybrid(const PathExpression& path,
+                          DataEvaluator* validator) const;
+  QueryResult QueryHybrid(const PathExpression& path, size_t meet,
+                          DataEvaluator* validator) const;
+
+  /// §4.1 "Subpath pre-filtering": evaluates the floating subpath
+  /// steps[sub_begin..sub_end] in the coarse component of its own length,
+  /// maps the survivors down to the finest needed component, and finishes
+  /// the full expression there with the frontier at step `sub_end`
+  /// restricted to the survivors. `sub_begin <= sub_end < num_steps()`.
+  QueryResult QueryWithPrefilter(const PathExpression& path, size_t sub_begin,
+                                 size_t sub_end,
+                                 DataEvaluator* validator) const;
+
+  /// Deep copy over the same data graph. The server's refinement worker
+  /// refines a private master copy off the read path and publishes clones,
+  /// so readers never observe a half-refined hierarchy.
+  MStarIndex Clone() const;
 
   size_t num_components() const { return components_.size(); }
   const IndexGraph& component(size_t i) const { return components_[i].graph; }
@@ -188,7 +200,8 @@ class MStarIndex {
 
  private:
   /// Tag for the internal constructor that skips building the A(0)
-  /// component (BuildStaticHierarchy materializes all components itself).
+  /// component (BuildStaticHierarchy, FromComponents and Clone fill in
+  /// every component themselves).
   struct EmptyInit {};
   MStarIndex(const DataGraph& g, EmptyInit);
   struct Component {
@@ -201,8 +214,7 @@ class MStarIndex {
   /// Appends a copy of the finest component; supernode links are identity.
   void AppendComponentCopy();
 
-  /// Refine's body after target evaluation: shared by Refine (which
-  /// evaluates inline) and RefineBatch (which pre-evaluates in parallel).
+  /// RefineBatch's per-FUP body, after its target set was evaluated.
   void RefineWithTarget(const PathExpression& fup,
                         const std::vector<NodeId>& target);
 
@@ -263,7 +275,6 @@ class MStarIndex {
                                         QueryStats* stats) const;
 
   const DataGraph& data_;
-  DataEvaluator evaluator_;
   std::vector<Component> components_;
   ThreadPool* pool_ = nullptr;  ///< Optional; not owned, not cloned.
 };

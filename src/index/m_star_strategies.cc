@@ -1,5 +1,5 @@
-// The bottom-up and hybrid evaluation strategies of §4.1 "Other
-// approaches", plus the shared helpers they use. Kept out of
+// The strategy dispatch, the bottom-up and hybrid evaluation strategies of
+// §4.1 "Other approaches", and the shared helpers they use. Kept out of
 // m_star_index.cc so each translation unit stays focused (refinement
 // there, alternative evaluation strategies here).
 
@@ -11,6 +11,36 @@
 #include "obs/query_cost.h"
 
 namespace mrx {
+
+const char* StrategyName(MStarQueryStrategy strategy) {
+  switch (strategy) {
+    case MStarQueryStrategy::kNaive:
+      return "naive";
+    case MStarQueryStrategy::kTopDown:
+      return "topdown";
+    case MStarQueryStrategy::kBottomUp:
+      return "bottomup";
+    case MStarQueryStrategy::kHybrid:
+      return "hybrid";
+  }
+  return "unknown";
+}
+
+QueryResult MStarIndex::Query(MStarQueryStrategy strategy,
+                              const PathExpression& path,
+                              DataEvaluator* validator) const {
+  switch (strategy) {
+    case MStarQueryStrategy::kNaive:
+      return QueryNaive(path, validator);
+    case MStarQueryStrategy::kTopDown:
+      break;
+    case MStarQueryStrategy::kBottomUp:
+      return QueryBottomUp(path, validator);
+    case MStarQueryStrategy::kHybrid:
+      return QueryHybrid(path, validator);
+  }
+  return QueryTopDown(path, validator);
+}
 
 void MStarIndex::CollectAnswer(const PathExpression& path, size_t ci,
                                std::vector<IndexNodeId> target,
@@ -85,10 +115,6 @@ std::vector<IndexNodeId> MStarIndex::DescendNodes(
   }
   if (stats != nullptr) stats->index_nodes_visited += out.size();
   return out;
-}
-
-QueryResult MStarIndex::QueryBottomUp(const PathExpression& path) {
-  return QueryBottomUp(path, &evaluator_);
 }
 
 QueryResult MStarIndex::QueryBottomUp(const PathExpression& path,
@@ -171,15 +197,6 @@ QueryResult MStarIndex::QueryBottomUp(const PathExpression& path,
   }
   CollectAnswer(path, current_ci, std::move(frontier), validator, &result);
   return result;
-}
-
-QueryResult MStarIndex::QueryHybrid(const PathExpression& path) {
-  return QueryHybrid(path, path.num_steps() / 2);
-}
-
-QueryResult MStarIndex::QueryHybrid(const PathExpression& path,
-                                    size_t meet) {
-  return QueryHybrid(path, meet, &evaluator_);
 }
 
 QueryResult MStarIndex::QueryHybrid(const PathExpression& path,

@@ -2,40 +2,8 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
-
 namespace mrx {
 namespace {
-
-/// Bumps the process-global counter for the chosen strategy, so the
-/// kAuto traffic mix is visible in any metrics exposition
-/// (mrx_strategy_chosen_<name>_total in the catalog). Handles are resolved
-/// once; the hot path is one striped-atomic increment.
-void CountChoice(MStarQueryStrategy strategy) {
-  using obs::Counter;
-  static Counter* const naive =
-      obs::MetricsRegistry::Global().GetCounter("mrx_strategy_chosen_naive_total");
-  static Counter* const topdown = obs::MetricsRegistry::Global().GetCounter(
-      "mrx_strategy_chosen_topdown_total");
-  static Counter* const bottomup = obs::MetricsRegistry::Global().GetCounter(
-      "mrx_strategy_chosen_bottomup_total");
-  static Counter* const hybrid = obs::MetricsRegistry::Global().GetCounter(
-      "mrx_strategy_chosen_hybrid_total");
-  switch (strategy) {
-    case MStarQueryStrategy::kNaive:
-      naive->Increment();
-      break;
-    case MStarQueryStrategy::kTopDown:
-      topdown->Increment();
-      break;
-    case MStarQueryStrategy::kBottomUp:
-      bottomup->Increment();
-      break;
-    case MStarQueryStrategy::kHybrid:
-      hybrid->Increment();
-      break;
-  }
-}
 
 // Multiplier on the bottom-up/hybrid downward-check term. The checks walk
 // real frontiers, so they cost far more than one node visit per candidate;
@@ -43,20 +11,6 @@ void CountChoice(MStarQueryStrategy strategy) {
 constexpr double kDownCheckPenalty = 4.0;
 
 }  // namespace
-
-const char* StrategyName(MStarQueryStrategy strategy) {
-  switch (strategy) {
-    case MStarQueryStrategy::kNaive:
-      return "naive";
-    case MStarQueryStrategy::kTopDown:
-      return "topdown";
-    case MStarQueryStrategy::kBottomUp:
-      return "bottomup";
-    case MStarQueryStrategy::kHybrid:
-      return "hybrid";
-  }
-  return "unknown";
-}
 
 StrategyChooser::StrategyChooser(const MStarIndex& index) {
   const size_t num_labels = index.component(0).data().symbols().size();
@@ -160,9 +114,7 @@ std::vector<StrategyCandidate> StrategyChooser::ExplainChoice(
     const PathExpression& path) const {
   const MStarQueryStrategy chosen = Choose(path);
   std::vector<StrategyCandidate> table;
-  for (MStarQueryStrategy s :
-       {MStarQueryStrategy::kNaive, MStarQueryStrategy::kTopDown,
-        MStarQueryStrategy::kBottomUp, MStarQueryStrategy::kHybrid}) {
+  for (MStarQueryStrategy s : kMStarQueryStrategies) {
     StrategyCandidate c;
     c.strategy = s;
     c.estimated_cost = EstimateCost(path, s);
@@ -175,50 +127,6 @@ std::vector<StrategyCandidate> StrategyChooser::ExplainChoice(
     table.push_back(c);
   }
   return table;
-}
-
-QueryResult StrategyChooser::Evaluate(const MStarIndex& index,
-                                      const PathExpression& path,
-                                      DataEvaluator* validator) const {
-  return Evaluate(index, path, validator, nullptr);
-}
-
-QueryResult StrategyChooser::Evaluate(const MStarIndex& index,
-                                      const PathExpression& path,
-                                      DataEvaluator* validator,
-                                      MStarQueryStrategy* chosen_out) const {
-  const MStarQueryStrategy chosen = Choose(path);
-  if (chosen_out != nullptr) *chosen_out = chosen;
-  CountChoice(chosen);
-  switch (chosen) {
-    case MStarQueryStrategy::kNaive:
-      return index.QueryNaive(path, validator);
-    case MStarQueryStrategy::kTopDown:
-      return index.QueryTopDown(path, validator);
-    case MStarQueryStrategy::kBottomUp:
-      return index.QueryBottomUp(path, validator);
-    case MStarQueryStrategy::kHybrid:
-      return index.QueryHybrid(path, validator);
-  }
-  return index.QueryTopDown(path, validator);
-}
-
-QueryResult StrategyChooser::QueryAuto(MStarIndex& index,
-                                       const PathExpression& path) {
-  StrategyChooser chooser(index);
-  const MStarQueryStrategy chosen = chooser.Choose(path);
-  CountChoice(chosen);
-  switch (chosen) {
-    case MStarQueryStrategy::kNaive:
-      return index.QueryNaive(path);
-    case MStarQueryStrategy::kTopDown:
-      return index.QueryTopDown(path);
-    case MStarQueryStrategy::kBottomUp:
-      return index.QueryBottomUp(path);
-    case MStarQueryStrategy::kHybrid:
-      return index.QueryHybrid(path);
-  }
-  return index.QueryTopDown(path);
 }
 
 }  // namespace mrx

@@ -8,18 +8,6 @@
 
 namespace mrx {
 
-/// The M*(k) evaluation strategies of §4.1.
-enum class MStarQueryStrategy {
-  kNaive,
-  kTopDown,
-  kBottomUp,
-  kHybrid,
-};
-
-/// Stable lowercase name for a strategy ("naive", "topdown", "bottomup",
-/// "hybrid") — the spelling used by the CLI, metrics, and explain records.
-const char* StrategyName(MStarQueryStrategy strategy);
-
 /// One row of an EXPLAIN decision table: a strategy the chooser looked at,
 /// its estimated cost, and whether the path's shape even permits it
 /// (anchored paths force top-down; descendant axes force naive).
@@ -62,24 +50,6 @@ class StrategyChooser {
   /// tests and the ablation bench).
   double EstimateCost(const PathExpression& path,
                       MStarQueryStrategy strategy) const;
-
-  /// Convenience: Choose then evaluate with the chosen strategy.
-  static QueryResult QueryAuto(MStarIndex& index,
-                               const PathExpression& path);
-
-  /// Concurrent-read variant: Choose with this chooser's (prebuilt)
-  /// statistics, then evaluate through the index's const query path with
-  /// the caller's evaluator. The server rebuilds one chooser per published
-  /// index and shares it across worker threads; Choose/EstimateCost only
-  /// read the row tables, so this is safe to call concurrently.
-  QueryResult Evaluate(const MStarIndex& index, const PathExpression& path,
-                       DataEvaluator* validator) const;
-
-  /// Same, reporting which strategy ran (for EXPLAIN and slow-query
-  /// records). `chosen_out` may be null.
-  QueryResult Evaluate(const MStarIndex& index, const PathExpression& path,
-                       DataEvaluator* validator,
-                       MStarQueryStrategy* chosen_out) const;
 
  private:
   /// Number of alive index nodes with label `l` in component `ci`

@@ -111,12 +111,12 @@ bool ValidateTrunkAt(const DataGraph& g, NodeId node,
 
 }  // namespace
 
-QueryResult EvaluateTwigWithIndex(MStarIndex& index, const TwigQuery& twig,
+QueryResult EvaluateTwigWithIndex(const MStarIndex& index,
+                                  const TwigQuery& twig,
                                   DataEvaluator& evaluator) {
-  (void)evaluator;  // The trunk evaluation validates internally.
   // Phase 1: the index answers the trunk exactly.
   PathExpression trunk = twig.TrunkExpression();
-  QueryResult result = index.QueryTopDown(trunk);
+  QueryResult result = index.QueryTopDown(trunk, &evaluator);
   if (!twig.HasPredicates()) return result;
 
   // Phase 2: validate each trunk candidate's predicates along a backward

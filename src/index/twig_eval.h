@@ -15,9 +15,11 @@ namespace mrx {
 /// Bisimilarity summarizes incoming label paths only, so branch predicates
 /// can never be certified by the index (the paper's §2 points to covering
 /// indexes / UD(k,l) for that); `precise` is therefore false whenever the
-/// twig has predicates. Answers are always exact. Validation work is
+/// twig has predicates. Answers are always exact. The trunk validates its
+/// under-refined index nodes through `evaluator`; validation work is
 /// charged to `stats.data_nodes_validated` as usual.
-QueryResult EvaluateTwigWithIndex(MStarIndex& index, const TwigQuery& twig,
+QueryResult EvaluateTwigWithIndex(const MStarIndex& index,
+                                  const TwigQuery& twig,
                                   DataEvaluator& evaluator);
 
 }  // namespace mrx

@@ -24,12 +24,17 @@ ShardedAnswerCache::ShardedAnswerCache(size_t capacity, size_t num_shards)
   }
 }
 
-CachedAnswerPtr ShardedAnswerCache::Get(const std::string& key) {
+CachedAnswerPtr ShardedAnswerCache::Get(const std::string& key,
+                                        std::optional<uint64_t> epoch) {
   Shard& shard = ShardFor(key);
   CachedAnswerPtr hit;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    const CachedAnswerPtr* cached = shard.lru.Get(key);
+    // Every entry in a shard carries the shard's epoch: Put admits only
+    // that epoch and Invalidate clears the entries as it advances it.
+    const CachedAnswerPtr* cached =
+        epoch.has_value() && *epoch != shard.epoch ? nullptr
+                                                   : shard.lru.Get(key);
     if (cached != nullptr) {
       ++shard.stats.hits;
       hit = *cached;  // Refcount bump; no payload copy under the lock.
@@ -63,6 +68,14 @@ CachedAnswerPtr ShardedAnswerCache::Wrap(const QueryResult& result) {
   entry->target = result.target;
   entry->precise = result.precise;
   return entry;
+}
+
+QueryResult ShardedAnswerCache::Unwrap(const CachedAnswer& entry) {
+  QueryResult result;
+  result.answer = entry.answer.Materialize();
+  result.target = entry.target;
+  result.precise = entry.precise;
+  return result;
 }
 
 void ShardedAnswerCache::Invalidate(uint64_t new_epoch) {

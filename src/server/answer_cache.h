@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,18 +34,18 @@ using CachedAnswerPtr = std::shared_ptr<const CachedAnswer>;
 
 /// \brief A thread-safe LRU cache of query answers, sharded by key hash.
 ///
-/// This is the concurrent replacement for AdaptiveIndexSession's
-/// single-threaded memo (and the paper's §2 reading of APEX: "an
-/// efficiently organized cache of answers to FUPs"). Each shard is an
+/// Both sessions memoize through it (the paper's §2 reading of APEX: "an
+/// efficiently organized cache of answers to FUPs"); the serial
+/// AdaptiveIndexSession uses a single shard. Each shard is an
 /// independently locked LruCache, so workers hitting different shards
 /// never contend; the total capacity is split evenly across shards.
 ///
 /// Entries are tagged with the index epoch they were computed under.
 /// Publishing a refined index bumps the epoch and clears the cache; a
-/// racing insert that started under the old epoch is rejected by Put, so
-/// readers never see an entry whose stats/precision predate the published
-/// index (answers themselves are always exact either way — the data graph
-/// is immutable).
+/// racing insert that started under the old epoch is rejected by Put, and
+/// Get(key, epoch) refuses an entry from another epoch than the reader's,
+/// so a reader never sees an answer computed on a different snapshot than
+/// its own (after a mutation, such an answer can be wrong).
 class ShardedAnswerCache {
  public:
   /// `capacity` is the total entry bound across all shards; `num_shards`
@@ -54,7 +55,15 @@ class ShardedAnswerCache {
   /// Returns a shared handle to the cached answer for `key` (refreshing
   /// its recency), or null on miss. The handle stays valid after
   /// Invalidate/eviction — entries are immutable and refcounted.
-  CachedAnswerPtr Get(const std::string& key);
+  ///
+  /// A reader on snapshot `epoch` hits only an entry computed under that
+  /// same epoch. A publication swaps the snapshot *before* it invalidates
+  /// the cache, so in between a reader already on the new snapshot would
+  /// otherwise be served an answer computed on the old one. Without
+  /// `epoch` any cached entry is served — for a single owner that never
+  /// reads across a publication.
+  CachedAnswerPtr Get(const std::string& key,
+                      std::optional<uint64_t> epoch = std::nullopt);
 
   /// Inserts `value` computed under `epoch`; dropped silently if the
   /// current epoch has moved on (a refinement was published in between).
@@ -65,8 +74,12 @@ class ShardedAnswerCache {
   /// contract); the Extent conversion may compress it.
   static CachedAnswerPtr Wrap(const QueryResult& result);
 
+  /// The inverse of Wrap: a QueryResult with the entry's answer, target and
+  /// precision, and zeroed stats (a cache hit visits no nodes).
+  static QueryResult Unwrap(const CachedAnswer& entry);
+
   /// Clears all shards and records `new_epoch` as current. Called by the
-  /// refinement worker while it holds the index write lock.
+  /// writer right after it publishes the snapshot of epoch `new_epoch`.
   void Invalidate(uint64_t new_epoch);
 
   /// Current entry count across shards (approximate under concurrency).

@@ -76,31 +76,10 @@ ConcurrentSession::~ConcurrentSession() {
 QueryResult ConcurrentSession::EvaluateOn(
     const mutate::VersionSnapshot& snapshot, const PathExpression& query,
     DataEvaluator* validator, MStarQueryStrategy* used) const {
-  const MStarIndex& index = snapshot.index();
-  MStarQueryStrategy chosen = MStarQueryStrategy::kTopDown;
-  QueryResult result;
-  switch (options_.strategy) {
-    case SessionOptions::Strategy::kNaive:
-      chosen = MStarQueryStrategy::kNaive;
-      result = index.QueryNaive(query, validator);
-      break;
-    case SessionOptions::Strategy::kBottomUp:
-      chosen = MStarQueryStrategy::kBottomUp;
-      result = index.QueryBottomUp(query, validator);
-      break;
-    case SessionOptions::Strategy::kHybrid:
-      chosen = MStarQueryStrategy::kHybrid;
-      result = index.QueryHybrid(query, validator);
-      break;
-    case SessionOptions::Strategy::kAuto:
-      result = snapshot.chooser().Evaluate(index, query, validator, &chosen);
-      break;
-    case SessionOptions::Strategy::kTopDown:
-      result = index.QueryTopDown(query, validator);
-      break;
-  }
-  if (used != nullptr) *used = chosen;
-  return result;
+  const MStarQueryStrategy strategy =
+      ResolveStrategy(options_.strategy, snapshot.chooser(), query);
+  if (used != nullptr) *used = strategy;
+  return snapshot.index().Query(strategy, query, validator);
 }
 
 QueryResult ConcurrentSession::Query(const PathExpression& query) {
@@ -151,7 +130,7 @@ ConcurrentSession::VersionedAnswer ConcurrentSession::QueryInternal(
     // version the query was parsed against.
     key = query.ToString(snapshot->graph().symbols());
     const uint64_t lookup_start = obs::MonotonicNowNs();
-    const CachedAnswerPtr hit = cache_.Get(key);
+    const CachedAnswerPtr hit = cache_.Get(key, answer.epoch);
     const bool found = hit != nullptr;
     const uint64_t lookup_ns = obs::MonotonicNowNs() - lookup_start;
     metrics_.cache_lookup_ns->Record(lookup_ns);
@@ -168,10 +147,7 @@ ConcurrentSession::VersionedAnswer ConcurrentSession::QueryInternal(
       root.AddAttr("cache_hit", 1);
       // Rehydrate outside the shard lock; stats stay zeroed (a cache hit
       // visits no nodes).
-      QueryResult rehydrated;
-      rehydrated.answer = hit->answer.Materialize();
-      rehydrated.target = hit->target;
-      rehydrated.precise = hit->precise;
+      QueryResult rehydrated = ShardedAnswerCache::Unwrap(*hit);
       const uint64_t total_ns = obs::MonotonicNowNs() - begin_ns;
       const bool is_slow = slow_capture && total_ns >= options_.slow_query_ns;
       if (diag != nullptr || is_slow) {
@@ -365,7 +341,7 @@ Result<ConcurrentSession::MutationReceipt> ConcurrentSession::ApplyMutations(
   master_ = std::make_unique<MStarIndex>(*master_graph_);
   if (refine_pool_ != nullptr) master_->set_thread_pool(refine_pool_.get());
   if (!applied_fups_.empty()) master_->RefineBatch(applied_fups_);
-  graph_version_.store(receipt.version, std::memory_order_relaxed);
+  master_version_ = receipt.version;
 
   const uint64_t publish_start = obs::MonotonicNowNs();
   PublishLocked();
@@ -487,12 +463,13 @@ void ConcurrentSession::PublishLocked() {
   auto fresh = std::make_shared<const MStarIndex>(master_->Clone());
   auto chooser = std::make_shared<const StrategyChooser>(*fresh);
   std::shared_ptr<mutate::VersionSnapshot> snapshot = handle_.Publish(
-      master_graph_, std::move(fresh), std::move(chooser),
-      graph_version_.load(std::memory_order_relaxed));
+      master_graph_, std::move(fresh), std::move(chooser), master_version_);
   // Invalidate after the swap: entries admitted before this are wiped, and
-  // a racing Put tagged with an older epoch is dropped by the epoch guard —
-  // so once a publication is visible, no pre-publication answer survives in
-  // the cache (the mutation-staleness contract).
+  // a racing Put tagged with an older epoch is dropped by the epoch guard.
+  // Until the wipe lands, readers already on the new snapshot miss the old
+  // entries because Get checks their epoch — so no pre-publication answer
+  // is served to a post-publication reader (the mutation-staleness
+  // contract).
   cache_.Invalidate(snapshot->epoch());
   obs::FlightRecorder::Global().Record(
       obs::FlightEventType::kCacheEvictionSweep, snapshot->epoch());
@@ -536,6 +513,10 @@ QueryStats ConcurrentSession::cumulative_stats() const {
 }
 
 uint64_t ConcurrentSession::index_epoch() const { return handle_.epoch(); }
+
+uint64_t ConcurrentSession::graph_version() const {
+  return handle_.Acquire()->version();
+}
 
 size_t ConcurrentSession::published_components() const {
   return handle_.Acquire()->index().num_components();

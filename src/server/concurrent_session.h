@@ -113,8 +113,10 @@ struct ConcurrentSessionOptions {
 ///    swap.
 ///  - Publishing (refinement or mutation) bumps the answer-cache epoch and
 ///    invalidates the sharded cache; racing inserts tagged with the old
-///    epoch are dropped. This is what keeps cached answers from surviving
-///    a graph mutation that changed them.
+///    epoch are dropped, and a lookup hits only entries computed under
+///    the reader's own snapshot epoch (the swap precedes the
+///    invalidation). This is what keeps cached answers from surviving a
+///    graph mutation that changed them.
 ///
 /// Answers are always exact for the snapshot they were computed on (as in
 /// the serial session): under-refined index nodes are validated against
@@ -191,9 +193,7 @@ class ConcurrentSession {
   }
 
   /// Mutation batches applied so far (== graph_version()).
-  uint64_t mutation_batches() const {
-    return graph_version_.load(std::memory_order_relaxed);
-  }
+  uint64_t mutation_batches() const { return graph_version(); }
 
   /// Queries that crossed options.slow_query_ns (0 when capture is off).
   uint64_t slow_queries() const {
@@ -233,10 +233,9 @@ class ConcurrentSession {
   uint64_t index_epoch() const;
 
   /// Graph version of the currently published snapshot (mutation batches
-  /// applied; 0 until the first ApplyMutations).
-  uint64_t graph_version() const {
-    return graph_version_.load(std::memory_order_relaxed);
-  }
+  /// applied; 0 until the first ApplyMutations). Read from the snapshot
+  /// itself, so it never runs ahead of graph_snapshot().
+  uint64_t graph_version() const;
 
   /// Component count of the currently published index.
   size_t published_components() const;
@@ -333,12 +332,13 @@ class ConcurrentSession {
 
   /// The FUP extractor, the pool the writer's parallel stages run on (null
   /// when refine_threads ≤ 1; declared before the master so it outlives
-  /// it), the graph version the master is built over, and the master index
-  /// the writers refine before cloning it into the published snapshot. All
-  /// guarded by refine_mu_ after construction.
+  /// it), the graph the master is built over and its version, and the
+  /// master index the writers refine before cloning it into the published
+  /// snapshot. All guarded by refine_mu_ after construction.
   FupExtractor fups_;
   std::unique_ptr<ThreadPool> refine_pool_;
   std::shared_ptr<const DataGraph> master_graph_;
+  uint64_t master_version_ = 0;
   std::unique_ptr<MStarIndex> master_;
 
   /// The live-update subsystem, created on the first ApplyMutations.
@@ -352,7 +352,6 @@ class ConcurrentSession {
 
   std::atomic<uint64_t> refinements_applied_{0};
   std::atomic<uint64_t> publications_{0};
-  std::atomic<uint64_t> graph_version_{0};
 
   SessionMetrics metrics_;
 

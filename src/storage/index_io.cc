@@ -20,8 +20,8 @@ std::unordered_map<IndexNodeId, uint32_t> OrdinalMap(const IndexGraph& g) {
   return out;
 }
 
-/// Version-1 extent body, also the body of a version-2 kSortedVector
-/// record: member count then ascending varint deltas.
+/// Body of a kSortedVector extent record: member count then ascending
+/// varint deltas.
 void EncodeSortedDeltas(const Extent& extent, BinaryWriter* blob) {
   blob->PutVarint(extent.size());
   NodeId prev = 0;
@@ -80,8 +80,8 @@ Result<Extent> DecodeSortedDeltas(BinaryReader* reader) {
     prev += static_cast<NodeId>(delta);
     extent.push_back(prev);
   }
-  // Normalized under the current representation mode — loading a version-1
-  // (or vector-rep) extent upgrades it like a fresh build would.
+  // Normalized under the current representation mode — loading a
+  // vector-rep extent upgrades it like a fresh build would.
   return Extent::FromSorted(std::move(extent));
 }
 
@@ -225,13 +225,8 @@ Result<MStarComponentSpec> DecodeComponentBlob(std::string_view blob,
       MRX_ASSIGN_OR_RETURN(uint64_t sup, reader.GetVarint());
       spec.supernodes.push_back(static_cast<uint32_t>(sup));
     }
-    if (version == 1) {
-      MRX_ASSIGN_OR_RETURN(Extent extent, DecodeSortedDeltas(&reader));
-      spec.extents.push_back(std::move(extent));
-    } else {
-      MRX_ASSIGN_OR_RETURN(Extent extent, DecodeExtentV2(&reader));
-      spec.extents.push_back(std::move(extent));
-    }
+    MRX_ASSIGN_OR_RETURN(Extent extent, DecodeExtentV2(&reader));
+    spec.extents.push_back(std::move(extent));
   }
   if (component == 0) {
     spec.supernodes.assign(spec.extents.size(), 0);

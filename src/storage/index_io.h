@@ -29,14 +29,14 @@ Status SaveMStarIndexToFile(const MStarIndex& index,
 Result<MStarIndex> LoadMStarIndexFromFile(const DataGraph& graph,
                                           const std::string& path);
 
-/// Container format versions. Version 1 (the original format) stored every
-/// extent as varint deltas of a sorted vector; version 2 (the Extent
-/// redesign) tags each extent with its physical representation and stores
-/// compressed payloads verbatim, so a hybrid-bitmap index round-trips
-/// without decompressing. Readers accept both; writers emit the current
-/// version.
+/// Container format versions. Version 2 tags each extent with its physical
+/// representation and stores compressed payloads verbatim, so a
+/// hybrid-bitmap index round-trips without decompressing. Version 1 (every
+/// extent as varint deltas of a sorted vector) is no longer read: nothing
+/// writes it, and loading one is an "unsupported index container version"
+/// ParseError.
 inline constexpr uint64_t kMStarFormatVersion = 2;
-inline constexpr uint64_t kMStarOldestSupportedVersion = 1;
+inline constexpr uint64_t kMStarOldestSupportedVersion = 2;
 
 /// Decoded container header (exposed for DiskMStarIndex and tests).
 struct MStarFileToc {

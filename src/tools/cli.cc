@@ -318,51 +318,32 @@ int CmdIndexInfo(const Options& options, std::ostream& out,
   return 0;
 }
 
-/// Runs `query` against `index` with `strategy` ("auto" uses `chooser`),
-/// collecting the actual-cost counters, and fills `diag` with the full
-/// explain record. Returns the query result.
+/// Runs `query` against `index` with `strategy`, collecting the
+/// actual-cost counters, and fills `diag` with the full explain record
+/// (`chooser` supplies the decision table). Returns the query result.
 QueryResult RunExplained(const MStarIndex& index,
                          const StrategyChooser& chooser, const DataGraph& g,
                          const PathExpression& query,
-                         MStarQueryStrategy strategy, bool auto_choose,
-                         obs::QueryDiag* diag) {
+                         MStarQueryStrategy strategy, obs::QueryDiag* diag) {
   obs::QueryCostCounters cost;
-  MStarQueryStrategy used = strategy;
   QueryResult result;
   const uint64_t start_ns = obs::MonotonicNowNs();
   {
     obs::QueryCostScope scope(&cost);
     DataEvaluator validator(g);
-    if (auto_choose) {
-      result = chooser.Evaluate(index, query, &validator, &used);
-    } else {
-      switch (strategy) {
-        case MStarQueryStrategy::kNaive:
-          result = index.QueryNaive(query, &validator);
-          break;
-        case MStarQueryStrategy::kTopDown:
-          result = index.QueryTopDown(query, &validator);
-          break;
-        case MStarQueryStrategy::kBottomUp:
-          result = index.QueryBottomUp(query, &validator);
-          break;
-        case MStarQueryStrategy::kHybrid:
-          result = index.QueryHybrid(query, &validator);
-          break;
-      }
-    }
+    result = index.Query(strategy, query, &validator);
   }
   const uint64_t eval_ns = obs::MonotonicNowNs() - start_ns;
   diag->query = query.ToString(g.symbols());
   diag->precise = result.precise;
-  diag->strategy = StrategyName(used);
-  diag->estimated_cost = chooser.EstimateCost(query, used);
+  diag->strategy = StrategyName(strategy);
+  diag->estimated_cost = chooser.EstimateCost(query, strategy);
   for (const StrategyCandidate& c : chooser.ExplainChoice(query)) {
     obs::QueryDiag::Candidate row;
     row.strategy = StrategyName(c.strategy);
     row.estimated_cost = c.estimated_cost;
     row.eligible = c.eligible;
-    row.chosen = c.strategy == used;
+    row.chosen = c.strategy == strategy;
     diag->considered.push_back(row);
   }
   diag->index_nodes_visited = result.stats.index_nodes_visited;
@@ -374,12 +355,22 @@ QueryResult RunExplained(const MStarIndex& index,
   return result;
 }
 
-Result<MStarQueryStrategy> ParseStrategy(const std::string& name) {
-  if (name == "topdown") return MStarQueryStrategy::kTopDown;
-  if (name == "naive") return MStarQueryStrategy::kNaive;
-  if (name == "bottomup") return MStarQueryStrategy::kBottomUp;
-  if (name == "hybrid") return MStarQueryStrategy::kHybrid;
+Result<SessionOptions::Strategy> ParseStrategy(const std::string& name) {
+  if (name == "auto") return SessionOptions::Strategy::kAuto;
+  if (name == "topdown") return SessionOptions::Strategy::kTopDown;
+  if (name == "naive") return SessionOptions::Strategy::kNaive;
+  if (name == "bottomup") return SessionOptions::Strategy::kBottomUp;
+  if (name == "hybrid") return SessionOptions::Strategy::kHybrid;
   return Status::InvalidArgument("unknown strategy: " + name);
+}
+
+/// The index `mrx query`/`explain` run on: the saved one when the command
+/// names an index file (three positionals), else the fresh A(0) hierarchy.
+Result<MStarIndex> QueryIndex(const Options& options, const DataGraph& g) {
+  if (options.positional.size() == 3) {
+    return storage::LoadMStarIndexFromFile(g, options.positional[1]);
+  }
+  return MStarIndex(g);
 }
 
 void PrintAnswer(const QueryResult& result, const DataGraph& g,
@@ -406,8 +397,9 @@ int CmdQuery(const Options& options, std::ostream& out, std::ostream& err) {
   Result<DataGraph> g = LoadGraph(options.positional[0]);
   if (!g.ok()) return Fail(err, g.status());
 
-  const bool has_index = options.positional.size() == 3;
   const std::string& expr = options.positional.back();
+  Result<MStarIndex> index = QueryIndex(options, *g);
+  if (!index.ok()) return Fail(err, index.status());
 
   // Expressions with [...] predicates are twigs: the index answers the
   // trunk, predicates validate against the data graph.
@@ -415,16 +407,7 @@ int CmdQuery(const Options& options, std::ostream& out, std::ostream& err) {
     auto twig = TwigQuery::Parse(expr, g->symbols());
     if (!twig.ok()) return Fail(err, twig.status());
     DataEvaluator evaluator(*g);
-    QueryResult result;
-    if (has_index) {
-      Result<MStarIndex> index =
-          storage::LoadMStarIndexFromFile(*g, options.positional[1]);
-      if (!index.ok()) return Fail(err, index.status());
-      result = EvaluateTwigWithIndex(*index, *twig, evaluator);
-    } else {
-      MStarIndex fresh(*g);
-      result = EvaluateTwigWithIndex(fresh, *twig, evaluator);
-    }
+    QueryResult result = EvaluateTwigWithIndex(*index, *twig, evaluator);
     out << result.answer.size() << " nodes (cost " << result.stats.total()
         << ", twig):";
     size_t shown = 0;
@@ -444,73 +427,24 @@ int CmdQuery(const Options& options, std::ostream& out, std::ostream& err) {
 
   const bool explain = options.Flag("explain") == "on";
   const bool as_json = options.Flag("json") == "on";
-  const std::string strategy_name = options.Flag("strategy", "auto");
-  const bool auto_choose = strategy_name == "auto";
-  MStarQueryStrategy strategy = MStarQueryStrategy::kTopDown;
-  if (!auto_choose) {
-    Result<MStarQueryStrategy> parsed = ParseStrategy(strategy_name);
-    if (!parsed.ok()) {
-      err << parsed.status().message() << "\n";
-      return 2;
-    }
-    strategy = *parsed;
+  Result<SessionOptions::Strategy> strategy =
+      ParseStrategy(options.Flag("strategy", "auto"));
+  if (!strategy.ok()) {
+    err << strategy.status().message() << "\n";
+    return 2;
   }
 
-  // The explain path needs a chooser (for the decision table) whether the
-  // index came from disk or is the fresh k=0 hierarchy.
-  if (explain) {
-    std::unique_ptr<MStarIndex> owned;
-    if (has_index) {
-      Result<MStarIndex> loaded =
-          storage::LoadMStarIndexFromFile(*g, options.positional[1]);
-      if (!loaded.ok()) return Fail(err, loaded.status());
-      owned = std::make_unique<MStarIndex>(std::move(*loaded));
-    } else {
-      owned = std::make_unique<MStarIndex>(*g);
-    }
-    const MStarIndex* index = owned.get();
-    StrategyChooser chooser(*index);
-    obs::QueryDiag diag;
-    QueryResult result = RunExplained(*index, chooser, *g, *query, strategy,
-                                      auto_choose, &diag);
-    if (as_json) {
-      diag.WriteJson(out);
-      out << "\n";
-    } else {
-      diag.WriteText(out);
-      PrintAnswer(result, *g, out);
-    }
+  StrategyChooser chooser(*index);
+  obs::QueryDiag diag;
+  QueryResult result =
+      RunExplained(*index, chooser, *g, *query,
+                   ResolveStrategy(*strategy, chooser, *query), &diag);
+  if (explain && as_json) {
+    diag.WriteJson(out);
+    out << "\n";
     return 0;
   }
-
-  QueryResult result;
-  if (has_index) {
-    Result<MStarIndex> index =
-        storage::LoadMStarIndexFromFile(*g, options.positional[1]);
-    if (!index.ok()) return Fail(err, index.status());
-    if (auto_choose) {
-      result = StrategyChooser::QueryAuto(*index, *query);
-    } else {
-      switch (strategy) {
-        case MStarQueryStrategy::kTopDown:
-          result = index->QueryTopDown(*query);
-          break;
-        case MStarQueryStrategy::kNaive:
-          result = index->QueryNaive(*query);
-          break;
-        case MStarQueryStrategy::kBottomUp:
-          result = index->QueryBottomUp(*query);
-          break;
-        case MStarQueryStrategy::kHybrid:
-          result = index->QueryHybrid(*query);
-          break;
-      }
-    }
-  } else {
-    MStarIndex fresh(*g);
-    result = fresh.QueryTopDown(*query);
-  }
-
+  if (explain) diag.WriteText(out);
   PrintAnswer(result, *g, out);
   return 0;
 }
@@ -523,22 +457,11 @@ int CmdExplain(const Options& options, std::ostream& out,
   }
   Result<DataGraph> g = LoadGraph(options.positional[0]);
   if (!g.ok()) return Fail(err, g.status());
-  const bool has_index = options.positional.size() == 3;
-  const std::string& expr = options.positional.back();
-  auto query = PathExpression::Parse(expr, g->symbols());
+  auto query = PathExpression::Parse(options.positional.back(), g->symbols());
   if (!query.ok()) return Fail(err, query.status());
   const bool as_json = options.Flag("json") == "on";
-
-  std::unique_ptr<MStarIndex> owned;
-  if (has_index) {
-    Result<MStarIndex> loaded =
-        storage::LoadMStarIndexFromFile(*g, options.positional[1]);
-    if (!loaded.ok()) return Fail(err, loaded.status());
-    owned = std::make_unique<MStarIndex>(std::move(*loaded));
-  } else {
-    owned = std::make_unique<MStarIndex>(*g);
-  }
-  const MStarIndex* index = owned.get();
+  Result<MStarIndex> index = QueryIndex(options, *g);
+  if (!index.ok()) return Fail(err, index.status());
   StrategyChooser chooser(*index);
 
   // Run every *eligible* strategy so estimated-vs-actual is measured, not
@@ -553,8 +476,7 @@ int CmdExplain(const Options& options, std::ostream& out,
       continue;
     }
     obs::QueryDiag diag;
-    RunExplained(*index, chooser, *g, *query, c.strategy,
-                 /*auto_choose=*/false, &diag);
+    RunExplained(*index, chooser, *g, *query, c.strategy, &diag);
     if (as_json) {
       diag.WriteJson(out);
       out << "\n";

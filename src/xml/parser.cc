@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace mrx::xml {
 namespace {
@@ -82,7 +83,8 @@ class Cursor {
   uint32_t col_ = 1;
 };
 
-/// Recursive-descent parser state: cursor + handler + element stack.
+/// Parser state: cursor + handler. The element stack lives in
+/// ParseDocumentElement, so no construct recurses on nesting depth.
 class ParserImpl {
  public:
   ParserImpl(std::string_view input, ParseEventHandler* handler)
@@ -93,7 +95,7 @@ class ParserImpl {
     if (cur_.AtEnd() || cur_.Peek() != '<') {
       return cur_.Error("expected document element");
     }
-    MRX_RETURN_IF_ERROR(ParseElement());
+    MRX_RETURN_IF_ERROR(ParseDocumentElement());
     // Trailing misc: whitespace, comments, PIs.
     while (true) {
       cur_.SkipWhitespace();
@@ -245,8 +247,10 @@ class ParserImpl {
     return Status::Ok();
   }
 
-  /// Parses one element, assuming the cursor sits on its '<'.
-  Status ParseElement() {
+  /// Parses a start tag with the cursor on its '<' and reports it. A
+  /// self-closing tag also reports its end; any other tag's name is pushed
+  /// onto `open`.
+  Status ParseStartTag(std::vector<std::string>* open) {
     cur_.Advance();  // '<'
     std::string name;
     MRX_RETURN_IF_ERROR(ParseName(&name));
@@ -278,12 +282,17 @@ class ParserImpl {
     }
     cur_.Advance();  // '>'
     MRX_RETURN_IF_ERROR(handler_->StartElement(name, attributes));
-    MRX_RETURN_IF_ERROR(ParseContent(name));
-    return handler_->EndElement(name);
+    open->push_back(std::move(name));
+    return Status::Ok();
   }
 
-  /// Parses element content up to and including the matching end tag.
-  Status ParseContent(const std::string& element_name) {
+  /// Parses the document element, with the cursor on its '<', up to and
+  /// including its end tag. One loop over an explicit stack of open
+  /// element names instead of recursion, so nesting depth is bounded by
+  /// memory rather than by the call stack.
+  Status ParseDocumentElement() {
+    std::vector<std::string> open;
+    MRX_RETURN_IF_ERROR(ParseStartTag(&open));
     std::string text;
     auto flush_text = [&]() -> Status {
       if (text.empty()) return Status::Ok();
@@ -292,9 +301,9 @@ class ParserImpl {
       return s;
     };
 
-    while (true) {
+    while (!open.empty()) {
       if (cur_.AtEnd()) {
-        return cur_.Error("unterminated element '" + element_name + "'");
+        return cur_.Error("unterminated element '" + open.back() + "'");
       }
       char c = cur_.Peek();
       if (c == '<') {
@@ -306,11 +315,13 @@ class ParserImpl {
           MRX_RETURN_IF_ERROR(ParseName(&end_name));
           cur_.SkipWhitespace();
           if (!cur_.Consume('>')) return cur_.Error("expected '>'");
-          if (end_name != element_name) {
+          if (end_name != open.back()) {
             return cur_.Error("mismatched end tag '</" + end_name +
-                              ">' for '<" + element_name + ">'");
+                              ">' for '<" + open.back() + ">'");
           }
-          return Status::Ok();
+          MRX_RETURN_IF_ERROR(handler_->EndElement(end_name));
+          open.pop_back();
+          continue;
         }
         if (cur_.ConsumeLiteral("<!--")) {
           MRX_RETURN_IF_ERROR(flush_text());
@@ -329,7 +340,7 @@ class ParserImpl {
           continue;
         }
         MRX_RETURN_IF_ERROR(flush_text());
-        MRX_RETURN_IF_ERROR(ParseElement());
+        MRX_RETURN_IF_ERROR(ParseStartTag(&open));
         continue;
       }
       cur_.Advance();
@@ -339,6 +350,7 @@ class ParserImpl {
         text += c;
       }
     }
+    return Status::Ok();
   }
 
   Cursor cur_;

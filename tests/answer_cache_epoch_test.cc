@@ -64,6 +64,29 @@ TEST(AnswerCacheEpochTest, StalePutAfterInvalidateIsDropped) {
   EXPECT_EQ(TotalStaleDrops(cache), 1u);
 }
 
+/// The publish window: a publication swaps the snapshot first and
+/// invalidates the cache second. A reader that already holds the new
+/// snapshot (epoch 1) must not be served the entry computed under epoch 0
+/// that is still cached until the Invalidate lands.
+TEST(AnswerCacheEpochTest, ReaderOnNewerEpochMissesOlderEntry) {
+  ShardedAnswerCache cache(64, 1);
+  cache.Put("q1", MakeEntry({4}), /*epoch=*/0);
+  EXPECT_EQ(cache.Get("q1", /*epoch=*/1), nullptr);
+  // Readers still on epoch 0 keep hitting it until the invalidation.
+  CachedAnswerPtr old_reader = cache.Get("q1", /*epoch=*/0);
+  ASSERT_NE(old_reader, nullptr);
+  EXPECT_EQ(old_reader->answer, (std::vector<NodeId>{4}));
+
+  // After the invalidation an epoch-0 reader misses too, and the new
+  // epoch's answer is served only to epoch-1 readers.
+  cache.Invalidate(/*new_epoch=*/1);
+  cache.Put("q1", MakeEntry({4, 10}), /*epoch=*/1);
+  EXPECT_EQ(cache.Get("q1", /*epoch=*/0), nullptr);
+  CachedAnswerPtr new_reader = cache.Get("q1", /*epoch=*/1);
+  ASSERT_NE(new_reader, nullptr);
+  EXPECT_EQ(new_reader->answer, (std::vector<NodeId>{4, 10}));
+}
+
 TEST(AnswerCacheEpochTest, EveryEpochTransitionRejectsTheOldTag) {
   ShardedAnswerCache cache(64, 1);  // One shard: deterministic stats.
   for (uint64_t epoch = 1; epoch <= 5; ++epoch) {

@@ -82,6 +82,20 @@ TEST(CliTest, ConvertRoundTrip) {
   }
 }
 
+TEST(CliTest, ConvertsDeeplyNestedDocument) {
+  // 30k nested elements overflowed the recursive XML parser's stack.
+  std::string xml_path = TempPath("mrx_cli_deep.xml");
+  std::string bin_path = TempPath("mrx_cli_deep.mrxg");
+  {
+    std::ofstream f(xml_path);
+    for (int i = 0; i < 30000; ++i) f << "<a>";
+    for (int i = 0; i < 30000; ++i) f << "</a>";
+  }
+  CliRun r = RunTool({"convert", xml_path, bin_path});
+  EXPECT_EQ(r.code, 0) << r.err;
+  for (const auto& p : {xml_path, bin_path}) std::remove(p.c_str());
+}
+
 TEST(CliTest, GenerateQueryAndIndexPipeline) {
   std::string doc_path = TempPath("mrx_cli_pipe.xml");
   std::string index_path = TempPath("mrx_cli_pipe.mrxs");

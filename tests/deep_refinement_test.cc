@@ -74,9 +74,9 @@ TEST(DeepRefinementTest, MStarHandlesLongFups) {
   for (const auto& q : fups) max_len = std::max(max_len, q.length());
   EXPECT_EQ(index.num_components(), max_len + 1);
   for (const auto& q : fups) {
-    ASSERT_EQ(index.QueryTopDown(q).answer, eval.Evaluate(q));
-    ASSERT_TRUE(index.QueryNaive(q).precise) << q.ToString(g.symbols());
-    ASSERT_EQ(index.QueryBottomUp(q).answer, eval.Evaluate(q));
+    ASSERT_EQ(index.QueryTopDown(q, &eval).answer, eval.Evaluate(q));
+    ASSERT_TRUE(index.QueryNaive(q, &eval).precise) << q.ToString(g.symbols());
+    ASSERT_EQ(index.QueryBottomUp(q, &eval).answer, eval.Evaluate(q));
   }
 }
 
@@ -95,10 +95,12 @@ TEST(DeepRefinementTest, RefinementOrderDoesNotAffectSupport) {
   ASSERT_TRUE(forward.CheckProperties().ok());
   ASSERT_TRUE(backward.CheckProperties().ok());
   for (const auto& q : fups) {
-    EXPECT_TRUE(forward.QueryNaive(q).precise) << q.ToString(g.symbols());
-    EXPECT_TRUE(backward.QueryNaive(q).precise) << q.ToString(g.symbols());
-    EXPECT_EQ(forward.QueryTopDown(q).answer,
-              backward.QueryTopDown(q).answer);
+    EXPECT_TRUE(forward.QueryNaive(q, &eval).precise)
+        << q.ToString(g.symbols());
+    EXPECT_TRUE(backward.QueryNaive(q, &eval).precise)
+        << q.ToString(g.symbols());
+    EXPECT_EQ(forward.QueryTopDown(q, &eval).answer,
+              backward.QueryTopDown(q, &eval).answer);
   }
 }
 

@@ -116,10 +116,10 @@ TEST(DescendantAxisTest, AllIndexesAnswerExactly) {
     EXPECT_EQ(one.Query(p).answer, expected) << text;
     EXPECT_EQ(dkc.Query(p).answer, expected) << text;
     EXPECT_EQ(mk.Query(p).answer, expected) << text;
-    EXPECT_EQ(mstar.QueryNaive(p).answer, expected) << text;
-    EXPECT_EQ(mstar.QueryTopDown(p).answer, expected) << text;
-    EXPECT_EQ(mstar.QueryBottomUp(p).answer, expected) << text;
-    EXPECT_EQ(mstar.QueryHybrid(p).answer, expected) << text;
+    EXPECT_EQ(mstar.QueryNaive(p, &eval).answer, expected) << text;
+    EXPECT_EQ(mstar.QueryTopDown(p, &eval).answer, expected) << text;
+    EXPECT_EQ(mstar.QueryBottomUp(p, &eval).answer, expected) << text;
+    EXPECT_EQ(mstar.QueryHybrid(p, &eval).answer, expected) << text;
     // Never claimed precise, even by the 1-index.
     EXPECT_FALSE(one.Query(p).precise) << text;
   }
@@ -161,8 +161,8 @@ TEST(DescendantAxisTest, RandomGraphSweep) {
       for (LabelId b = 0; b < symbols.size(); ++b) {
         PathExpression p({a, b}, {0, 1}, false);  // //a//b
         std::vector<NodeId> expected = eval.Evaluate(p);
-        ASSERT_EQ(mstar.QueryNaive(p).answer, expected);
-        ASSERT_EQ(mstar.QueryTopDown(p).answer, expected);
+        ASSERT_EQ(mstar.QueryNaive(p, &eval).answer, expected);
+        ASSERT_EQ(mstar.QueryTopDown(p, &eval).answer, expected);
       }
     }
   }

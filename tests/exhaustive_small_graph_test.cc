@@ -105,7 +105,7 @@ TEST_P(ExhaustiveSmallGraphTest, EveryIndexExactOnEveryGraph) {
           std::vector<NodeId> truth = eval.Evaluate(q);
           ASSERT_EQ(a1.Query(q).answer, truth);
           ASSERT_EQ(mk.Query(q).answer, truth);
-          ASSERT_EQ(mstar.QueryTopDown(q).answer, truth);
+          ASSERT_EQ(mstar.QueryTopDown(q, &eval).answer, truth);
           if (q.length() == 2) {
             ASSERT_TRUE(mk.Query(q).precise)
                 << "labels=" << labels_mask << " tree=" << tree_code

@@ -89,8 +89,8 @@ TEST(ExperimentDriverTest, MStarStrategiesBothWork) {
   auto g = BuildXMarkGraph(0.01);
   ASSERT_TRUE(g.ok());
   ExperimentDriver driver(*g, SmallWorkload(*g, 15, 4));
-  IndexRunResult topdown = driver.RunMStar(50, MStarStrategy::kTopDown);
-  IndexRunResult naive = driver.RunMStar(50, MStarStrategy::kNaive);
+  IndexRunResult topdown = driver.RunMStar(50, MStarQueryStrategy::kTopDown);
+  IndexRunResult naive = driver.RunMStar(50, MStarQueryStrategy::kNaive);
   EXPECT_EQ(topdown.nodes, naive.nodes);
   EXPECT_GT(topdown.avg_query_cost, 0.0);
   EXPECT_GT(naive.avg_query_cost, 0.0);

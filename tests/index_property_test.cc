@@ -142,8 +142,8 @@ TEST_P(IndexSweepTest, MStarRefinementSequenceKeepsAllInvariants) {
     ASSERT_TRUE(index.CheckProperties().ok())
         << index.CheckProperties() << " after " << q.ToString(g.symbols());
     for (const PathExpression& p : refined) {
-      QueryResult naive = index.QueryNaive(p);
-      QueryResult topdown = index.QueryTopDown(p);
+      QueryResult naive = index.QueryNaive(p, &eval);
+      QueryResult topdown = index.QueryTopDown(p, &eval);
       ASSERT_EQ(naive.answer, eval.Evaluate(p)) << p.ToString(g.symbols());
       ASSERT_EQ(topdown.answer, naive.answer) << p.ToString(g.symbols());
       ASSERT_TRUE(naive.precise) << p.ToString(g.symbols());
@@ -157,10 +157,10 @@ TEST_P(IndexSweepTest, MStarRefinementSequenceKeepsAllInvariants) {
   // three strategies.
   for (const PathExpression& q : MakeWorkload(g, c.seed + 7, 10, 4)) {
     std::vector<NodeId> expected = eval.Evaluate(q);
-    EXPECT_EQ(index.QueryNaive(q).answer, expected);
-    EXPECT_EQ(index.QueryTopDown(q).answer, expected);
+    EXPECT_EQ(index.QueryNaive(q, &eval).answer, expected);
+    EXPECT_EQ(index.QueryTopDown(q, &eval).answer, expected);
     if (q.num_steps() >= 2) {
-      EXPECT_EQ(index.QueryWithPrefilter(q, 1, q.num_steps() - 1).answer,
+      EXPECT_EQ(index.QueryWithPrefilter(q, 1, q.num_steps() - 1, &eval).answer,
                 expected);
     }
   }

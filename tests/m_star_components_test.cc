@@ -54,7 +54,7 @@ TEST(FromComponentsTest, RebuildsEquivalentIndex) {
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
   EXPECT_EQ(rebuilt->num_components(), index.num_components());
   EXPECT_EQ(rebuilt->PhysicalNodeCount(), index.PhysicalNodeCount());
-  QueryResult r = rebuilt->QueryTopDown(fup);
+  QueryResult r = rebuilt->QueryTopDown(fup, &eval);
   EXPECT_TRUE(r.precise);
   EXPECT_EQ(r.answer, eval.Evaluate(fup));
 }
@@ -135,7 +135,7 @@ TEST(StaticHierarchyTest, SatisfiesPropertiesAndIsPrecise) {
         "//site/auctions/auction/bidder/person"}) {
     auto p = PathExpression::Parse(text, g.symbols());
     ASSERT_TRUE(p.ok());
-    QueryResult r = index.QueryTopDown(*p);
+    QueryResult r = index.QueryTopDown(*p, &eval);
     EXPECT_TRUE(r.precise) << text;
     EXPECT_EQ(r.answer, eval.Evaluate(*p)) << text;
   }
@@ -159,7 +159,7 @@ TEST(StaticHierarchyTest, RefineBeyondCapStillWorks) {
   ASSERT_TRUE(p.ok());
   index.Refine(*p);
   ASSERT_TRUE(index.CheckProperties().ok()) << index.CheckProperties();
-  QueryResult r = index.QueryTopDown(*p);
+  QueryResult r = index.QueryTopDown(*p, &eval);
   EXPECT_TRUE(r.precise);
   EXPECT_EQ(r.answer, eval.Evaluate(*p));
 }

@@ -48,7 +48,8 @@ TEST(MStarIndexTest, FinestComponentSupportsFup) {
   MStarIndex index(g);
   PathExpression p = Q(g, "//r/a/b");
   index.Refine(p);
-  for (QueryResult r : {index.QueryNaive(p), index.QueryTopDown(p)}) {
+  for (QueryResult r :
+       {index.QueryNaive(p, &eval), index.QueryTopDown(p, &eval)}) {
     EXPECT_TRUE(r.precise);
     EXPECT_EQ(r.stats.data_nodes_validated, 0u);
     EXPECT_EQ(r.answer, eval.Evaluate(p));
@@ -77,7 +78,7 @@ TEST(MStarIndexTest, AvoidsOverqualifiedParentSplit) {
   // Both FUPs remain precise.
   DataEvaluator eval(g);
   for (const char* fup : {"//r/a/b", "//b/c"}) {
-    QueryResult r = mstar.QueryTopDown(Q(g, fup));
+    QueryResult r = mstar.QueryTopDown(Q(g, fup), &eval);
     EXPECT_TRUE(r.precise) << fup;
     EXPECT_EQ(r.answer, eval.Evaluate(Q(g, fup)));
   }
@@ -99,12 +100,12 @@ TEST(MStarIndexTest, QueryStrategiesAgree) {
   ASSERT_TRUE(index.CheckProperties().ok()) << index.CheckProperties();
   for (const PathExpression& p : fups) {
     std::vector<NodeId> expected = eval.Evaluate(p);
-    EXPECT_EQ(index.QueryNaive(p).answer, expected);
-    EXPECT_EQ(index.QueryTopDown(p).answer, expected);
-    EXPECT_EQ(index.QueryWithPrefilter(p, 0, p.num_steps() - 1).answer,
+    EXPECT_EQ(index.QueryNaive(p, &eval).answer, expected);
+    EXPECT_EQ(index.QueryTopDown(p, &eval).answer, expected);
+    EXPECT_EQ(index.QueryWithPrefilter(p, 0, p.num_steps() - 1, &eval).answer,
               expected);
     EXPECT_EQ(index.QueryWithPrefilter(p, p.num_steps() - 1,
-                                       p.num_steps() - 1)
+                                       p.num_steps() - 1, &eval)
                   .answer,
               expected);
   }
@@ -115,8 +116,8 @@ TEST(MStarIndexTest, UnrefinedQueriesAreExactViaValidation) {
   DataEvaluator eval(g);
   MStarIndex index(g);
   PathExpression p = Q(g, "//c/b");
-  EXPECT_EQ(index.QueryNaive(p).answer, eval.Evaluate(p));
-  EXPECT_EQ(index.QueryTopDown(p).answer, eval.Evaluate(p));
+  EXPECT_EQ(index.QueryNaive(p, &eval).answer, eval.Evaluate(p));
+  EXPECT_EQ(index.QueryTopDown(p, &eval).answer, eval.Evaluate(p));
 }
 
 TEST(MStarIndexTest, PhysicalSizeSkipsDuplicates) {
@@ -206,9 +207,10 @@ TEST(MStarIndexTest, TopDownVisitsFewerNodesThanNaiveOnShortQueries) {
   uint64_t naive_cost = 0, topdown_cost = 0;
   for (LabelId l = 0; l < symbols.size(); ++l) {
     PathExpression p({l}, false);
-    naive_cost += index.QueryNaive(p).stats.total();
-    topdown_cost += index.QueryTopDown(p).stats.total();
-    EXPECT_EQ(index.QueryNaive(p).answer, index.QueryTopDown(p).answer);
+    naive_cost += index.QueryNaive(p, &eval).stats.total();
+    topdown_cost += index.QueryTopDown(p, &eval).stats.total();
+    EXPECT_EQ(index.QueryNaive(p, &eval).answer,
+              index.QueryTopDown(p, &eval).answer);
   }
   EXPECT_LE(topdown_cost, naive_cost);
 }

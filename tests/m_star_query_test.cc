@@ -27,9 +27,9 @@ TEST(MStarQueryTest, QueryLongerThanFinestComponent) {
   index.Refine(Q(g, "//people/person"));  // Creates I1 only.
   ASSERT_EQ(index.num_components(), 2u);
   PathExpression longer = Q(g, "//root/site/people/person");
-  EXPECT_EQ(index.QueryTopDown(longer).answer, eval.Evaluate(longer));
-  EXPECT_EQ(index.QueryNaive(longer).answer, eval.Evaluate(longer));
-  EXPECT_EQ(index.QueryWithPrefilter(longer, 2, 3).answer,
+  EXPECT_EQ(index.QueryTopDown(longer, &eval).answer, eval.Evaluate(longer));
+  EXPECT_EQ(index.QueryNaive(longer, &eval).answer, eval.Evaluate(longer));
+  EXPECT_EQ(index.QueryWithPrefilter(longer, 2, 3, &eval).answer,
             eval.Evaluate(longer));
 }
 
@@ -43,7 +43,7 @@ TEST(MStarQueryTest, PrefilterAtEveryBoundary) {
   ASSERT_FALSE(expected.empty());
   for (size_t b = 0; b < p.num_steps(); ++b) {
     for (size_t e = b; e < p.num_steps(); ++e) {
-      EXPECT_EQ(index.QueryWithPrefilter(p, b, e).answer, expected)
+      EXPECT_EQ(index.QueryWithPrefilter(p, b, e, &eval).answer, expected)
           << "subpath [" << b << "," << e << "]";
     }
   }
@@ -54,9 +54,11 @@ TEST(MStarQueryTest, AnchoredTopDown) {
   DataEvaluator eval(g);
   MStarIndex index(g);
   PathExpression anchored = Q(g, "/r/a");
-  EXPECT_EQ(index.QueryTopDown(anchored).answer, eval.Evaluate(anchored));
-  EXPECT_EQ(index.QueryTopDown(anchored).answer, (std::vector<NodeId>{1}));
-  EXPECT_FALSE(index.QueryTopDown(anchored).precise);
+  EXPECT_EQ(index.QueryTopDown(anchored, &eval).answer,
+            eval.Evaluate(anchored));
+  EXPECT_EQ(index.QueryTopDown(anchored, &eval).answer,
+            (std::vector<NodeId>{1}));
+  EXPECT_FALSE(index.QueryTopDown(anchored, &eval).precise);
 }
 
 TEST(MStarQueryTest, WildcardTopDown) {
@@ -64,17 +66,19 @@ TEST(MStarQueryTest, WildcardTopDown) {
   DataEvaluator eval(g);
   MStarIndex index(g);
   PathExpression p = Q(g, "//site/regions/*/item");
-  EXPECT_EQ(index.QueryTopDown(p).answer, eval.Evaluate(p));
-  EXPECT_EQ(index.QueryTopDown(p).answer, (std::vector<NodeId>{12, 13, 14}));
+  EXPECT_EQ(index.QueryTopDown(p, &eval).answer, eval.Evaluate(p));
+  EXPECT_EQ(index.QueryTopDown(p, &eval).answer,
+            (std::vector<NodeId>{12, 13, 14}));
 }
 
 TEST(MStarQueryTest, RefinedWildcardFupBecomesPrecise) {
   DataGraph g = MakeFigure1Graph();
   MStarIndex index(g);
+  DataEvaluator eval(g);
   PathExpression p = Q(g, "//site/regions/*/item");
   index.Refine(p);
   ASSERT_TRUE(index.CheckProperties().ok()) << index.CheckProperties();
-  QueryResult r = index.QueryNaive(p);
+  QueryResult r = index.QueryNaive(p, &eval);
   EXPECT_TRUE(r.precise);
   EXPECT_EQ(r.answer, (std::vector<NodeId>{12, 13, 14}));
 }
@@ -82,8 +86,9 @@ TEST(MStarQueryTest, RefinedWildcardFupBecomesPrecise) {
 TEST(MStarQueryTest, TopDownCostCountsDescentAndFrontiers) {
   DataGraph g = MakeFigure3Graph();
   MStarIndex index(g);
+  DataEvaluator eval(g);
   index.Refine(Q(g, "//r/a/b"));
-  QueryResult r = index.QueryTopDown(Q(g, "//r/a/b"));
+  QueryResult r = index.QueryTopDown(Q(g, "//r/a/b"), &eval);
   // Level 0 visits r in I0 (1), descends into I1 (1 subnode) and steps to
   // a (1), descends into I2 (1) and steps to b (1): small but non-zero.
   EXPECT_GE(r.stats.index_nodes_visited, 5u);
@@ -93,11 +98,12 @@ TEST(MStarQueryTest, TopDownCostCountsDescentAndFrontiers) {
 TEST(MStarQueryTest, UnknownLabelQueriesAreEmptyEverywhere) {
   DataGraph g = MakeFigure3Graph();
   MStarIndex index(g);
+  DataEvaluator eval(g);
   index.Refine(Q(g, "//r/a/b"));
   PathExpression p = Q(g, "//does/not/exist");
-  EXPECT_TRUE(index.QueryNaive(p).answer.empty());
-  EXPECT_TRUE(index.QueryTopDown(p).answer.empty());
-  EXPECT_TRUE(index.QueryWithPrefilter(p, 0, 2).answer.empty());
+  EXPECT_TRUE(index.QueryNaive(p, &eval).answer.empty());
+  EXPECT_TRUE(index.QueryTopDown(p, &eval).answer.empty());
+  EXPECT_TRUE(index.QueryWithPrefilter(p, 0, 2, &eval).answer.empty());
 }
 
 TEST(MStarQueryTest, StrategiesAgreeOnLongRandomQueries) {
@@ -121,9 +127,9 @@ TEST(MStarQueryTest, StrategiesAgreeOnLongRandomQueries) {
     for (LabelId b = 0; b < symbols.size(); ++b) {
       PathExpression p({a, b, a, b}, false);
       std::vector<NodeId> expected = eval.Evaluate(p);
-      ASSERT_EQ(index.QueryNaive(p).answer, expected);
-      ASSERT_EQ(index.QueryTopDown(p).answer, expected);
-      ASSERT_EQ(index.QueryWithPrefilter(p, 1, 2).answer, expected);
+      ASSERT_EQ(index.QueryNaive(p, &eval).answer, expected);
+      ASSERT_EQ(index.QueryTopDown(p, &eval).answer, expected);
+      ASSERT_EQ(index.QueryWithPrefilter(p, 1, 2, &eval).answer, expected);
     }
   }
 }
@@ -134,9 +140,9 @@ TEST(MStarQueryTest, PrefilterSingleStepSubpath) {
   MStarIndex index(g);
   PathExpression p = Q(g, "//r/a/b");
   // Subpath = just the final label.
-  EXPECT_EQ(index.QueryWithPrefilter(p, 2, 2).answer, eval.Evaluate(p));
+  EXPECT_EQ(index.QueryWithPrefilter(p, 2, 2, &eval).answer, eval.Evaluate(p));
   // Subpath = just the first label.
-  EXPECT_EQ(index.QueryWithPrefilter(p, 0, 0).answer, eval.Evaluate(p));
+  EXPECT_EQ(index.QueryWithPrefilter(p, 0, 0, &eval).answer, eval.Evaluate(p));
 }
 
 }  // namespace

@@ -31,8 +31,8 @@ TEST(MStarBottomUpTest, MatchesGroundTruthOnFigure1) {
         "//site/regions/*/item", "//root/site/auctions/auction",
         "//auction/bidder/person"}) {
     PathExpression p = Q(g, text);
-    EXPECT_EQ(index.QueryBottomUp(p).answer, eval.Evaluate(p)) << text;
-    EXPECT_EQ(index.QueryHybrid(p).answer, eval.Evaluate(p)) << text;
+    EXPECT_EQ(index.QueryBottomUp(p, &eval).answer, eval.Evaluate(p)) << text;
+    EXPECT_EQ(index.QueryHybrid(p, &eval).answer, eval.Evaluate(p)) << text;
   }
 }
 
@@ -41,8 +41,8 @@ TEST(MStarBottomUpTest, SingleLabelQuery) {
   DataEvaluator eval(g);
   MStarIndex index(g);
   PathExpression p = Q(g, "//b");
-  EXPECT_EQ(index.QueryBottomUp(p).answer, eval.Evaluate(p));
-  EXPECT_EQ(index.QueryHybrid(p).answer, eval.Evaluate(p));
+  EXPECT_EQ(index.QueryBottomUp(p, &eval).answer, eval.Evaluate(p));
+  EXPECT_EQ(index.QueryHybrid(p, &eval).answer, eval.Evaluate(p));
 }
 
 TEST(MStarBottomUpTest, AnchoredFallsBackToTopDown) {
@@ -50,17 +50,18 @@ TEST(MStarBottomUpTest, AnchoredFallsBackToTopDown) {
   DataEvaluator eval(g);
   MStarIndex index(g);
   PathExpression p = Q(g, "/r/a/b");
-  EXPECT_EQ(index.QueryBottomUp(p).answer, eval.Evaluate(p));
-  EXPECT_EQ(index.QueryHybrid(p).answer, eval.Evaluate(p));
+  EXPECT_EQ(index.QueryBottomUp(p, &eval).answer, eval.Evaluate(p));
+  EXPECT_EQ(index.QueryHybrid(p, &eval).answer, eval.Evaluate(p));
 }
 
 TEST(MStarBottomUpTest, EmptyAnswerQueries) {
   DataGraph g = MakeFigure3Graph();
   MStarIndex index(g);
+  DataEvaluator eval(g);
   index.Refine(Q(g, "//r/a/b"));
   for (const char* text : {"//b/a", "//a/b/c", "//missing/label"}) {
-    EXPECT_TRUE(index.QueryBottomUp(Q(g, text)).answer.empty()) << text;
-    EXPECT_TRUE(index.QueryHybrid(Q(g, text)).answer.empty()) << text;
+    EXPECT_TRUE(index.QueryBottomUp(Q(g, text), &eval).answer.empty()) << text;
+    EXPECT_TRUE(index.QueryHybrid(Q(g, text), &eval).answer.empty()) << text;
   }
 }
 
@@ -74,7 +75,7 @@ TEST(MStarBottomUpTest, DownwardCheckPrunesLostSuffixes) {
   MStarIndex index(g);
   index.Refine(Q(g, "//a/b"));  // Builds I1 and splits nothing vital.
   PathExpression p = Q(g, "//a/b/c");
-  QueryResult r = index.QueryBottomUp(p);
+  QueryResult r = index.QueryBottomUp(p, &eval);
   EXPECT_EQ(r.answer, eval.Evaluate(p));
   EXPECT_EQ(r.answer, (std::vector<NodeId>{4}));
 }
@@ -87,7 +88,7 @@ TEST(MStarBottomUpTest, HybridMeetPositionsAllAgree) {
   index.Refine(p);
   std::vector<NodeId> expected = eval.Evaluate(p);
   for (size_t meet = 0; meet < p.num_steps(); ++meet) {
-    EXPECT_EQ(index.QueryHybrid(p, meet).answer, expected)
+    EXPECT_EQ(index.QueryHybrid(p, meet, &eval).answer, expected)
         << "meet=" << meet;
   }
 }
@@ -115,11 +116,11 @@ TEST_P(StrategySweepTest, AllFiveStrategiesAgreeOnRandomGraphs) {
     for (LabelId b = 0; b < symbols.size(); ++b) {
       PathExpression p({a, b, a}, false);
       std::vector<NodeId> expected = eval.Evaluate(p);
-      ASSERT_EQ(index.QueryNaive(p).answer, expected);
-      ASSERT_EQ(index.QueryTopDown(p).answer, expected);
-      ASSERT_EQ(index.QueryBottomUp(p).answer, expected);
-      ASSERT_EQ(index.QueryHybrid(p).answer, expected);
-      ASSERT_EQ(index.QueryWithPrefilter(p, 1, 2).answer, expected);
+      ASSERT_EQ(index.QueryNaive(p, &eval).answer, expected);
+      ASSERT_EQ(index.QueryTopDown(p, &eval).answer, expected);
+      ASSERT_EQ(index.QueryBottomUp(p, &eval).answer, expected);
+      ASSERT_EQ(index.QueryHybrid(p, &eval).answer, expected);
+      ASSERT_EQ(index.QueryWithPrefilter(p, 1, 2, &eval).answer, expected);
     }
   }
 }

@@ -168,7 +168,7 @@ TEST(IndexIoTest, LoadedIndexAnswersQueries) {
   ASSERT_TRUE(SaveMStarIndexToFile(index, path).ok());
   auto loaded = LoadMStarIndexFromFile(g, path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  QueryResult r = loaded->QueryTopDown(fup);
+  QueryResult r = loaded->QueryTopDown(fup, &eval);
   EXPECT_TRUE(r.precise);
   EXPECT_EQ(r.answer, eval.Evaluate(fup));
   std::remove(path.c_str());
@@ -190,6 +190,26 @@ TEST(IndexIoTest, WrongGraphIsRejected) {
   std::string bytes = SerializeMStarIndex(index);
   DataGraph other = RandomGraph(3, 5, 2, 2);  // Far fewer nodes.
   EXPECT_FALSE(DeserializeMStarIndex(other, bytes).ok());
+}
+
+TEST(IndexIoTest, Version1ContainerIsUnsupported) {
+  DataGraph g = MakeFigure3Graph();
+  MStarIndex index(g);
+  index.Refine(Q(g, "//r/a/b"));
+  const std::string current = SerializeMStarIndex(index);
+  // Same container with the header's version field (after the 4-byte
+  // magic) rewritten to 1.
+  BinaryWriter header;
+  header.PutRaw(current.substr(0, 4));
+  header.PutFixed64(1);
+  const std::string v1 = header.TakeBuffer() + current.substr(12);
+  for (const Status& status :
+       {DeserializeMStarIndex(g, v1).status(), ReadMStarToc(v1).status()}) {
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << status;
+    EXPECT_NE(status.message().find("unsupported index container version 1"),
+              std::string::npos)
+        << status;
+  }
 }
 
 TEST(DiskMStarIndexTest, LoadsComponentsLazily) {
@@ -267,7 +287,7 @@ TEST(DiskMStarIndexTest, MatchesInMemoryAnswersOnGeneratedData) {
     auto r = disk->QueryTopDown(q);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->answer, eval.Evaluate(q));
-    EXPECT_EQ(r->answer, index.QueryTopDown(q).answer);
+    EXPECT_EQ(r->answer, index.QueryTopDown(q, &eval).answer);
   }
   std::remove(path.c_str());
 }

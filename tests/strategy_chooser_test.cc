@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
+#include "core/session.h"
 #include "harness/datasets.h"
 #include "index/strategy_chooser.h"
 #include "query/data_evaluator.h"
@@ -37,9 +41,7 @@ TEST(StrategyChooserTest, EstimatesAreFiniteAndOrdered) {
   index.Refine(Q(g, "//site/auctions/auction/seller/person"));
   StrategyChooser chooser(index);
   PathExpression p = Q(g, "//site/auctions/auction/seller/person");
-  for (MStarQueryStrategy s :
-       {MStarQueryStrategy::kNaive, MStarQueryStrategy::kTopDown,
-        MStarQueryStrategy::kBottomUp, MStarQueryStrategy::kHybrid}) {
+  for (MStarQueryStrategy s : kMStarQueryStrategies) {
     EXPECT_GE(chooser.EstimateCost(p, s), 0.0);
   }
   // Bottom-up's downward-check penalty makes it the most expensive
@@ -53,13 +55,35 @@ TEST(StrategyChooserTest, AutoAnswersAreExact) {
   DataEvaluator eval(g);
   MStarIndex index(g);
   index.Refine(Q(g, "//site/people/person"));
+  StrategyChooser chooser(index);
   for (const char* text :
        {"//person", "//site/people/person", "//auction/seller/person",
         "//site//item", "/root/site", "//site/regions/*/item"}) {
     PathExpression p = Q(g, text);
-    EXPECT_EQ(StrategyChooser::QueryAuto(index, p).answer, eval.Evaluate(p))
+    const MStarQueryStrategy chosen =
+        ResolveStrategy(SessionOptions::Strategy::kAuto, chooser, p);
+    EXPECT_EQ(index.Query(chosen, p, &eval).answer, eval.Evaluate(p))
         << text;
   }
+}
+
+TEST(StrategyChooserTest, ResolveStrategyMapsFixedAndDefersAutoToChooser) {
+  DataGraph g = MakeFigure3Graph();
+  MStarIndex index(g);
+  StrategyChooser chooser(index);
+  PathExpression p = Q(g, "//r/a/b");
+  using S = SessionOptions::Strategy;
+  EXPECT_EQ(ResolveStrategy(S::kNaive, chooser, p),
+            MStarQueryStrategy::kNaive);
+  EXPECT_EQ(ResolveStrategy(S::kTopDown, chooser, p),
+            MStarQueryStrategy::kTopDown);
+  EXPECT_EQ(ResolveStrategy(S::kBottomUp, chooser, p),
+            MStarQueryStrategy::kBottomUp);
+  EXPECT_EQ(ResolveStrategy(S::kHybrid, chooser, p),
+            MStarQueryStrategy::kHybrid);
+  EXPECT_EQ(ResolveStrategy(S::kAuto, chooser, p), chooser.Choose(p));
+  EXPECT_EQ(ResolveStrategy(S::kAuto, chooser, Q(g, "/r/a/b")),
+            MStarQueryStrategy::kTopDown);
 }
 
 TEST(StrategyChooserTest, AutoIsCompetitiveOnGeneratedWorkload) {
@@ -74,6 +98,7 @@ TEST(StrategyChooserTest, AutoIsCompetitiveOnGeneratedWorkload) {
   auto workload = GenerateWorkload(paths, wo);
 
   MStarIndex index(*g);
+  DataEvaluator eval(*g);
   for (const auto& q : workload) index.Refine(q);
   StrategyChooser chooser(index);
 
@@ -81,26 +106,13 @@ TEST(StrategyChooserTest, AutoIsCompetitiveOnGeneratedWorkload) {
   uint64_t best_cost = 0;
   uint64_t topdown_cost = 0;
   for (const auto& q : workload) {
-    uint64_t naive = index.QueryNaive(q).stats.total();
-    uint64_t topdown = index.QueryTopDown(q).stats.total();
-    uint64_t bottomup = index.QueryBottomUp(q).stats.total();
-    uint64_t hybrid = index.QueryHybrid(q).stats.total();
-    best_cost += std::min({naive, topdown, bottomup, hybrid});
-    topdown_cost += topdown;
-    switch (chooser.Choose(q)) {
-      case MStarQueryStrategy::kNaive:
-        auto_cost += naive;
-        break;
-      case MStarQueryStrategy::kTopDown:
-        auto_cost += topdown;
-        break;
-      case MStarQueryStrategy::kBottomUp:
-        auto_cost += bottomup;
-        break;
-      case MStarQueryStrategy::kHybrid:
-        auto_cost += hybrid;
-        break;
+    uint64_t cost[std::size(kMStarQueryStrategies)];
+    for (MStarQueryStrategy s : kMStarQueryStrategies) {
+      cost[static_cast<size_t>(s)] = index.Query(s, q, &eval).stats.total();
     }
+    best_cost += *std::min_element(std::begin(cost), std::end(cost));
+    topdown_cost += cost[static_cast<size_t>(MStarQueryStrategy::kTopDown)];
+    auto_cost += cost[static_cast<size_t>(chooser.Choose(q))];
   }
   // The chooser must not be a disaster: within 2x of the per-query best,
   // and no worse than always-top-down by more than 25%.

@@ -175,12 +175,19 @@ TEST(XmlParserTest, Utf8BomIsSkipped) {
 }
 
 TEST(XmlParserTest, DeeplyNestedDocument) {
+  // Deep enough to overflow a recursive-descent parser's call stack.
   std::string doc;
-  constexpr int kDepth = 2000;
+  constexpr int kDepth = 100000;
   for (int i = 0; i < kDepth; ++i) doc += "<d>";
   for (int i = 0; i < kDepth; ++i) doc += "</d>";
   auto events = ParseOk(doc);
   EXPECT_EQ(events.size(), 2u * kDepth);
+  // Unterminated at the same depth: an error, not a crash.
+  doc.resize(doc.size() / 2);
+  Status s = ParseError(doc);
+  EXPECT_EQ(s.code(), StatusCode::kParseError);
+  EXPECT_NE(s.message().find("unterminated element 'd'"), std::string::npos)
+      << s;
 }
 
 TEST(XmlParserTest, ManyAttributes) {
