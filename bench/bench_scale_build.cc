@@ -8,11 +8,14 @@
 //     the serial one BEFORE any pooled timing is reported (the speedups
 //     are only meaningful under the determinism contract,
 //     docs/PERFORMANCE.md),
-//   - serial and 2/4/8-thread BuildStaticHierarchy and RefineBatch are
-//     timed best-of-reps.
+//   - serial and 2/4/8-thread BuildStaticHierarchy are timed best-of-reps,
+//   - RefineBatch of the §5 workload's FUPs (the batch the serving
+//     benchmark promotes) is verified identical at 4 threads and serial,
+//     then timed serial and at 4 threads, best-of-reps.
 //
 // Emits BENCH_scale_build.json. CI runs `--tiers 500000 --kmax 6 --reps 2`
-// and gates on the 4-thread speedup; locally the default tier sweep honors
+// and gates on the 4-thread build speedup (and, through the abort above,
+// on identical refined hierarchies); locally the default tier sweep honors
 // MRX_SCALE. `hardware_concurrency` is reported so a 1-core container's
 // flat numbers are recognizable as hardware-bound, not regression.
 
@@ -33,6 +36,7 @@
 #include "query/path_expression.h"
 #include "util/table_writer.h"
 #include "util/thread_pool.h"
+#include "workload/fup_extractor.h"
 
 namespace {
 
@@ -51,28 +55,40 @@ double BestOf(int reps, const std::function<void()>& fn) {
   return best;
 }
 
-/// Label-path expressions actually present in `g` (one per distinct
-/// parent/child label pair, extended to length 2 where possible) — the
-/// FUP batch driving the refinement timing.
-std::vector<PathExpression> SamplePaths(const DataGraph& g, size_t limit) {
-  std::vector<PathExpression> out;
-  std::vector<std::string> seen;
-  for (NodeId u = 0; u < g.num_nodes() && out.size() < limit; ++u) {
-    for (NodeId v : g.children(u)) {
-      std::string text = std::string(g.label_name(u)) + "/" +
-                         std::string(g.label_name(v));
-      for (NodeId w : g.children(v)) {
-        text += "/" + std::string(g.label_name(w));
-        break;
+/// The §5 workload's FUPs, as the serving benchmark promotes them: the
+/// 500-query stream (label paths ≤ 9, seed 1) observed twice through a
+/// threshold-2 extractor — the FUP batch driving the refinement timing.
+std::vector<PathExpression> Section5Fups(const DataGraph& g) {
+  const std::vector<PathExpression> stream = bench::MakeWorkload(g, 9);
+  FupExtractor extractor(FupExtractor::Options{2, 0});
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const PathExpression& q : stream) extractor.Observe(q);
+  }
+  return extractor.fups();
+}
+
+/// True iff `a` and `b` are the same hierarchy down to the ids: every
+/// component's alive nodes with their labels, k, extents, children and
+/// supernode links.
+bool IdenticalHierarchies(const MStarIndex& a, const MStarIndex& b) {
+  if (a.num_components() != b.num_components()) return false;
+  for (size_t i = 0; i < a.num_components(); ++i) {
+    const IndexGraph& x = a.component(i);
+    const IndexGraph& y = b.component(i);
+    if (x.capacity() != y.capacity()) return false;
+    for (IndexNodeId v = 0; v < x.capacity(); ++v) {
+      if (x.alive(v) != y.alive(v)) return false;
+      if (!x.alive(v)) continue;
+      const IndexGraph::Node& m = x.node(v);
+      const IndexGraph::Node& n = y.node(v);
+      if (m.label != n.label || m.k != n.k || m.extent != n.extent ||
+          m.children != n.children) {
+        return false;
       }
-      if (std::find(seen.begin(), seen.end(), text) != seen.end()) continue;
-      seen.push_back(text);
-      auto parsed = PathExpression::Parse(text, g.symbols());
-      if (parsed.ok()) out.push_back(*std::move(parsed));
-      if (out.size() >= limit) break;
+      if (i > 0 && a.supernode(i, v) != b.supernode(i, v)) return false;
     }
   }
-  return out;
+  return true;
 }
 
 struct TierResult {
@@ -83,6 +99,7 @@ struct TierResult {
   double gen_ms = 0;
   double serial_ms = 0;
   double t2_ms = 0, t4_ms = 0, t8_ms = 0;
+  size_t fups = 0;
   double refine_serial_ms = 0;
   double refine_t4_ms = 0;
 };
@@ -133,12 +150,26 @@ TierResult RunTier(const std::string& dataset, const std::string& tier,
     if (threads == 8) result.t8_ms = ms;
   }
 
-  // Batch refinement on a fresh A(0) index (Clone keeps the timing to
-  // RefineBatch itself; the clone happens outside the clock).
-  const std::vector<PathExpression> fups = SamplePaths(g, 8);
-  const MStarIndex base(g);
+  // Batch refinement of a fresh A(0) index by the §5 FUPs. Determinism
+  // gate first: the 4-thread refined hierarchy must be identical to the
+  // serial one. Timing covers RefineBatch alone.
+  const std::vector<PathExpression> fups = Section5Fups(g);
+  result.fups = fups.size();
+  {
+    MStarIndex serial(g);
+    serial.RefineBatch(fups);
+    ThreadPool pool(4);
+    MStarIndex pooled(g);
+    pooled.set_thread_pool(&pool);
+    pooled.RefineBatch(fups);
+    if (!IdenticalHierarchies(serial, pooled)) {
+      std::cerr << "FATAL: " << dataset << "/" << tier
+                << " refined hierarchy diverges at 4 threads\n";
+      std::exit(1);
+    }
+  }
   auto refine_once = [&](ThreadPool* pool) {
-    MStarIndex index = base.Clone();
+    MStarIndex index(g);
     index.set_thread_pool(pool);
     return TimeMs([&] { index.RefineBatch(fups); });
   };
@@ -244,6 +275,7 @@ int main(int argc, char** argv) {
     metrics.emplace_back(prefix + "t8_ms", r.t8_ms);
     metrics.emplace_back(prefix + "t4_speedup", s4);
     metrics.emplace_back(prefix + "t8_speedup", s8);
+    metrics.emplace_back(prefix + "refine_fups", static_cast<double>(r.fups));
     metrics.emplace_back(prefix + "refine_serial_ms", r.refine_serial_ms);
     metrics.emplace_back(prefix + "refine_t4_ms", r.refine_t4_ms);
     metrics.emplace_back(prefix + "refine_t4_speedup", rs4);

@@ -67,9 +67,19 @@ Occurrence ReadOccurrence(Cursor* cur) {
   return Occurrence::kOne;
 }
 
-/// Parses a parenthesized group (cursor sits just after '('); used for
-/// deterministic (children) content. Mixed content is handled separately.
-Result<std::unique_ptr<Particle>> ParseGroup(Cursor* cur) {
+/// Deepest group nesting a content model may have. ParseGroup recurses
+/// once per '(' (and the particle tree is walked and destroyed
+/// recursively), so a hostile DTD must not choose the depth.
+constexpr int kMaxGroupDepth = 256;
+
+/// Parses a parenthesized group (cursor sits just after '('), `depth`
+/// groups deep; used for deterministic (children) content. Mixed content
+/// is handled separately.
+Result<std::unique_ptr<Particle>> ParseGroup(Cursor* cur, int depth) {
+  if (depth > kMaxGroupDepth) {
+    return cur->Error("content model nests deeper than " +
+                      std::to_string(kMaxGroupDepth) + " groups");
+  }
   auto group = std::make_unique<Particle>();
   group->kind = ParticleKind::kSequence;  // Revised to kChoice on '|'.
   bool decided = false;
@@ -77,7 +87,7 @@ Result<std::unique_ptr<Particle>> ParseGroup(Cursor* cur) {
   while (true) {
     cur->SkipWhitespace();
     if (cur->Consume('(')) {
-      MRX_ASSIGN_OR_RETURN(auto child, ParseGroup(cur));
+      MRX_ASSIGN_OR_RETURN(auto child, ParseGroup(cur, depth + 1));
       group->children.push_back(std::move(child));
     } else if (cur->ConsumeLiteral("#PCDATA")) {
       auto child = std::make_unique<Particle>();
@@ -161,7 +171,7 @@ Result<Dtd> Dtd::Parse(std::string_view text) {
       } else if (cur.ConsumeLiteral("ANY")) {
         element.content_kind = ContentKind::kAny;
       } else if (cur.Consume('(')) {
-        MRX_ASSIGN_OR_RETURN(auto model, ParseGroup(&cur));
+        MRX_ASSIGN_OR_RETURN(auto model, ParseGroup(&cur, 1));
         bool mixed = false;
         // Mixed content parses as a group whose first child is #PCDATA.
         for (const auto& child : model->children) {

@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "index/bisimulation.h"
-#include "index/extent_ops.h"
 
 namespace mrx {
 
@@ -84,6 +83,7 @@ void DkIndex::Promote(const PathExpression& fup) {
   // PROMOTE is invoked on every index node reachable by the FUP that lacks
   // the required similarity; repeat until the target set is fully promoted
   // (splits can surface new under-refined target nodes).
+  SplitScratch scratch;  // Shared by every split of this call.
   while (true) {
     std::vector<IndexNodeId> targets = IndexTargetSet(graph_, fup, nullptr);
     std::vector<NodeId> pending;
@@ -95,11 +95,12 @@ void DkIndex::Promote(const PathExpression& fup) {
     }
     if (pending.empty()) return;
     std::sort(pending.begin(), pending.end());
-    PromoteExtent(pending, len);
+    PromoteExtent(pending, len, &scratch);
   }
 }
 
-void DkIndex::PromoteExtent(const std::vector<NodeId>& extent, int32_t kv) {
+void DkIndex::PromoteExtent(const std::vector<NodeId>& extent, int32_t kv,
+                            SplitScratch* scratch) {
   if (kv <= 0 || extent.empty()) return;
 
   // Index nodes currently holding `extent` that lack similarity kv.
@@ -131,33 +132,20 @@ void DkIndex::PromoteExtent(const std::vector<NodeId>& extent, int32_t kv) {
   parent_extent.erase(
       std::unique(parent_extent.begin(), parent_extent.end()),
       parent_extent.end());
-  PromoteExtent(parent_extent, kv - 1);
+  PromoteExtent(parent_extent, kv - 1, scratch);
 
   // PROMOTE lines 5-6: split each cover by Succ of each current parent's
   // extent. Note the deliberate over-refinement: parents promoted beyond
   // kv - 1 by earlier FUPs ("overqualified parents") split the cover more
   // finely than kv-bisimilarity requires.
   for (IndexNodeId v : under_refined_covers()) {
-    std::vector<std::vector<NodeId>> pieces = {
-        graph_.node(v).extent.Materialize()};
-    const std::vector<IndexNodeId> parents = graph_.node(v).parents;
-    for (IndexNodeId u : parents) {
-      std::vector<NodeId> succ = graph_.Succ(graph_.node(u).extent);
-      std::vector<std::vector<NodeId>> next;
-      for (const auto& w : pieces) {
-        std::vector<NodeId> in = Intersect(w, succ);
-        std::vector<NodeId> out = Difference(w, succ);
-        if (!in.empty()) next.push_back(std::move(in));
-        if (!out.empty()) next.push_back(std::move(out));
-      }
-      pieces.swap(next);
-    }
     std::vector<IndexGraph::Part> parts;
-    parts.reserve(pieces.size());
-    for (auto& piece : pieces) {
+    for (auto& piece :
+         graph_.SplitByParents(graph_.node(v).extent.Materialize(),
+                               graph_.node(v).parents, scratch)) {
       parts.push_back(IndexGraph::Part{std::move(piece), kv});
     }
-    graph_.ReplaceNode(v, std::move(parts));
+    graph_.ReplaceNode(v, std::move(parts), scratch);
   }
 }
 

@@ -52,7 +52,9 @@ class DkIndex {
   /// splitting by Succ of each current parent's extent (PROMOTE lines 3-6).
   /// Extent-based rather than node-id-based so that it stays correct when
   /// recursion through a cyclic region splits the original node.
-  void PromoteExtent(const std::vector<NodeId>& extent, int32_t kv);
+  /// `scratch` serves every split of one Promote call.
+  void PromoteExtent(const std::vector<NodeId>& extent, int32_t kv,
+                     SplitScratch* scratch);
 
   IndexGraph graph_;
   DataEvaluator validator_;

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
+#include <span>
 #include <sstream>
-#include <unordered_set>
 
 namespace mrx {
 
@@ -27,6 +28,15 @@ void SortUnique(std::vector<IndexNodeId>* v) {
 }
 
 }  // namespace
+
+uint32_t SplitScratch::NextPass(size_t capacity) {
+  if (seen.size() < capacity) seen.resize(capacity, 0);
+  if (++pass == 0) {  // Wrapped: old stamps could collide with new ones.
+    std::fill(seen.begin(), seen.end(), 0);
+    pass = 1;
+  }
+  return pass;
+}
 
 IndexGraph IndexGraph::LabelPartition(const DataGraph& g) {
   const size_t num_labels = g.symbols().size();
@@ -105,20 +115,37 @@ std::vector<IndexNodeId> IndexGraph::AliveNodes() const {
   return out;
 }
 
-void IndexGraph::ComputeAdjacency(IndexNodeId v) {
+void IndexGraph::ComputeAdjacency(IndexNodeId v, SplitScratch* scratch) {
   Node& node = nodes_[v];
-  node.children.clear();
-  node.parents.clear();
-  for (NodeId o : node.extent) {
-    for (NodeId c : graph_->children(o)) node.children.push_back(node_of_[c]);
-    for (NodeId p : graph_->parents(o)) node.parents.push_back(node_of_[p]);
-  }
-  SortUnique(&node.children);
-  SortUnique(&node.parents);
+  // Stamp neighbour ids as they are met, so only the distinct ones are
+  // kept and sorted rather than one entry per data edge.
+  auto collect = [&](auto neighbours_of, std::vector<IndexNodeId>* out) {
+    const uint32_t pass = scratch->NextPass(nodes_.size());
+    out->clear();
+    for (NodeId o : node.extent) {
+      for (NodeId x : neighbours_of(o)) {
+        const IndexNodeId id = node_of_[x];
+        if (scratch->seen[id] != pass) {
+          scratch->seen[id] = pass;
+          out->push_back(id);
+        }
+      }
+    }
+    std::sort(out->begin(), out->end());
+  };
+  collect([&](NodeId o) { return graph_->children(o); }, &node.children);
+  collect([&](NodeId o) { return graph_->parents(o); }, &node.parents);
 }
 
 std::vector<IndexNodeId> IndexGraph::ReplaceNode(IndexNodeId v,
                                                  std::vector<Part> parts) {
+  SplitScratch scratch;
+  return ReplaceNode(v, std::move(parts), &scratch);
+}
+
+std::vector<IndexNodeId> IndexGraph::ReplaceNode(IndexNodeId v,
+                                                 std::vector<Part> parts,
+                                                 SplitScratch* scratch) {
   assert(alive(v));
   assert(!parts.empty());
 #ifndef NDEBUG
@@ -157,7 +184,9 @@ std::vector<IndexNodeId> IndexGraph::ReplaceNode(IndexNodeId v,
   nodes_[v].parents.clear();
   --num_alive_;
 
-  // Create the parts and remap their data nodes.
+  // Create the parts and remap their data nodes. Their ids are the
+  // contiguous range appended from `first_part` on.
+  const IndexNodeId first_part = static_cast<IndexNodeId>(nodes_.size());
   std::vector<IndexNodeId> part_ids;
   part_ids.reserve(parts.size());
   for (Part& part : parts) {
@@ -175,28 +204,16 @@ std::vector<IndexNodeId> IndexGraph::ReplaceNode(IndexNodeId v,
   // Compute the parts' adjacency from the data graph (part-to-part edges
   // come out consistent on both sides because node_of_ is fully remapped),
   // then mirror edges into non-part neighbors.
-  std::unordered_set<IndexNodeId> part_set(part_ids.begin(), part_ids.end());
-  for (IndexNodeId id : part_ids) ComputeAdjacency(id);
+  for (IndexNodeId id : part_ids) ComputeAdjacency(id, scratch);
   for (IndexNodeId id : part_ids) {
     for (IndexNodeId c : nodes_[id].children) {
-      if (!part_set.contains(c)) InsertSorted(&nodes_[c].parents, id);
+      if (c < first_part) InsertSorted(&nodes_[c].parents, id);
     }
     for (IndexNodeId p : nodes_[id].parents) {
-      if (!part_set.contains(p)) InsertSorted(&nodes_[p].children, id);
+      if (p < first_part) InsertSorted(&nodes_[p].children, id);
     }
   }
   return part_ids;
-}
-
-std::vector<NodeId> IndexGraph::Succ(const std::vector<NodeId>& s) const {
-  std::vector<NodeId> out;
-  for (NodeId o : s) {
-    auto kids = graph_->children(o);
-    out.insert(out.end(), kids.begin(), kids.end());
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 std::vector<NodeId> IndexGraph::Pred(const std::vector<NodeId>& s) const {
@@ -204,17 +221,6 @@ std::vector<NodeId> IndexGraph::Pred(const std::vector<NodeId>& s) const {
   for (NodeId o : s) {
     auto ps = graph_->parents(o);
     out.insert(out.end(), ps.begin(), ps.end());
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-std::vector<NodeId> IndexGraph::Succ(const Extent& s) const {
-  std::vector<NodeId> out;
-  for (NodeId o : s) {
-    auto kids = graph_->children(o);
-    out.insert(out.end(), kids.begin(), kids.end());
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -230,6 +236,78 @@ std::vector<NodeId> IndexGraph::Pred(const Extent& s) const {
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
+}
+
+std::vector<IndexNodeId> IndexGraph::ParentHolders(
+    const std::vector<NodeId>& members) const {
+  std::vector<IndexNodeId> out;
+  for (NodeId m : members) {
+    for (NodeId p : graph_->parents(m)) out.push_back(node_of_[p]);
+  }
+  SortUnique(&out);
+  return out;
+}
+
+std::vector<std::vector<NodeId>> IndexGraph::SplitByParents(
+    const std::vector<NodeId>& members, const std::vector<IndexNodeId>& us,
+    SplitScratch* scratch) const {
+  if (members.empty()) return {};
+  if (us.empty()) return {members};
+
+  // Column list of member i: the ascending positions j such that us[j]
+  // holds a data parent of the member — one pass over its in-edges.
+  std::vector<uint32_t>& offsets = scratch->offsets;
+  std::vector<uint32_t>& columns = scratch->columns;
+  const size_t n = members.size();
+  offsets.resize(n + 1);
+  columns.clear();
+  for (size_t i = 0; i < n; ++i) {
+    offsets[i] = static_cast<uint32_t>(columns.size());
+    for (NodeId p : graph_->parents(members[i])) {
+      auto it = std::lower_bound(us.begin(), us.end(), node_of_[p]);
+      if (it != us.end() && *it == node_of_[p]) {
+        columns.push_back(static_cast<uint32_t>(it - us.begin()));
+      }
+    }
+    auto first = columns.begin() + offsets[i];
+    std::sort(first, columns.end());
+    columns.erase(std::unique(first, columns.end()), columns.end());
+  }
+  offsets[n] = static_cast<uint32_t>(columns.size());
+  auto columns_of = [&](uint32_t i) {
+    return std::span<const uint32_t>(columns.data() + offsets[i],
+                                     offsets[i + 1] - offsets[i]);
+  };
+
+  // The per-u loop orders pieces by their membership bits, u ascending
+  // most significant, "in Succ(u)" before "not in". On column lists that
+  // is lexicographic order where the end of a list ranks above every
+  // column: at the first difference the smaller column sorts first, and a
+  // strict prefix sorts after the longer list. The sort is stable, so
+  // members stay ascending within a piece.
+  auto before = [&](uint32_t a, uint32_t b) {
+    std::span<const uint32_t> x = columns_of(a);
+    std::span<const uint32_t> y = columns_of(b);
+    const size_t common = std::min(x.size(), y.size());
+    for (size_t j = 0; j < common; ++j) {
+      if (x[j] != y[j]) return x[j] < y[j];
+    }
+    return x.size() > y.size();
+  };
+  std::vector<uint32_t>& order = scratch->order;
+  order.resize(n);
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(), before);
+
+  std::vector<std::vector<NodeId>> pieces;
+  for (size_t r = 0; r < n; ++r) {
+    if (r == 0 || !std::ranges::equal(columns_of(order[r - 1]),
+                                      columns_of(order[r]))) {
+      pieces.emplace_back();
+    }
+    pieces.back().push_back(members[order[r]]);
+  }
+  return pieces;
 }
 
 Status IndexGraph::CheckConsistency() const {

@@ -33,6 +33,27 @@ struct RefinementStats {
   }
 };
 
+/// \brief Reusable buffers for the splits of one refinement call
+/// (IndexGraph::SplitByParents and ReplaceNode). The caller owns one for
+/// the whole call — Refine, Promote, RefineBatch — and hands it to every
+/// split, in every component, so no split allocates anything sized to the
+/// component. Not thread-safe: one refinement call, one scratch.
+struct SplitScratch {
+  /// Per index-node id: the last pass that saw it. A pass claims a fresh
+  /// value from NextPass(); the array grows with the largest component
+  /// and is only cleared when the counter wraps.
+  std::vector<uint32_t> seen;
+  uint32_t pass = 0;
+  /// SplitByParents: each member's column list in CSR form, and the
+  /// member order.
+  std::vector<uint32_t> offsets;
+  std::vector<uint32_t> columns;
+  std::vector<uint32_t> order;
+
+  /// Starts a dedupe pass over ids below `capacity`; returns its stamp.
+  uint32_t NextPass(size_t capacity);
+};
+
 /// \brief The shared structural-index representation used by the A(k),
 /// D(k), M(k) indexes and by each component of the M*(k) index.
 ///
@@ -119,14 +140,32 @@ class IndexGraph {
   /// neighbors is rebuilt from the data graph so Property 2 keeps holding.
   /// Passing a single part effectively relabels v's similarity under a new
   /// id. Returns the new node ids in part order.
+  /// Refinement passes the scratch of the whole call; the overload
+  /// without one is for one-off splits.
+  std::vector<IndexNodeId> ReplaceNode(IndexNodeId v, std::vector<Part> parts,
+                                       SplitScratch* scratch);
   std::vector<IndexNodeId> ReplaceNode(IndexNodeId v,
                                        std::vector<Part> parts);
 
-  /// The paper's Succ(s): all data nodes with a parent in `s`; sorted.
-  /// `s` must be sorted. The Extent overload decodes on the fly (split
-  /// kernels pass index-node extents directly).
-  std::vector<NodeId> Succ(const std::vector<NodeId>& s) const;
-  std::vector<NodeId> Succ(const Extent& s) const;
+  /// The split kernel of SPLITNODE*, PROMOTE*, REFINENODE and PROMOTE
+  /// (§2, §3.2, §4.2). Partitions `members` (sorted data nodes) by which
+  /// of the index nodes `us` (sorted unique ids of this graph) hold a data
+  /// parent: members with parents in exactly the same subset of `us` form
+  /// one piece. The result equals the paper's loop "for u in us
+  /// ascending, split every piece w into w ∩ Succ(u) and w \ Succ(u),
+  /// dropping empty halves", pieces in the same order and each piece
+  /// ascending, but costs one pass over the members' in-edges instead of
+  /// building Succ(u) over every u's extent (docs/PERFORMANCE.md,
+  /// "Refinement splits").
+  std::vector<std::vector<NodeId>> SplitByParents(
+      const std::vector<NodeId>& members, const std::vector<IndexNodeId>& us,
+      SplitScratch* scratch) const;
+
+  /// Sorted unique ids of the index nodes holding a data parent of some
+  /// node of `members`. SPLITNODE* and REFINENODE qualify the parents they
+  /// split by with this test on the relevant members.
+  std::vector<IndexNodeId> ParentHolders(
+      const std::vector<NodeId>& members) const;
 
   /// The paper's Pred(s): all data nodes with a child in `s`; sorted.
   std::vector<NodeId> Pred(const std::vector<NodeId>& s) const;
@@ -150,7 +189,7 @@ class IndexGraph {
 
   /// Recomputes children/parents of `v` from the data graph. Does not
   /// touch other nodes' lists.
-  void ComputeAdjacency(IndexNodeId v);
+  void ComputeAdjacency(IndexNodeId v, SplitScratch* scratch);
 
   const DataGraph* graph_ = nullptr;
   std::vector<Node> nodes_;

@@ -1,6 +1,7 @@
 #include "index/m_k_index.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "index/extent_ops.h"
 
@@ -23,12 +24,13 @@ void MkIndex::Refine(const PathExpression& fup) {
   // T: target set in the data graph; in the §3 lifecycle it comes from the
   // validation pass of the query processor.
   std::vector<NodeId> target = evaluator_.Evaluate(fup);
+  SplitScratch scratch;  // Shared by every split of this call.
 
   // REFINE lines 1-2. The union over the index target set S of
   // v.extent ∩ T is T itself (the index is safe), and RefineNode re-derives
   // the current covering index nodes internally, so one call suffices and
   // stays correct even when refining one S-node splits another.
-  if (!target.empty()) RefineNode(target, len);
+  if (!target.empty()) RefineNode(target, len, &scratch);
 
   // REFINE lines 3-4: break false instances of the FUP that refinement may
   // have created (the Figure 6 situation).
@@ -45,11 +47,12 @@ void MkIndex::Refine(const PathExpression& fup) {
     // Copy the extent: PromotePrime splits nodes, which can reallocate the
     // node array and invalidate references into it.
     std::vector<NodeId> bad_extent = graph_.node(bad).extent.Materialize();
-    PromotePrime(bad_extent, len, fup);
+    PromotePrime(bad_extent, len, fup, &scratch);
   }
 }
 
-void MkIndex::RefineNode(const std::vector<NodeId>& relevant, int32_t k) {
+void MkIndex::RefineNode(const std::vector<NodeId>& relevant, int32_t k,
+                         SplitScratch* scratch) {
   if (k <= 0 || relevant.empty()) return;
 
   // Covers: current index nodes of the relevant data nodes that still lack
@@ -82,46 +85,38 @@ void MkIndex::RefineNode(const std::vector<NodeId>& relevant, int32_t k) {
   // per-parent predData sets of the paper union to Pred(active_relevant),
   // and the recursion re-derives its own covers, so one extent-level call
   // is equivalent and survives splits of the current node via cycles.
-  RefineNode(graph_.Pred(active_relevant), k - 1);
+  RefineNode(graph_.Pred(active_relevant), k - 1, scratch);
 
   // Lines 9-26: split each (re-derived) cover.
   for (IndexNodeId v : under_refined_covers()) {
-    SplitCover(v, k, active_relevant);
+    SplitCover(v, k, active_relevant, scratch);
   }
 }
 
 void MkIndex::SplitCover(IndexNodeId v, int32_t k,
-                         const std::vector<NodeId>& relevant) {
+                         const std::vector<NodeId>& relevant,
+                         SplitScratch* scratch) {
   const int32_t kold = graph_.node(v).k;
   std::vector<NodeId> relevant_here =
       Intersect(graph_.node(v).extent, relevant);
   if (relevant_here.empty()) return;
-  std::vector<NodeId> pred_relevant = graph_.Pred(relevant_here);
 
-  // Lines 10-17: partition v's extent by Succ of each qualifying parent.
-  // With the merge ablation active, *all* parents qualify and no pieces
-  // merge — reproducing D(k)'s PROMOTE splitting exactly.
-  std::vector<std::vector<NodeId>> pieces = {graph_.node(v).extent.Materialize()};
-  std::vector<NodeId> qualifying_union;  // Data nodes of qualifying parents.
-  const std::vector<IndexNodeId> parents = graph_.node(v).parents;
-  for (IndexNodeId u : parents) {
-    if (merge_unnecessary_splits_ &&
-        !Overlaps(pred_relevant, graph_.node(u).extent)) {
-      continue;
-    }
-    const auto& u_extent = graph_.node(u).extent;
-    u_extent.AppendTo(&qualifying_union);
-    std::vector<NodeId> succ = graph_.Succ(u_extent);
-    std::vector<std::vector<NodeId>> next;
-    for (const auto& w : pieces) {
-      std::vector<NodeId> in = Intersect(w, succ);
-      std::vector<NodeId> out = Difference(w, succ);
-      if (!in.empty()) next.push_back(std::move(in));
-      if (!out.empty()) next.push_back(std::move(out));
-    }
-    pieces.swap(next);
+  // Lines 10-17: partition v's extent by Succ of each qualifying parent —
+  // the parents holding a data parent of a relevant member. With the
+  // merge ablation active, *all* parents qualify and no pieces merge —
+  // reproducing D(k)'s PROMOTE splitting exactly.
+  const std::vector<IndexNodeId>& parents = graph_.node(v).parents;
+  std::vector<IndexNodeId> qualifying;
+  if (merge_unnecessary_splits_) {
+    const std::vector<IndexNodeId> holders =
+        graph_.ParentHolders(relevant_here);
+    std::set_intersection(holders.begin(), holders.end(), parents.begin(),
+                          parents.end(), std::back_inserter(qualifying));
+  } else {
+    qualifying = parents;
   }
-  SortUnique(&qualifying_union);
+  std::vector<std::vector<NodeId>> pieces = graph_.SplitByParents(
+      graph_.node(v).extent.Materialize(), qualifying, scratch);
 
   // Lines 19-26: merge pieces with no relevant member into one remainder
   // that keeps the old similarity (unless the ablation hook turned merging
@@ -139,8 +134,8 @@ void MkIndex::SplitCover(IndexNodeId v, int32_t k,
   std::vector<NodeId> remainder;
   auto provably_bisimilar = [&](NodeId m) {
     for (NodeId p : graph_.data().parents(m)) {
-      if (!std::binary_search(qualifying_union.begin(),
-                              qualifying_union.end(), p)) {
+      if (!std::binary_search(qualifying.begin(), qualifying.end(),
+                              graph_.index_of(p))) {
         return false;
       }
     }
@@ -171,7 +166,7 @@ void MkIndex::SplitCover(IndexNodeId v, int32_t k,
     SortUnique(&remainder);
     parts.push_back(IndexGraph::Part{std::move(remainder), kold});
   }
-  graph_.ReplaceNode(v, std::move(parts));
+  graph_.ReplaceNode(v, std::move(parts), scratch);
 }
 
 bool MkIndex::NoFalseInstances(const PathExpression& fup) {
@@ -183,7 +178,7 @@ bool MkIndex::NoFalseInstances(const PathExpression& fup) {
 }
 
 bool MkIndex::PromotePrime(const std::vector<NodeId>& extent, int32_t kv,
-                           const PathExpression& fup) {
+                           const PathExpression& fup, SplitScratch* scratch) {
   if (NoFalseInstances(fup)) return true;
   if (kv <= 0 || extent.empty()) return false;
 
@@ -209,29 +204,18 @@ bool MkIndex::PromotePrime(const std::vector<NodeId>& extent, int32_t kv,
     }
   }
   SortUnique(&parent_extent);
-  if (PromotePrime(parent_extent, kv - 1, fup)) return true;
+  if (PromotePrime(parent_extent, kv - 1, fup, scratch)) return true;
 
   // PROMOTE lines 5-6, with the "long jump" check after each node's split
   // completes (splitting only part-way would record an unsound k).
   for (IndexNodeId v : under_refined_covers()) {
-    std::vector<std::vector<NodeId>> pieces = {graph_.node(v).extent.Materialize()};
-    const std::vector<IndexNodeId> parents = graph_.node(v).parents;
-    for (IndexNodeId u : parents) {
-      std::vector<NodeId> succ = graph_.Succ(graph_.node(u).extent);
-      std::vector<std::vector<NodeId>> next;
-      for (const auto& w : pieces) {
-        std::vector<NodeId> in = Intersect(w, succ);
-        std::vector<NodeId> out = Difference(w, succ);
-        if (!in.empty()) next.push_back(std::move(in));
-        if (!out.empty()) next.push_back(std::move(out));
-      }
-      pieces.swap(next);
-    }
     std::vector<IndexGraph::Part> parts;
-    for (auto& piece : pieces) {
+    for (auto& piece :
+         graph_.SplitByParents(graph_.node(v).extent.Materialize(),
+                               graph_.node(v).parents, scratch)) {
       parts.push_back(IndexGraph::Part{std::move(piece), kv});
     }
-    graph_.ReplaceNode(v, std::move(parts));
+    graph_.ReplaceNode(v, std::move(parts), scratch);
     if (NoFalseInstances(fup)) return true;
   }
   return NoFalseInstances(fup);

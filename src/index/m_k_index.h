@@ -57,18 +57,20 @@ class MkIndex {
   /// `relevant`, then splitting each cover by the Succ sets of qualifying
   /// parents, merging pieces that contain no relevant node back together.
   /// `relevant` must be sorted.
-  void RefineNode(const std::vector<NodeId>& relevant, int32_t k);
+  /// `scratch` (here and below) serves every split of one Refine call.
+  void RefineNode(const std::vector<NodeId>& relevant, int32_t k,
+                  SplitScratch* scratch);
 
   /// Splits one cover node (REFINENODE lines 9-26).
   void SplitCover(IndexNodeId v, int32_t k,
-                  const std::vector<NodeId>& relevant);
+                  const std::vector<NodeId>& relevant, SplitScratch* scratch);
 
   /// PROMOTE' (§3.2): breaks surviving false instances of `fup` by
   /// promoting all data nodes of under-refined target nodes, long-jumping
   /// out (via the return flag) as soon as no false instance of `fup`
   /// remains. Returns true when evaluation of `fup` is precise.
   bool PromotePrime(const std::vector<NodeId>& extent, int32_t kv,
-                    const PathExpression& fup);
+                    const PathExpression& fup, SplitScratch* scratch);
 
   /// True iff every index node reachable by `fup` has similarity ≥ its
   /// length (no false instances remain).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <memory>
 #include <utility>
 
@@ -182,19 +183,21 @@ void MStarIndex::RefineBatch(const std::vector<PathExpression>& fups) {
 
   // The refinement itself stays serial: splits mutate the shared
   // hierarchy, and the deterministic result is Refine applied in order.
+  SplitScratch scratch;
   for (size_t i = 0; i < eligible.size(); ++i) {
-    RefineWithTarget(*eligible[i], targets[i]);
+    RefineWithTarget(*eligible[i], targets[i], &scratch);
   }
 }
 
 void MStarIndex::RefineWithTarget(const PathExpression& fup,
-                                  const std::vector<NodeId>& target) {
+                                  const std::vector<NodeId>& target,
+                                  SplitScratch* scratch) {
   const int32_t len = static_cast<int32_t>(fup.length());
   while (components_.size() <= static_cast<size_t>(len)) {
     AppendComponentCopy();
   }
 
-  if (!target.empty()) RefineNodeStar(len, target);
+  if (!target.empty()) RefineNodeStar(len, target, scratch);
 
   // REFINE* lines 7-8: break false instances created by refinement.
   while (true) {
@@ -211,11 +214,12 @@ void MStarIndex::RefineWithTarget(const PathExpression& fup,
     // Copy the extent: PromoteStar splits nodes, which can reallocate the
     // component's node array and invalidate references into it.
     std::vector<NodeId> bad_extent = finest.node(bad).extent.Materialize();
-    PromoteStar(len, bad_extent, fup);
+    PromoteStar(len, bad_extent, fup, scratch);
   }
 }
 
-void MStarIndex::RefineNodeStar(int k, const std::vector<NodeId>& relevant) {
+void MStarIndex::RefineNodeStar(int k, const std::vector<NodeId>& relevant,
+                                SplitScratch* scratch) {
   if (k <= 0 || relevant.empty()) return;
   IndexGraph& comp = components_[k].graph;
 
@@ -242,7 +246,7 @@ void MStarIndex::RefineNodeStar(int k, const std::vector<NodeId>& relevant) {
   SortUnique(&active);
 
   // Lines 4-7: refine the predecessors in component k-1 first.
-  RefineNodeStar(k - 1, comp.Pred(active));
+  RefineNodeStar(k - 1, comp.Pred(active), scratch);
 
   // Lines 9-13: split the ancestor supernodes coarse-to-fine; each split
   // cascades into finer components immediately (the propagation of line
@@ -259,13 +263,14 @@ void MStarIndex::RefineNodeStar(int k, const std::vector<NodeId>& relevant) {
         }
       }
       if (p == kInvalidIndexNode) break;
-      SplitNodeStar(i, p, active);
+      SplitNodeStar(i, p, active, scratch);
     }
   }
 }
 
 void MStarIndex::SplitNodeStar(int ci, IndexNodeId v,
-                               const std::vector<NodeId>& relevant) {
+                               const std::vector<NodeId>& relevant,
+                               SplitScratch* scratch) {
   assert(ci >= 1);
   IndexGraph& comp = components_[ci].graph;
   const IndexGraph& prev = components_[ci - 1].graph;
@@ -274,31 +279,21 @@ void MStarIndex::SplitNodeStar(int ci, IndexNodeId v,
       Intersect(comp.node(v).extent, relevant);
   if (relevant_here.empty()) return;
   const int32_t kold = comp.node(v).k;
-  const std::vector<NodeId> pred_relevant = comp.Pred(relevant_here);
 
   // The perfectly qualified parents: parents of v's supernode in component
-  // ci-1 (their similarity is exactly ci-1 after the recursion refined
-  // them — never overqualified, the whole point of §4).
+  // ci-1 that hold a data parent of a relevant member (their similarity is
+  // exactly ci-1 after the recursion refined them — never overqualified,
+  // the whole point of §4).
   IndexNodeId sup = prev.index_of(comp.node(v).extent.front());
-  const std::vector<IndexNodeId> sup_parents = prev.node(sup).parents;
+  const std::vector<IndexNodeId>& sup_parents = prev.node(sup).parents;
+  const std::vector<IndexNodeId> holders = prev.ParentHolders(relevant_here);
+  std::vector<IndexNodeId> qualifying;
+  std::set_intersection(holders.begin(), holders.end(), sup_parents.begin(),
+                        sup_parents.end(), std::back_inserter(qualifying));
 
-  std::vector<std::vector<NodeId>> pieces = {comp.node(v).extent.Materialize()};
-  std::vector<NodeId> qualifying_union;
-  for (IndexNodeId u : sup_parents) {
-    if (!Overlaps(pred_relevant, prev.node(u).extent)) continue;
-    const auto& u_extent = prev.node(u).extent;
-    u_extent.AppendTo(&qualifying_union);
-    std::vector<NodeId> succ = prev.Succ(u_extent);
-    std::vector<std::vector<NodeId>> next;
-    for (const auto& w : pieces) {
-      std::vector<NodeId> in = Intersect(w, succ);
-      std::vector<NodeId> out = Difference(w, succ);
-      if (!in.empty()) next.push_back(std::move(in));
-      if (!out.empty()) next.push_back(std::move(out));
-    }
-    pieces.swap(next);
-  }
-  SortUnique(&qualifying_union);
+  std::vector<std::vector<NodeId>> pieces =
+      prev.SplitByParents(comp.node(v).extent.Materialize(), qualifying,
+                          scratch);
 
   // Merge pieces with no relevant member into the remainder (SPLITNODE*
   // lines 11-19). As in MkIndex::SplitCover, an irrelevant member of a
@@ -310,8 +305,8 @@ void MStarIndex::SplitNodeStar(int ci, IndexNodeId v,
   std::vector<NodeId> remainder;
   auto provably_bisimilar = [&](NodeId m) {
     for (NodeId p : comp.data().parents(m)) {
-      if (!std::binary_search(qualifying_union.begin(),
-                              qualifying_union.end(), p)) {
+      if (!std::binary_search(qualifying.begin(), qualifying.end(),
+                              prev.index_of(p))) {
         return false;
       }
     }
@@ -338,24 +333,26 @@ void MStarIndex::SplitNodeStar(int ci, IndexNodeId v,
     SortUnique(&remainder);
     parts.push_back(IndexGraph::Part{std::move(remainder), kold});
   }
-  SplitAndPropagate(ci, v, std::move(parts));
+  SplitAndPropagate(ci, v, std::move(parts), scratch);
 }
 
 void MStarIndex::SplitAndPropagate(int ci, IndexNodeId v,
-                                   std::vector<IndexGraph::Part> parts) {
+                                   std::vector<IndexGraph::Part> parts,
+                                   SplitScratch* scratch) {
   Component& comp = components_[ci];
   const IndexNodeId sup = comp.supernode[v];
   const std::vector<NodeId> affected = comp.graph.node(v).extent.Materialize();
   std::vector<IndexNodeId> ids =
-      comp.graph.ReplaceNode(v, std::move(parts));
+      comp.graph.ReplaceNode(v, std::move(parts), scratch);
   comp.supernode.resize(comp.graph.capacity(), kInvalidIndexNode);
   for (IndexNodeId id : ids) comp.supernode[id] = sup;
   if (static_cast<size_t>(ci) + 1 < components_.size()) {
-    CascadeInto(ci + 1, affected);
+    CascadeInto(ci + 1, affected, scratch);
   }
 }
 
-void MStarIndex::CascadeInto(int ci, const std::vector<NodeId>& affected) {
+void MStarIndex::CascadeInto(int ci, const std::vector<NodeId>& affected,
+                             SplitScratch* scratch) {
   Component& comp = components_[ci];
   const IndexGraph& prev = components_[ci - 1].graph;
 
@@ -428,13 +425,13 @@ void MStarIndex::CascadeInto(int ci, const std::vector<NodeId>& affected) {
       sups.push_back(sup_id);
     }
     std::vector<IndexNodeId> ids =
-        comp.graph.ReplaceNode(q, std::move(parts));
+        comp.graph.ReplaceNode(q, std::move(parts), scratch);
     comp.supernode.resize(comp.graph.capacity(), kInvalidIndexNode);
     for (size_t j = 0; j < ids.size(); ++j) comp.supernode[ids[j]] = sups[j];
   }
   if (any_split && static_cast<size_t>(ci) + 1 < components_.size()) {
     SortUnique(&deeper);
-    CascadeInto(ci + 1, deeper);
+    CascadeInto(ci + 1, deeper, scratch);
   }
 }
 
@@ -450,7 +447,8 @@ bool MStarIndex::NoFalseInstances(const PathExpression& fup) {
 }
 
 bool MStarIndex::PromoteStar(int k, const std::vector<NodeId>& extent,
-                             const PathExpression& fup) {
+                             const PathExpression& fup,
+                             SplitScratch* scratch) {
   if (NoFalseInstances(fup)) return true;
   if (k <= 0 || extent.empty()) return false;
   IndexGraph& comp = components_[k].graph;
@@ -476,7 +474,7 @@ bool MStarIndex::PromoteStar(int k, const std::vector<NodeId>& extent,
   SortUnique(&all);
 
   // Recurse on all predecessors (PROMOTE* promotes all data nodes).
-  if (PromoteStar(k - 1, comp.Pred(all), fup)) return true;
+  if (PromoteStar(k - 1, comp.Pred(all), fup, scratch)) return true;
 
   // Split ancestor supernodes coarse-to-fine by *all* parents of the
   // supernode in the previous component; long-jump out as soon as no
@@ -496,25 +494,13 @@ bool MStarIndex::PromoteStar(int k, const std::vector<NodeId>& extent,
       if (p == kInvalidIndexNode) break;
 
       IndexNodeId sup = prev.index_of(ci_graph.node(p).extent.front());
-      const std::vector<IndexNodeId> sup_parents = prev.node(sup).parents;
-      std::vector<std::vector<NodeId>> pieces = {
-          ci_graph.node(p).extent.Materialize()};
-      for (IndexNodeId u : sup_parents) {
-        std::vector<NodeId> succ = prev.Succ(prev.node(u).extent);
-        std::vector<std::vector<NodeId>> next;
-        for (const auto& w : pieces) {
-          std::vector<NodeId> in = Intersect(w, succ);
-          std::vector<NodeId> out = Difference(w, succ);
-          if (!in.empty()) next.push_back(std::move(in));
-          if (!out.empty()) next.push_back(std::move(out));
-        }
-        pieces.swap(next);
-      }
       std::vector<IndexGraph::Part> parts;
-      for (auto& piece : pieces) {
+      for (auto& piece :
+           prev.SplitByParents(ci_graph.node(p).extent.Materialize(),
+                               prev.node(sup).parents, scratch)) {
         parts.push_back(IndexGraph::Part{std::move(piece), i});
       }
-      SplitAndPropagate(i, p, std::move(parts));
+      SplitAndPropagate(i, p, std::move(parts), scratch);
       if (NoFalseInstances(fup)) return true;
     }
   }

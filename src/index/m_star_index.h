@@ -215,37 +215,44 @@ class MStarIndex {
   void AppendComponentCopy();
 
   /// RefineBatch's per-FUP body, after its target set was evaluated.
+  /// `scratch` serves every split of the batch (the private methods below
+  /// take it for the same reason).
   void RefineWithTarget(const PathExpression& fup,
-                        const std::vector<NodeId>& target);
+                        const std::vector<NodeId>& target,
+                        SplitScratch* scratch);
 
   /// REFINENODE*, reformulated over data-node sets: ensures every index
   /// node of component k containing a node of `relevant` has similarity
   /// ≥ k, recursing on predecessors in component k-1 first and then
   /// splitting ancestor supernodes coarse-to-fine with SPLITNODE*,
   /// propagating each component's changes to finer components immediately.
-  void RefineNodeStar(int k, const std::vector<NodeId>& relevant);
+  void RefineNodeStar(int k, const std::vector<NodeId>& relevant,
+                      SplitScratch* scratch);
 
   /// SPLITNODE* (§4.2) on node `v` of component `ci`: splits by the Succ
   /// sets of the *perfectly qualified* parents of v's supernode in
   /// component ci-1, keeps `relevant` pieces at similarity ci, merges the
   /// rest. Then cascades the refinement into finer components.
   void SplitNodeStar(int ci, IndexNodeId v,
-                     const std::vector<NodeId>& relevant);
+                     const std::vector<NodeId>& relevant,
+                     SplitScratch* scratch);
 
   /// Replaces `v` in component `ci` by `parts` (inheriting v's supernode)
   /// and realigns all finer components with the new partition.
   void SplitAndPropagate(int ci, IndexNodeId v,
-                         std::vector<IndexGraph::Part> parts);
+                         std::vector<IndexGraph::Part> parts,
+                         SplitScratch* scratch);
 
   /// Realigns component `ci` with component ci-1 over the data nodes in
   /// `affected` (splitting nodes that now span several supernodes and
   /// refreshing supernode links), recursing into finer components.
-  void CascadeInto(int ci, const std::vector<NodeId>& affected);
+  void CascadeInto(int ci, const std::vector<NodeId>& affected,
+                   SplitScratch* scratch);
 
   /// PROMOTE*: like RefineNodeStar but relevance-free, breaking false
   /// instances of `fup`; returns true as soon as none remain.
   bool PromoteStar(int k, const std::vector<NodeId>& extent,
-                   const PathExpression& fup);
+                   const PathExpression& fup, SplitScratch* scratch);
 
   bool NoFalseInstances(const PathExpression& fup);
 

@@ -1,5 +1,6 @@
 #include "xml/writer.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "util/string_util.h"
@@ -54,7 +55,10 @@ Result<std::string> WriteGraphAsXml(const DataGraph& graph,
   std::vector<char> visited(n, 0);
 
   auto emit_indent = [&](uint32_t depth) {
-    if (options.indent) out.append(2 * static_cast<size_t>(depth), ' ');
+    if (options.indent) {
+      out.append(2 * static_cast<size_t>(std::min(depth, kMaxIndentDepth)),
+                 ' ');
+    }
   };
 
   while (!stack.empty()) {

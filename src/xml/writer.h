@@ -1,12 +1,16 @@
 #ifndef MRX_XML_WRITER_H_
 #define MRX_XML_WRITER_H_
 
+#include <cstdint>
 #include <string>
 
 #include "graph/data_graph.h"
 #include "util/result.h"
 
 namespace mrx::xml {
+
+/// Nesting depth past which WriteGraphAsXml indents no further.
+inline constexpr uint32_t kMaxIndentDepth = 32;
 
 /// Options for WriteGraphAsXml.
 struct XmlWriteOptions {
@@ -16,7 +20,9 @@ struct XmlWriteOptions {
   /// Attribute name used for reference edges.
   std::string ref_attribute = "ref";
 
-  /// Pretty-print with two-space indentation.
+  /// Pretty-print with two-space indentation. Indentation stops growing
+  /// at kMaxIndentDepth levels, so the output stays linear in the number
+  /// of nodes however deep the document nests.
   bool indent = true;
 };
 

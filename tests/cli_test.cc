@@ -96,6 +96,33 @@ TEST(CliTest, ConvertsDeeplyNestedDocument) {
   for (const auto& p : {xml_path, bin_path}) std::remove(p.c_str());
 }
 
+TEST(CliTest, WritesDeeplyNestedGraphBackToXmlInLinearSpace) {
+  // Two spaces of indentation per level made the output quadratic in
+  // depth: 30k levels wrote 1.8 GB and 100k died with bad_alloc.
+  constexpr int kDepth = 100000;
+  std::string xml_path = TempPath("mrx_cli_deep_back.xml");
+  std::string bin_path = TempPath("mrx_cli_deep_back.mrxg");
+  std::string back_path = TempPath("mrx_cli_deep_back_out.xml");
+  {
+    std::ofstream f(xml_path);
+    for (int i = 0; i < kDepth; ++i) f << "<a>";
+    for (int i = 0; i < kDepth; ++i) f << "</a>";
+  }
+  ASSERT_EQ(RunTool({"convert", xml_path, bin_path}).code, 0);
+  CliRun r = RunTool({"convert", bin_path, back_path});
+  ASSERT_EQ(r.code, 0) << r.err;
+  // Each level costs its two tags, two newlines and at most the capped
+  // indentation, twice.
+  EXPECT_LE(std::filesystem::file_size(back_path),
+            static_cast<uintmax_t>(kDepth) * (9 + 4 * 32) + 64);
+  CliRun stats = RunTool({"stats", back_path});
+  EXPECT_EQ(stats.code, 0) << stats.err;
+  EXPECT_NE(stats.out.find("nodes: 100000"), std::string::npos);
+  for (const auto& p : {xml_path, bin_path, back_path}) {
+    std::remove(p.c_str());
+  }
+}
+
 TEST(CliTest, GenerateQueryAndIndexPipeline) {
   std::string doc_path = TempPath("mrx_cli_pipe.xml");
   std::string index_path = TempPath("mrx_cli_pipe.mrxs");

@@ -49,6 +49,32 @@ TEST(DtdParseTest, MixedContent) {
   EXPECT_TRUE(em->model->children.empty());
 }
 
+TEST(DtdParseTest, HostileGroupNestingIsAParseError) {
+  // One recursion per '(' used to overflow the stack here.
+  constexpr int kDepth = 100000;
+  const std::string dtd_text = "<!ELEMENT a " + std::string(kDepth, '(') +
+                               "b" + std::string(kDepth, ')') +
+                               "> <!ELEMENT b EMPTY>";
+  auto dtd = Dtd::Parse(dtd_text);
+  ASSERT_FALSE(dtd.ok());
+  EXPECT_EQ(dtd.status().code(), StatusCode::kParseError);
+  EXPECT_NE(dtd.status().message().find("nests deeper"), std::string::npos);
+}
+
+TEST(DtdParseTest, ModerateGroupNestingParses) {
+  constexpr int kDepth = 200;
+  auto dtd = Dtd::Parse("<!ELEMENT a " + std::string(kDepth, '(') + "b" +
+                        std::string(kDepth, ')') + "> <!ELEMENT b EMPTY>");
+  ASSERT_TRUE(dtd.ok()) << dtd.status();
+  const Particle* group = dtd->FindElement("a")->model.get();
+  int depth = 1;
+  while (group->children.front()->kind != ParticleKind::kElement) {
+    group = group->children.front().get();
+    ++depth;
+  }
+  EXPECT_EQ(depth, kDepth);
+}
+
 TEST(DtdParseTest, EmptyAndAny) {
   auto dtd = Dtd::Parse("<!ELEMENT a ANY> <!ELEMENT b EMPTY>");
   ASSERT_TRUE(dtd.ok());

@@ -90,19 +90,13 @@ TEST(IndexGraphTest, NumEdgesCountsAliveOnly) {
   EXPECT_EQ(ig.num_edges(), 6u);
 }
 
-TEST(IndexGraphTest, SuccAndPred) {
+TEST(IndexGraphTest, Pred) {
   DataGraph g = MakeFigure3Graph();
   IndexGraph ig = IndexGraph::LabelPartition(g);
-  EXPECT_EQ(ig.Succ(std::vector<NodeId>{0}), (std::vector<NodeId>{1, 2, 3}));
-  EXPECT_EQ(ig.Succ(std::vector<NodeId>{2, 3}),
-            (std::vector<NodeId>{5, 6, 7, 8, 9}));
   EXPECT_EQ(ig.Pred(std::vector<NodeId>{4}), (std::vector<NodeId>{1}));
   EXPECT_EQ(ig.Pred(std::vector<NodeId>{5, 9}), (std::vector<NodeId>{2, 3}));
-  EXPECT_TRUE(ig.Succ(std::vector<NodeId>{}).empty());
   EXPECT_TRUE(ig.Pred(std::vector<NodeId>{}).empty());
-  // The Extent overloads agree with the vector kernels.
-  EXPECT_EQ(ig.Succ(Extent(std::vector<NodeId>{2, 3})),
-            (std::vector<NodeId>{5, 6, 7, 8, 9}));
+  // The Extent overload agrees with the vector kernel.
   EXPECT_EQ(ig.Pred(Extent(std::vector<NodeId>{5, 9})),
             (std::vector<NodeId>{2, 3}));
 }

@@ -90,6 +90,18 @@ TEST(PathExpressionTest, DescendantAxisParses) {
   EXPECT_FALSE(*p == *plain);
 }
 
+TEST(PathExpressionTest, VeryLongPathParsesIteratively) {
+  // Parse is one loop over the '/'-split steps; input length sets no
+  // recursion depth (docs/TESTING.md, "Input depth").
+  DataGraph g = MakeGraph({"r", "a"}, {{0, 1}});
+  constexpr size_t kSteps = 100000;
+  std::string text;
+  for (size_t i = 0; i < kSteps; ++i) text += i % 7 == 3 ? "//a" : "/a";
+  PathExpression p = MustParse(text, g.symbols());
+  EXPECT_EQ(p.num_steps(), kSteps);
+  EXPECT_TRUE(p.HasDescendantAxis());
+}
+
 TEST(PathExpressionTest, SubpathIsFloating) {
   DataGraph g = MakeGraph({"r", "a", "b"}, {{0, 1}, {1, 2}});
   PathExpression p = MustParse("/r/a/b", g.symbols());
