@@ -136,8 +136,9 @@ BENCHMARK(BM_MStarRefineWorkload);
 
 // The batch-refinement path: identical final index to per-query Refine
 // (BM_MStarRefineWorkload), but target evaluation is hoisted out of the
-// refinement loop and the cascade regrouping runs the sort-based kernel.
-// The delta between the two benchmarks pins the grouping throughput.
+// refinement loop and every component's adjacency is rebuilt once per batch
+// instead of once per query. The delta between the two benchmarks pins
+// what batching saves.
 void BM_MStarRefineBatchWorkload(benchmark::State& state) {
   const DataGraph& g = SharedGraph();
   for (auto _ : state) {

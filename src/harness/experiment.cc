@@ -99,12 +99,14 @@ IndexRunResult ExperimentDriver::RunMStar(size_t growth_interval,
   for (size_t i = 0; i < workload_.size(); ++i) {
     index.Refine(workload_[i]);
     if ((i + 1) % growth_interval == 0 || i + 1 == workload_.size()) {
-      result.growth.push_back(GrowthPoint{i + 1, index.PhysicalNodeCount(),
-                                          index.PhysicalEdgeCount()});
+      const MStarIndex::PhysicalSize physical = index.Physical();
+      result.growth.push_back(
+          GrowthPoint{i + 1, physical.nodes, physical.edges});
     }
   }
-  result.nodes = index.PhysicalNodeCount();
-  result.edges = index.PhysicalEdgeCount();
+  const MStarIndex::PhysicalSize physical = index.Physical();
+  result.nodes = physical.nodes;
+  result.edges = physical.edges;
   DataEvaluator validator(graph_);
   MeasureWorkload(
       workload_,

@@ -85,6 +85,7 @@ void DkIndex::Promote(const PathExpression& fup) {
   // (splits can surface new under-refined target nodes).
   SplitScratch scratch;  // Shared by every split of this call.
   while (true) {
+    graph_.RebuildAdjacency(&scratch);
     std::vector<IndexNodeId> targets = IndexTargetSet(graph_, fup, nullptr);
     std::vector<NodeId> pending;
     for (IndexNodeId v : targets) {
@@ -139,13 +140,14 @@ void DkIndex::PromoteExtent(const std::vector<NodeId>& extent, int32_t kv,
   // kv - 1 by earlier FUPs ("overqualified parents") split the cover more
   // finely than kv-bisimilarity requires.
   for (IndexNodeId v : under_refined_covers()) {
+    graph_.RebuildAdjacency(scratch);
     std::vector<IndexGraph::Part> parts;
     for (auto& piece :
          graph_.SplitByParents(graph_.node(v).extent.Materialize(),
                                graph_.node(v).parents, scratch)) {
       parts.push_back(IndexGraph::Part{std::move(piece), kv});
     }
-    graph_.ReplaceNode(v, std::move(parts), scratch);
+    graph_.ReplaceNode(v, std::move(parts));
   }
 }
 

@@ -10,18 +10,6 @@ namespace mrx {
 
 namespace {
 
-/// Inserts `id` into the sorted-unique vector `v` if absent.
-void InsertSorted(std::vector<IndexNodeId>* v, IndexNodeId id) {
-  auto it = std::lower_bound(v->begin(), v->end(), id);
-  if (it == v->end() || *it != id) v->insert(it, id);
-}
-
-/// Removes `id` from the sorted-unique vector `v` if present.
-void EraseSorted(std::vector<IndexNodeId>* v, IndexNodeId id) {
-  auto it = std::lower_bound(v->begin(), v->end(), id);
-  if (it != v->end() && *it == id) v->erase(it);
-}
-
 void SortUnique(std::vector<IndexNodeId>* v) {
   std::sort(v->begin(), v->end());
   v->erase(std::unique(v->begin(), v->end()), v->end());
@@ -30,7 +18,10 @@ void SortUnique(std::vector<IndexNodeId>* v) {
 }  // namespace
 
 uint32_t SplitScratch::NextPass(size_t capacity) {
-  if (seen.size() < capacity) seen.resize(capacity, 0);
+  if (seen.size() < capacity) {
+    seen.resize(capacity, 0);
+    slot.resize(capacity, 0);
+  }
   if (++pass == 0) {  // Wrapped: old stamps could collide with new ones.
     std::fill(seen.begin(), seen.end(), 0);
     pass = 1;
@@ -95,10 +86,12 @@ IndexGraph IndexGraph::FromPartition(const DataGraph& g,
     SortUnique(&node.children);
     SortUnique(&node.parents);
   }
+  ig.first_stale_ = num_blocks;
   return ig;
 }
 
 size_t IndexGraph::num_edges() const {
+  assert(first_stale_ == nodes_.size());
   size_t edges = 0;
   for (const Node& node : nodes_) {
     if (node.alive) edges += node.children.size();
@@ -117,13 +110,17 @@ std::vector<IndexNodeId> IndexGraph::AliveNodes() const {
 
 void IndexGraph::ComputeAdjacency(IndexNodeId v, SplitScratch* scratch) {
   Node& node = nodes_[v];
-  // Stamp neighbour ids as they are met, so only the distinct ones are
-  // kept and sorted rather than one entry per data edge.
-  auto collect = [&](auto neighbours_of, std::vector<IndexNodeId>* out) {
-    const uint32_t pass = scratch->NextPass(nodes_.size());
+  // Two passes over the decoded extent, one per direction, stamping
+  // neighbour ids as they are met, so only the distinct ones are kept and
+  // sorted rather than one entry per data edge.
+  std::vector<NodeId>& members = scratch->members;
+  members.clear();
+  node.extent.AppendTo(&members);
+  auto collect = [&](auto neighbours, std::vector<IndexNodeId>* out) {
     out->clear();
-    for (NodeId o : node.extent) {
-      for (NodeId x : neighbours_of(o)) {
+    const uint32_t pass = scratch->NextPass(nodes_.size());
+    for (NodeId o : members) {
+      for (NodeId x : neighbours(o)) {
         const IndexNodeId id = node_of_[x];
         if (scratch->seen[id] != pass) {
           scratch->seen[id] = pass;
@@ -139,13 +136,6 @@ void IndexGraph::ComputeAdjacency(IndexNodeId v, SplitScratch* scratch) {
 
 std::vector<IndexNodeId> IndexGraph::ReplaceNode(IndexNodeId v,
                                                  std::vector<Part> parts) {
-  SplitScratch scratch;
-  return ReplaceNode(v, std::move(parts), &scratch);
-}
-
-std::vector<IndexNodeId> IndexGraph::ReplaceNode(IndexNodeId v,
-                                                 std::vector<Part> parts,
-                                                 SplitScratch* scratch) {
   assert(alive(v));
   assert(!parts.empty());
 #ifndef NDEBUG
@@ -163,30 +153,21 @@ std::vector<IndexNodeId> IndexGraph::ReplaceNode(IndexNodeId v,
   }
 #endif
 
-  // Detach v from its neighbors.
-  const std::vector<IndexNodeId> old_children = nodes_[v].children;
-  const std::vector<IndexNodeId> old_parents = nodes_[v].parents;
-  for (IndexNodeId c : old_children) {
-    if (c != v) EraseSorted(&nodes_[c].parents, v);
-  }
-  for (IndexNodeId p : old_parents) {
-    if (p != v) EraseSorted(&nodes_[p].children, v);
-  }
   const LabelId label = nodes_[v].label;
   if (parts.size() > 1) {
     ++refinement_stats_.splits;
     refinement_stats_.nodes_created += parts.size() - 1;
     refinement_stats_.extent_moves += nodes_[v].extent.size();
   }
+  // Neighbours still listing v drop it in the next RebuildAdjacency.
   nodes_[v].alive = false;
   nodes_[v].extent = Extent();
-  nodes_[v].children.clear();
-  nodes_[v].parents.clear();
+  nodes_[v].children = {};
+  nodes_[v].parents = {};
   --num_alive_;
 
-  // Create the parts and remap their data nodes. Their ids are the
-  // contiguous range appended from `first_part` on.
-  const IndexNodeId first_part = static_cast<IndexNodeId>(nodes_.size());
+  // Create the parts and remap their data nodes; their ids are appended,
+  // so they are all at or past first_stale_.
   std::vector<IndexNodeId> part_ids;
   part_ids.reserve(parts.size());
   for (Part& part : parts) {
@@ -200,20 +181,51 @@ std::vector<IndexNodeId> IndexGraph::ReplaceNode(IndexNodeId v,
     ++num_alive_;
     for (NodeId o : nodes_.back().extent) node_of_[o] = id;
   }
+  return part_ids;
+}
 
-  // Compute the parts' adjacency from the data graph (part-to-part edges
-  // come out consistent on both sides because node_of_ is fully remapped),
-  // then mirror edges into non-part neighbors.
-  for (IndexNodeId id : part_ids) ComputeAdjacency(id, scratch);
-  for (IndexNodeId id : part_ids) {
-    for (IndexNodeId c : nodes_[id].children) {
-      if (c < first_part) InsertSorted(&nodes_[c].parents, id);
+void IndexGraph::RebuildAdjacency(SplitScratch* scratch) {
+  const IndexNodeId first = first_stale_;
+  const IndexNodeId end = static_cast<IndexNodeId>(nodes_.size());
+  if (first == end) return;
+  // New nodes: both lists straight from the data graph (node_of_ is final,
+  // so edges among new nodes come out consistent on both sides).
+  for (IndexNodeId v = first; v < end; ++v) {
+    if (nodes_[v].alive) ComputeAdjacency(v, scratch);
+  }
+  // Older nodes: every one listing a node replaced since the last rebuild
+  // has a data edge into a new node, so it is reached here. New ids exceed
+  // every id already listed and are appended ascending, so the lists stay
+  // sorted once the dead ids are dropped.
+  const uint32_t pass = scratch->NextPass(end);
+  std::vector<IndexNodeId> older;
+  auto touch = [&](IndexNodeId w) {
+    if (scratch->seen[w] != pass) {
+      scratch->seen[w] = pass;
+      older.push_back(w);
     }
-    for (IndexNodeId p : nodes_[id].parents) {
-      if (p < first_part) InsertSorted(&nodes_[p].children, id);
+  };
+  for (IndexNodeId v = first; v < end; ++v) {
+    if (!nodes_[v].alive) continue;
+    for (IndexNodeId c : nodes_[v].children) {
+      if (c < first) {
+        nodes_[c].parents.push_back(v);
+        touch(c);
+      }
+    }
+    for (IndexNodeId p : nodes_[v].parents) {
+      if (p < first) {
+        nodes_[p].children.push_back(v);
+        touch(p);
+      }
     }
   }
-  return part_ids;
+  auto dead = [&](IndexNodeId x) { return !nodes_[x].alive; };
+  for (IndexNodeId w : older) {
+    std::erase_if(nodes_[w].parents, dead);
+    std::erase_if(nodes_[w].children, dead);
+  }
+  first_stale_ = end;
 }
 
 std::vector<NodeId> IndexGraph::Pred(const std::vector<NodeId>& s) const {
@@ -311,6 +323,9 @@ std::vector<std::vector<NodeId>> IndexGraph::SplitByParents(
 }
 
 Status IndexGraph::CheckConsistency() const {
+  if (first_stale_ != nodes_.size()) {
+    return Status::Internal("adjacency not rebuilt after ReplaceNode");
+  }
   const DataGraph& g = *graph_;
   std::vector<char> seen(g.num_nodes(), 0);
   size_t alive_count = 0;

@@ -34,16 +34,24 @@ struct RefinementStats {
 };
 
 /// \brief Reusable buffers for the splits of one refinement call
-/// (IndexGraph::SplitByParents and ReplaceNode). The caller owns one for
-/// the whole call — Refine, Promote, RefineBatch — and hands it to every
-/// split, in every component, so no split allocates anything sized to the
-/// component. Not thread-safe: one refinement call, one scratch.
+/// (IndexGraph::SplitByParents and RebuildAdjacency, the M*(k) cascade).
+/// The caller owns one for the whole call — Refine, Promote, RefineBatch —
+/// and hands it to every split, in every component, so no split allocates
+/// anything sized to the component. Not thread-safe: one refinement call,
+/// one scratch.
 struct SplitScratch {
   /// Per index-node id: the last pass that saw it. A pass claims a fresh
   /// value from NextPass(); the array grows with the largest component
   /// and is only cleared when the counter wraps.
   std::vector<uint32_t> seen;
+  /// Per index-node id, grown with `seen`: a value a pass attaches to each
+  /// id it stamps (CascadeInto's slot in its touched list). Meaningful
+  /// only for ids `seen` holds the current stamp for; never a stamp, so
+  /// leftovers from earlier passes cannot be mistaken for one.
+  std::vector<uint32_t> slot;
   uint32_t pass = 0;
+  /// ComputeAdjacency: the node's extent, decoded once.
+  std::vector<NodeId> members;
   /// SplitByParents: each member's column list in CSR form, and the
   /// member order.
   std::vector<uint32_t> offsets;
@@ -64,7 +72,11 @@ struct SplitScratch {
 ///
 ///  - extents of alive nodes partition the data nodes (Property 1's carrier);
 ///  - there is an index edge (u, v) iff some data edge crosses the extents
-///    (Property 2) — ReplaceNode rebuilds adjacency from the data graph;
+///    (Property 2). Property 2 makes adjacency a function of the extents,
+///    so ReplaceNode only re-homes extents and RebuildAdjacency derives the
+///    lists of the nodes created since the last rebuild, and patches their
+///    older neighbours, from the data graph — once per batch of splits
+///    rather than once per split;
 ///  - `k` values are whatever the owning index algorithm assigns; the
 ///    *semantic* guarantees (extents k-bisimilar, Property 3) are the
 ///    algorithm's responsibility and are verified in the test suite.
@@ -80,8 +92,10 @@ class IndexGraph {
     /// The node's data-node set, normalized into a (possibly compressed)
     /// representation on assignment — see index/extent.h.
     Extent extent;
-    std::vector<IndexNodeId> parents;   // sorted unique, alive ids
-    std::vector<IndexNodeId> children;  // sorted unique, alive ids
+    /// Sorted unique alive ids; exact once RebuildAdjacency has run after
+    /// the last ReplaceNode.
+    std::vector<IndexNodeId> parents;
+    std::vector<IndexNodeId> children;
     bool alive = true;
   };
 
@@ -125,7 +139,7 @@ class IndexGraph {
   size_t num_nodes() const { return num_alive_; }
 
   /// Number of index edges between alive nodes — the paper's "number of
-  /// index edges". Computed on demand.
+  /// index edges". Computed on demand; needs current adjacency.
   size_t num_edges() const;
 
   /// All alive node ids, ascending.
@@ -136,16 +150,24 @@ class IndexGraph {
 
   /// Replaces alive node `v` by `parts`. Part extents must be non-empty,
   /// pairwise disjoint, and cover v's extent exactly (checked with
-  /// assertions in debug builds). Adjacency of the new nodes and of their
-  /// neighbors is rebuilt from the data graph so Property 2 keeps holding.
-  /// Passing a single part effectively relabels v's similarity under a new
-  /// id. Returns the new node ids in part order.
-  /// Refinement passes the scratch of the whole call; the overload
-  /// without one is for one-off splits.
-  std::vector<IndexNodeId> ReplaceNode(IndexNodeId v, std::vector<Part> parts,
-                                       SplitScratch* scratch);
+  /// assertions in debug builds). Only extents are re-homed: the parents
+  /// and children of the new nodes and of their neighbours are stale until
+  /// the next RebuildAdjacency, so refinement splits many nodes and derives
+  /// adjacency once, where it is next read. Passing a single part
+  /// effectively relabels v's similarity under a new id. Returns the new
+  /// node ids in part order.
   std::vector<IndexNodeId> ReplaceNode(IndexNodeId v,
                                        std::vector<Part> parts);
+
+  /// Makes adjacency exact again after ReplaceNode calls: derives both
+  /// lists of every alive node created since the last rebuild from the data
+  /// graph, then adds those nodes to their older neighbours' lists and
+  /// drops dead ids there. Costs the new nodes' in- and out-edges plus the
+  /// touched neighbours' list lengths; a no-op when adjacency is current.
+  /// Refinement calls it before reading parents or children and before it
+  /// returns, so adjacency is exact wherever a caller can see it; it passes
+  /// the scratch of the whole call.
+  void RebuildAdjacency(SplitScratch* scratch);
 
   /// The split kernel of SPLITNODE*, PROMOTE*, REFINENODE and PROMOTE
   /// (§2, §3.2, §4.2). Partitions `members` (sorted data nodes) by which
@@ -173,7 +195,8 @@ class IndexGraph {
 
   /// Structural self-check used by tests and debugging: extents partition
   /// the data nodes, node_of is consistent, labels are uniform within
-  /// extents, adjacency matches Property 2 exactly and is symmetric.
+  /// extents, adjacency is current, matches Property 2 exactly and is
+  /// symmetric.
   Status CheckConsistency() const;
 
   /// Multi-line dump ("id[label,k]{extent} -> children") for debugging.
@@ -195,6 +218,11 @@ class IndexGraph {
   std::vector<Node> nodes_;
   std::vector<IndexNodeId> node_of_;  // per data node
   size_t num_alive_ = 0;
+  /// Nodes from this id on were created by ReplaceNode since the last
+  /// RebuildAdjacency and have no adjacency yet; older alive nodes have
+  /// exact lists except that they still name the nodes replaced since
+  /// instead of the parts that replaced them.
+  IndexNodeId first_stale_ = 0;
   RefinementStats refinement_stats_;
 };
 

@@ -1,7 +1,6 @@
 #include "index/m_k_index.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "index/extent_ops.h"
 
@@ -35,6 +34,7 @@ void MkIndex::Refine(const PathExpression& fup) {
   // REFINE lines 3-4: break false instances of the FUP that refinement may
   // have created (the Figure 6 situation).
   while (true) {
+    graph_.RebuildAdjacency(&scratch);
     std::vector<IndexNodeId> s = IndexTargetSet(graph_, fup, nullptr);
     IndexNodeId bad = kInvalidIndexNode;
     for (IndexNodeId v : s) {
@@ -104,16 +104,14 @@ void MkIndex::SplitCover(IndexNodeId v, int32_t k,
   // Lines 10-17: partition v's extent by Succ of each qualifying parent —
   // the parents holding a data parent of a relevant member. With the
   // merge ablation active, *all* parents qualify and no pieces merge —
-  // reproducing D(k)'s PROMOTE splitting exactly.
-  const std::vector<IndexNodeId>& parents = graph_.node(v).parents;
+  // reproducing D(k)'s PROMOTE splitting exactly. The holders are parents
+  // of v by Property 2, so only the ablation reads adjacency.
   std::vector<IndexNodeId> qualifying;
   if (merge_unnecessary_splits_) {
-    const std::vector<IndexNodeId> holders =
-        graph_.ParentHolders(relevant_here);
-    std::set_intersection(holders.begin(), holders.end(), parents.begin(),
-                          parents.end(), std::back_inserter(qualifying));
+    qualifying = graph_.ParentHolders(relevant_here);
   } else {
-    qualifying = parents;
+    graph_.RebuildAdjacency(scratch);
+    qualifying = graph_.node(v).parents;
   }
   std::vector<std::vector<NodeId>> pieces = graph_.SplitByParents(
       graph_.node(v).extent.Materialize(), qualifying, scratch);
@@ -166,11 +164,13 @@ void MkIndex::SplitCover(IndexNodeId v, int32_t k,
     SortUnique(&remainder);
     parts.push_back(IndexGraph::Part{std::move(remainder), kold});
   }
-  graph_.ReplaceNode(v, std::move(parts), scratch);
+  graph_.ReplaceNode(v, std::move(parts));
 }
 
-bool MkIndex::NoFalseInstances(const PathExpression& fup) {
+bool MkIndex::NoFalseInstances(const PathExpression& fup,
+                               SplitScratch* scratch) {
   const int32_t len = static_cast<int32_t>(fup.length());
+  graph_.RebuildAdjacency(scratch);
   for (IndexNodeId v : IndexTargetSet(graph_, fup, nullptr)) {
     if (graph_.node(v).k < len) return false;
   }
@@ -179,7 +179,7 @@ bool MkIndex::NoFalseInstances(const PathExpression& fup) {
 
 bool MkIndex::PromotePrime(const std::vector<NodeId>& extent, int32_t kv,
                            const PathExpression& fup, SplitScratch* scratch) {
-  if (NoFalseInstances(fup)) return true;
+  if (NoFalseInstances(fup, scratch)) return true;
   if (kv <= 0 || extent.empty()) return false;
 
   auto under_refined_covers = [&]() {
@@ -193,7 +193,7 @@ bool MkIndex::PromotePrime(const std::vector<NodeId>& extent, int32_t kv,
   };
 
   std::vector<IndexNodeId> covers = under_refined_covers();
-  if (covers.empty()) return NoFalseInstances(fup);
+  if (covers.empty()) return NoFalseInstances(fup, scratch);
 
   // PROMOTE lines 3-4 (all parents, no relevance filter).
   std::vector<NodeId> parent_extent;
@@ -209,16 +209,17 @@ bool MkIndex::PromotePrime(const std::vector<NodeId>& extent, int32_t kv,
   // PROMOTE lines 5-6, with the "long jump" check after each node's split
   // completes (splitting only part-way would record an unsound k).
   for (IndexNodeId v : under_refined_covers()) {
+    graph_.RebuildAdjacency(scratch);
     std::vector<IndexGraph::Part> parts;
     for (auto& piece :
          graph_.SplitByParents(graph_.node(v).extent.Materialize(),
                                graph_.node(v).parents, scratch)) {
       parts.push_back(IndexGraph::Part{std::move(piece), kv});
     }
-    graph_.ReplaceNode(v, std::move(parts), scratch);
-    if (NoFalseInstances(fup)) return true;
+    graph_.ReplaceNode(v, std::move(parts));
+    if (NoFalseInstances(fup, scratch)) return true;
   }
-  return NoFalseInstances(fup);
+  return NoFalseInstances(fup, scratch);
 }
 
 }  // namespace mrx

@@ -74,7 +74,7 @@ class MkIndex {
 
   /// True iff every index node reachable by `fup` has similarity ≥ its
   /// length (no false instances remain).
-  bool NoFalseInstances(const PathExpression& fup);
+  bool NoFalseInstances(const PathExpression& fup, SplitScratch* scratch);
 
   IndexGraph graph_;
   DataEvaluator evaluator_;

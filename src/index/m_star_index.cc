@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "index/bisimulation.h"
@@ -12,13 +12,6 @@
 #include "util/thread_pool.h"
 
 namespace mrx {
-namespace {
-
-/// Minimum number of touched nodes before CascadeInto fans its regrouping
-/// precompute out over the pool — below this the dispatch overhead wins.
-constexpr size_t kParallelCascadeMinNodes = 32;
-
-}  // namespace
 
 MStarIndex::MStarIndex(const DataGraph& g) : data_(g) {
   IndexGraph g0 = IndexGraph::LabelPartition(g);
@@ -187,6 +180,7 @@ void MStarIndex::RefineBatch(const std::vector<PathExpression>& fups) {
   for (size_t i = 0; i < eligible.size(); ++i) {
     RefineWithTarget(*eligible[i], targets[i], &scratch);
   }
+  for (Component& comp : components_) comp.graph.RebuildAdjacency(&scratch);
 }
 
 void MStarIndex::RefineWithTarget(const PathExpression& fup,
@@ -202,6 +196,7 @@ void MStarIndex::RefineWithTarget(const PathExpression& fup,
   // REFINE* lines 7-8: break false instances created by refinement.
   while (true) {
     IndexGraph& finest = components_[len].graph;
+    finest.RebuildAdjacency(scratch);
     std::vector<IndexNodeId> s = IndexTargetSet(finest, fup, nullptr);
     IndexNodeId bad = kInvalidIndexNode;
     for (IndexNodeId v : s) {
@@ -221,29 +216,16 @@ void MStarIndex::RefineWithTarget(const PathExpression& fup,
 void MStarIndex::RefineNodeStar(int k, const std::vector<NodeId>& relevant,
                                 SplitScratch* scratch) {
   if (k <= 0 || relevant.empty()) return;
-  IndexGraph& comp = components_[k].graph;
-
-  auto under_refined_covers = [&]() {
-    std::vector<IndexNodeId> covers;
-    for (NodeId o : relevant) covers.push_back(comp.index_of(o));
-    SortUnique(&covers);
-    std::erase_if(covers, [&](IndexNodeId v) {
-      return comp.node(v).k >= k;
-    });
-    return covers;
-  };
-
-  std::vector<IndexNodeId> covers = under_refined_covers();
-  if (covers.empty()) return;
+  const IndexGraph& comp = components_[k].graph;
 
   // Only relevant data inside under-refined covers drives refinement
-  // (REFINENODE* line 2's early return, per node).
+  // (REFINENODE* line 2's early return, per node). `relevant` is sorted,
+  // so the filtered set is too.
   std::vector<NodeId> active;
-  for (IndexNodeId v : covers) {
-    std::vector<NodeId> here = Intersect(comp.node(v).extent, relevant);
-    active.insert(active.end(), here.begin(), here.end());
+  for (NodeId o : relevant) {
+    if (comp.node(comp.index_of(o)).k < k) active.push_back(o);
   }
-  SortUnique(&active);
+  if (active.empty()) return;
 
   // Lines 4-7: refine the predecessors in component k-1 first.
   RefineNodeStar(k - 1, comp.Pred(active), scratch);
@@ -251,12 +233,16 @@ void MStarIndex::RefineNodeStar(int k, const std::vector<NodeId>& relevant,
   // Lines 9-13: split the ancestor supernodes coarse-to-fine; each split
   // cascades into finer components immediately (the propagation of line
   // 13), so by the time component i is processed, component i-1 is final.
+  // A split in component i changes only the node it splits there, so the
+  // members before `pos` stay in nodes with k ≥ i and the scan for the
+  // next under-refined member resumes where the last one stopped.
   for (int i = 1; i <= k; ++i) {
+    const IndexGraph& ci = components_[i].graph;
+    size_t pos = 0;
     while (true) {
-      IndexGraph& ci = components_[i].graph;
       IndexNodeId p = kInvalidIndexNode;
-      for (NodeId o : active) {
-        IndexNodeId cand = ci.index_of(o);
+      for (; pos < active.size(); ++pos) {
+        IndexNodeId cand = ci.index_of(active[pos]);
         if (ci.node(cand).k < i) {
           p = cand;
           break;
@@ -283,13 +269,11 @@ void MStarIndex::SplitNodeStar(int ci, IndexNodeId v,
   // The perfectly qualified parents: parents of v's supernode in component
   // ci-1 that hold a data parent of a relevant member (their similarity is
   // exactly ci-1 after the recursion refined them — never overqualified,
-  // the whole point of §4).
-  IndexNodeId sup = prev.index_of(comp.node(v).extent.front());
-  const std::vector<IndexNodeId>& sup_parents = prev.node(sup).parents;
-  const std::vector<IndexNodeId> holders = prev.ParentHolders(relevant_here);
-  std::vector<IndexNodeId> qualifying;
-  std::set_intersection(holders.begin(), holders.end(), sup_parents.begin(),
-                        sup_parents.end(), std::back_inserter(qualifying));
+  // the whole point of §4). Every holder is a parent of the supernode
+  // (Properties 1 and 2: the member lies in the supernode's extent), so
+  // the holders are that set and no adjacency is read.
+  const std::vector<IndexNodeId> qualifying =
+      prev.ParentHolders(relevant_here);
 
   std::vector<std::vector<NodeId>> pieces =
       prev.SplitByParents(comp.node(v).extent.Materialize(), qualifying,
@@ -342,8 +326,7 @@ void MStarIndex::SplitAndPropagate(int ci, IndexNodeId v,
   Component& comp = components_[ci];
   const IndexNodeId sup = comp.supernode[v];
   const std::vector<NodeId> affected = comp.graph.node(v).extent.Materialize();
-  std::vector<IndexNodeId> ids =
-      comp.graph.ReplaceNode(v, std::move(parts), scratch);
+  std::vector<IndexNodeId> ids = comp.graph.ReplaceNode(v, std::move(parts));
   comp.supernode.resize(comp.graph.capacity(), kInvalidIndexNode);
   for (IndexNodeId id : ids) comp.supernode[id] = sup;
   if (static_cast<size_t>(ci) + 1 < components_.size()) {
@@ -356,90 +339,108 @@ void MStarIndex::CascadeInto(int ci, const std::vector<NodeId>& affected,
   Component& comp = components_[ci];
   const IndexGraph& prev = components_[ci - 1].graph;
 
-  std::vector<IndexNodeId> touched;
-  for (NodeId o : affected) touched.push_back(comp.graph.index_of(o));
-  SortUnique(&touched);
-
-  // Group each touched extent by the (new) partition of the previous
-  // component. Sorting (supernode, member) pairs reproduces the old
-  // std::map grouping exactly — supernodes ascending, each group's members
-  // ascending (extents are sorted and each member has one supernode) —
-  // without a tree node per member. The regroupings read only disjoint
-  // extents and the already-final previous component, so they are
-  // precomputed up front and fan out over the pool when large enough; the
-  // splits below stay serial.
-  std::vector<std::vector<std::pair<IndexNodeId, NodeId>>> owners(
-      touched.size());
-  auto regroup = [&](size_t lo, size_t hi) {
-    for (size_t t = lo; t < hi; ++t) {
-      const auto& extent = comp.graph.node(touched[t]).extent;
-      auto& pairs = owners[t];
-      pairs.reserve(extent.size());
-      for (NodeId o : extent) pairs.emplace_back(prev.index_of(o), o);
-      std::sort(pairs.begin(), pairs.end());
-    }
+  // Every node touched here lies inside the node that split one component
+  // up (Property 3 held before the split), so `affected` holds each touched
+  // extent whole. One pass over it finds the touched nodes — deduped by
+  // stamp, `slot` holding each one's place in `touched` — with the
+  // supernode of their first member, and flags the ones whose members now
+  // sit under several supernodes. Only those, and the ones whose k rises,
+  // are read again.
+  struct Touched {
+    IndexNodeId node;
+    IndexNodeId sup;
+    bool single;
   };
-  if (pool_ != nullptr && pool_->num_threads() > 1 &&
-      touched.size() >= kParallelCascadeMinNodes) {
-    pool_->ParallelFor(0, touched.size(), 1, regroup);
-  } else {
-    regroup(0, touched.size());
+  std::vector<Touched> touched;
+  const uint32_t touch_pass = scratch->NextPass(comp.graph.capacity());
+  for (NodeId o : affected) {
+    const IndexNodeId q = comp.graph.index_of(o);
+    const IndexNodeId sup = prev.index_of(o);
+    if (scratch->seen[q] != touch_pass) {
+      scratch->seen[q] = touch_pass;
+      scratch->slot[q] = static_cast<uint32_t>(touched.size());
+      touched.push_back(Touched{q, sup, true});
+    } else if (touched[scratch->slot[q]].sup != sup) {
+      touched[scratch->slot[q]].single = false;
+    }
   }
+#ifndef NDEBUG
+  size_t covered = 0;
+  for (const Touched& t : touched) {
+    covered += comp.graph.node(t.node).extent.size();
+  }
+  assert(covered == affected.size());
+#endif
+  // Splits append ids, so the node order fixes the ids of the parts.
+  std::sort(touched.begin(), touched.end(),
+            [](const Touched& a, const Touched& b) { return a.node < b.node; });
 
   bool any_split = false;
+  // Members of changed nodes, any order. They are a subset of `affected`,
+  // so appending extents never reallocates.
   std::vector<NodeId> deeper;
-  for (size_t t = 0; t < touched.size(); ++t) {
-    const IndexNodeId q = touched[t];
-    const auto& pairs = owners[t];
-    if (pairs.front().first == pairs.back().first) {
-      IndexNodeId sup = pairs.front().first;
-      comp.supernode[q] = sup;
+  deeper.reserve(affected.size());
+  std::vector<IndexNodeId> sups;
+  for (const Touched& t : touched) {
+    const IndexNodeId q = t.node;
+    if (t.single) {
+      comp.supernode[q] = t.sup;
       // Property 4: a subnode is at least as refined as its supernode. Its
       // extent is a subset of the supernode's, so inheriting the larger k
       // is sound.
-      if (comp.graph.node(q).k < prev.node(sup).k) {
-        comp.graph.SetK(q, prev.node(sup).k);
-        const auto& extent = comp.graph.node(q).extent;
-        deeper.insert(deeper.end(), extent.begin(), extent.end());
+      if (comp.graph.node(q).k < prev.node(t.sup).k) {
+        comp.graph.SetK(q, prev.node(t.sup).k);
+        comp.graph.node(q).extent.AppendTo(&deeper);
         any_split = true;  // k changed; finer components must re-check.
       }
       continue;
     }
-    // q now spans several supernodes: split it along them. A piece is both
-    // q.k-bisimilar (subset of q) and supernode.k-bisimilar (subset of the
-    // supernode), so it soundly records the max of the two.
+    // q now spans several supernodes: split it along them, one part per
+    // supernode in ascending id order, members ascending within a part. A
+    // part is both q.k-bisimilar (subset of q) and supernode.k-bisimilar
+    // (subset of the supernode), so it soundly records the max of the two.
     any_split = true;
-    const auto& extent = comp.graph.node(q).extent;
-    deeper.insert(deeper.end(), extent.begin(), extent.end());
-    const int32_t qk = comp.graph.node(q).k;
-    std::vector<IndexGraph::Part> parts;
-    std::vector<IndexNodeId> sups;
-    for (size_t i = 0; i < pairs.size();) {
-      const IndexNodeId sup_id = pairs[i].first;
-      std::vector<NodeId> group;
-      for (; i < pairs.size() && pairs[i].first == sup_id; ++i) {
-        group.push_back(pairs[i].second);
+    const size_t begin = deeper.size();
+    comp.graph.node(q).extent.AppendTo(&deeper);
+    const std::span<const NodeId> members(deeper.data() + begin,
+                                          deeper.size() - begin);
+    sups.clear();
+    const uint32_t sup_pass = scratch->NextPass(prev.capacity());
+    for (NodeId o : members) {
+      const IndexNodeId s = prev.index_of(o);
+      if (scratch->seen[s] != sup_pass) {
+        scratch->seen[s] = sup_pass;
+        sups.push_back(s);
       }
-      parts.push_back(IndexGraph::Part{std::move(group),
-                                       std::max(qk, prev.node(sup_id).k)});
-      sups.push_back(sup_id);
     }
-    std::vector<IndexNodeId> ids =
-        comp.graph.ReplaceNode(q, std::move(parts), scratch);
+    std::sort(sups.begin(), sups.end());
+    const int32_t qk = comp.graph.node(q).k;
+    std::vector<IndexGraph::Part> parts(sups.size());
+    for (size_t j = 0; j < sups.size(); ++j) {
+      parts[j].k = std::max(qk, prev.node(sups[j]).k);
+    }
+    for (NodeId o : members) {
+      const size_t j =
+          std::lower_bound(sups.begin(), sups.end(), prev.index_of(o)) -
+          sups.begin();
+      parts[j].extent.push_back(o);
+    }
+    std::vector<IndexNodeId> ids = comp.graph.ReplaceNode(q, std::move(parts));
     comp.supernode.resize(comp.graph.capacity(), kInvalidIndexNode);
     for (size_t j = 0; j < ids.size(); ++j) comp.supernode[ids[j]] = sups[j];
   }
   if (any_split && static_cast<size_t>(ci) + 1 < components_.size()) {
-    SortUnique(&deeper);
     CascadeInto(ci + 1, deeper, scratch);
   }
 }
 
-bool MStarIndex::NoFalseInstances(const PathExpression& fup) {
+bool MStarIndex::NoFalseInstances(const PathExpression& fup,
+                                  SplitScratch* scratch) {
   const int32_t len = static_cast<int32_t>(fup.length());
   const size_t ci =
       std::min<size_t>(len, components_.size() - 1);
   IndexGraph& comp = components_[ci].graph;
+  comp.RebuildAdjacency(scratch);
   for (IndexNodeId v : IndexTargetSet(comp, fup, nullptr)) {
     if (comp.node(v).k < len) return false;
   }
@@ -449,7 +450,7 @@ bool MStarIndex::NoFalseInstances(const PathExpression& fup) {
 bool MStarIndex::PromoteStar(int k, const std::vector<NodeId>& extent,
                              const PathExpression& fup,
                              SplitScratch* scratch) {
-  if (NoFalseInstances(fup)) return true;
+  if (NoFalseInstances(fup, scratch)) return true;
   if (k <= 0 || extent.empty()) return false;
   IndexGraph& comp = components_[k].graph;
 
@@ -464,7 +465,7 @@ bool MStarIndex::PromoteStar(int k, const std::vector<NodeId>& extent,
   };
 
   std::vector<IndexNodeId> covers = under_refined_covers();
-  if (covers.empty()) return NoFalseInstances(fup);
+  if (covers.empty()) return NoFalseInstances(fup, scratch);
 
   std::vector<NodeId> all;
   for (IndexNodeId v : covers) {
@@ -478,14 +479,17 @@ bool MStarIndex::PromoteStar(int k, const std::vector<NodeId>& extent,
 
   // Split ancestor supernodes coarse-to-fine by *all* parents of the
   // supernode in the previous component; long-jump out as soon as no
-  // false instance of the FUP remains.
+  // false instance of the FUP remains. As in RefineNodeStar, a split in
+  // component i leaves the members before `pos` in nodes with k ≥ i, so
+  // the scan resumes there.
   for (int i = 1; i <= k; ++i) {
+    const IndexGraph& ci_graph = components_[i].graph;
+    IndexGraph& prev = components_[i - 1].graph;
+    size_t pos = 0;
     while (true) {
-      IndexGraph& ci_graph = components_[i].graph;
-      const IndexGraph& prev = components_[i - 1].graph;
       IndexNodeId p = kInvalidIndexNode;
-      for (NodeId o : all) {
-        IndexNodeId cand = ci_graph.index_of(o);
+      for (; pos < all.size(); ++pos) {
+        IndexNodeId cand = ci_graph.index_of(all[pos]);
         if (ci_graph.node(cand).k < i) {
           p = cand;
           break;
@@ -493,6 +497,7 @@ bool MStarIndex::PromoteStar(int k, const std::vector<NodeId>& extent,
       }
       if (p == kInvalidIndexNode) break;
 
+      prev.RebuildAdjacency(scratch);
       IndexNodeId sup = prev.index_of(ci_graph.node(p).extent.front());
       std::vector<IndexGraph::Part> parts;
       for (auto& piece :
@@ -501,10 +506,10 @@ bool MStarIndex::PromoteStar(int k, const std::vector<NodeId>& extent,
         parts.push_back(IndexGraph::Part{std::move(piece), i});
       }
       SplitAndPropagate(i, p, std::move(parts), scratch);
-      if (NoFalseInstances(fup)) return true;
+      if (NoFalseInstances(fup, scratch)) return true;
     }
   }
-  return NoFalseInstances(fup);
+  return NoFalseInstances(fup, scratch);
 }
 
 QueryResult MStarIndex::QueryNaive(const PathExpression& path,
@@ -665,11 +670,16 @@ MStarIndex MStarIndex::Clone() const {
   return copy;
 }
 
-bool MStarIndex::IsDuplicate(size_t i, IndexNodeId v) const {
-  const IndexGraph& comp = components_[i].graph;
+std::vector<char> MStarIndex::DuplicateMask(size_t i) const {
+  const Component& comp = components_[i];
   const IndexGraph& prev = components_[i - 1].graph;
-  IndexNodeId sup = prev.index_of(comp.node(v).extent.front());
-  return prev.node(sup).extent.size() == comp.node(v).extent.size();
+  std::vector<char> duplicate(comp.graph.capacity(), 0);
+  for (IndexNodeId v = 0; v < comp.graph.capacity(); ++v) {
+    if (!comp.graph.alive(v)) continue;
+    duplicate[v] = prev.node(comp.supernode[v]).extent.size() ==
+                   comp.graph.node(v).extent.size();
+  }
+  return duplicate;
 }
 
 RefinementStats MStarIndex::TotalRefinementStats() const {
@@ -684,30 +694,39 @@ size_t MStarIndex::PhysicalNodeCount() const {
   size_t count = components_[0].graph.num_nodes();
   for (size_t i = 1; i < components_.size(); ++i) {
     const IndexGraph& comp = components_[i].graph;
+    const std::vector<char> duplicate = DuplicateMask(i);
     for (IndexNodeId v = 0; v < comp.capacity(); ++v) {
-      if (comp.alive(v) && !IsDuplicate(i, v)) ++count;
+      if (comp.alive(v) && !duplicate[v]) ++count;
     }
   }
   return count;
 }
 
-size_t MStarIndex::PhysicalEdgeCount() const {
-  size_t count = components_[0].graph.num_edges();
+size_t MStarIndex::PhysicalEdgeCount() const { return Physical().edges; }
+
+MStarIndex::PhysicalSize MStarIndex::Physical() const {
+  PhysicalSize size{components_[0].graph.num_nodes(),
+                    components_[0].graph.num_edges()};
   for (size_t i = 1; i < components_.size(); ++i) {
     const IndexGraph& comp = components_[i].graph;
+    const std::vector<char> duplicate = DuplicateMask(i);
     for (IndexNodeId v = 0; v < comp.capacity(); ++v) {
       if (!comp.alive(v)) continue;
-      const bool v_dup = IsDuplicate(i, v);
+      const bool v_dup = duplicate[v];
       // Component edges: skip those whose endpoints are both duplicates
       // (the corresponding edge already exists one component up).
       for (IndexNodeId c : comp.node(v).children) {
-        if (!(v_dup && IsDuplicate(i, c))) ++count;
+        if (!(v_dup && duplicate[c])) ++size.edges;
       }
-      // Cross-component link from the supernode, skipped for duplicates.
-      if (!v_dup) ++count;
+      // The node and its cross-component link from the supernode, both
+      // skipped for duplicates.
+      if (!v_dup) {
+        ++size.nodes;
+        ++size.edges;
+      }
     }
   }
-  return count;
+  return size;
 }
 
 Status MStarIndex::CheckProperties() const { return CheckProperties(nullptr); }

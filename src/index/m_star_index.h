@@ -107,10 +107,10 @@ class MStarIndex {
   /// refinement itself stays serial (and deterministic).
   void RefineBatch(const std::vector<PathExpression>& fups);
 
-  /// Attaches a thread pool used to parallelize batch target evaluation
-  /// and cascade regrouping. May be null (serial). The pool must outlive
-  /// the index; clones do NOT inherit it (published read-only copies have
-  /// no refinement to parallelize).
+  /// Attaches a thread pool used to parallelize batch target evaluation.
+  /// May be null (serial). The pool must outlive the index; clones do NOT
+  /// inherit it (published read-only copies have no refinement to
+  /// parallelize).
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
   ThreadPool* thread_pool() const { return pool_; }
 
@@ -187,6 +187,14 @@ class MStarIndex {
   /// connecting two duplicates, plus cross links to non-duplicate nodes.
   size_t PhysicalEdgeCount() const;
 
+  /// Both physical counts from one walk per component, each component's
+  /// duplicate mask built once.
+  struct PhysicalSize {
+    size_t nodes = 0;
+    size_t edges = 0;
+  };
+  PhysicalSize Physical() const;
+
   /// Verifies Properties 1-5 of §4 that are checkable structurally
   /// (component consistency, caps, hierarchy refinement, Property 4 k
   /// bounds, Property 5 stability). Bisimilarity of extents is checked
@@ -244,8 +252,10 @@ class MStarIndex {
                          SplitScratch* scratch);
 
   /// Realigns component `ci` with component ci-1 over the data nodes in
-  /// `affected` (splitting nodes that now span several supernodes and
-  /// refreshing supernode links), recursing into finer components.
+  /// `affected`, in any order (splitting nodes that now span several
+  /// supernodes and refreshing supernode links), recursing into finer
+  /// components. Linear in the touched nodes' extents: only a node that
+  /// really spans several supernodes has its supernodes sorted.
   void CascadeInto(int ci, const std::vector<NodeId>& affected,
                    SplitScratch* scratch);
 
@@ -254,11 +264,12 @@ class MStarIndex {
   bool PromoteStar(int k, const std::vector<NodeId>& extent,
                    const PathExpression& fup, SplitScratch* scratch);
 
-  bool NoFalseInstances(const PathExpression& fup);
+  bool NoFalseInstances(const PathExpression& fup, SplitScratch* scratch);
 
-  /// True if node `v` of component `i` (≥1) duplicates its supernode
-  /// (equal extents).
-  bool IsDuplicate(size_t i, IndexNodeId v) const;
+  /// Per node id of component `i` (≥1): whether the node duplicates its
+  /// supernode (equal extents; the extent lies inside the supernode's by
+  /// Property 3, so equal sizes suffice). Dead ids read false.
+  std::vector<char> DuplicateMask(size_t i) const;
 
   /// Shared tail of the query strategies: collects extents of the target
   /// index nodes of `path` in component `ci`, validating under-refined

@@ -5,7 +5,7 @@
 namespace mrx::obs {
 
 namespace cost_internal {
-thread_local QueryCostCounters* active = nullptr;
+constinit thread_local QueryCostCounters* active = nullptr;
 }  // namespace cost_internal
 
 QueryCostScope::QueryCostScope(QueryCostCounters* counters)

@@ -45,8 +45,11 @@ struct QueryCostCounters {
 
 namespace cost_internal {
 /// The calling thread's active collector; null = counting off. Installed
-/// by QueryCostScope only.
-extern thread_local QueryCostCounters* active;
+/// by QueryCostScope only. `constinit` tells every includer the variable
+/// is statically initialized, so reads are direct TLS loads instead of
+/// calls through a TLS init wrapper (whose weak, null reference UBSan
+/// reports as a null-pointer load).
+extern constinit thread_local QueryCostCounters* active;
 }  // namespace cost_internal
 
 /// \brief RAII: installs `counters` as the calling thread's cost collector

@@ -42,13 +42,26 @@ class Cursor {
   size_t pos_ = 0;
 };
 
-/// Parses a chain of steps (with predicates) into a TwigNode; the chain's
-/// continuation becomes a child with `trunk = mark_trunk`.
+/// Deepest pattern-node nesting a twig may have. The parser recurses once
+/// per step and per predicate (and the TwigNode tree is evaluated,
+/// rendered and destroyed recursively), so the query text must not choose
+/// the depth.
+constexpr int kMaxTwigDepth = 256;
+
+/// Parses a chain of steps (with predicates) into a TwigNode, `depth`
+/// pattern nodes deep; the chain's continuation becomes a child with
+/// `trunk = mark_trunk`.
 Result<TwigNode> ParseChain(Cursor* cur, const SymbolTable& symbols,
-                            bool first_descendant, bool mark_trunk);
+                            bool first_descendant, bool mark_trunk,
+                            int depth);
 
 Result<TwigNode> ParseStep(Cursor* cur, const SymbolTable& symbols,
-                           bool descendant, bool mark_trunk) {
+                           bool descendant, bool mark_trunk, int depth) {
+  if (depth > kMaxTwigDepth) {
+    return Status::InvalidArgument("twig nests deeper than " +
+                                   std::to_string(kMaxTwigDepth) +
+                                   " steps and predicates");
+  }
   std::string_view name = cur->ReadName();
   if (name.empty()) {
     return Status::InvalidArgument("expected a step name in twig");
@@ -70,7 +83,8 @@ Result<TwigNode> ParseStep(Cursor* cur, const SymbolTable& symbols,
     if (!pred_descendant) cur->Consume('/');  // Optional "./"-like slash.
     MRX_ASSIGN_OR_RETURN(
         TwigNode pred,
-        ParseChain(cur, symbols, pred_descendant, /*mark_trunk=*/false));
+        ParseChain(cur, symbols, pred_descendant, /*mark_trunk=*/false,
+                   depth + 1));
     if (!cur->Consume(']')) {
       return Status::InvalidArgument("unterminated '[' in twig");
     }
@@ -81,13 +95,15 @@ Result<TwigNode> ParseStep(Cursor* cur, const SymbolTable& symbols,
   if (cur->ConsumeLiteral("//")) {
     MRX_ASSIGN_OR_RETURN(
         TwigNode next,
-        ParseChain(cur, symbols, /*first_descendant=*/true, mark_trunk));
+        ParseChain(cur, symbols, /*first_descendant=*/true, mark_trunk,
+                   depth + 1));
     next.trunk = mark_trunk;
     node.children.push_back(std::move(next));
   } else if (cur->Consume('/')) {
     MRX_ASSIGN_OR_RETURN(
         TwigNode next,
-        ParseChain(cur, symbols, /*first_descendant=*/false, mark_trunk));
+        ParseChain(cur, symbols, /*first_descendant=*/false, mark_trunk,
+                   depth + 1));
     next.trunk = mark_trunk;
     node.children.push_back(std::move(next));
   }
@@ -95,8 +111,9 @@ Result<TwigNode> ParseStep(Cursor* cur, const SymbolTable& symbols,
 }
 
 Result<TwigNode> ParseChain(Cursor* cur, const SymbolTable& symbols,
-                            bool first_descendant, bool mark_trunk) {
-  return ParseStep(cur, symbols, first_descendant, mark_trunk);
+                            bool first_descendant, bool mark_trunk,
+                            int depth) {
+  return ParseStep(cur, symbols, first_descendant, mark_trunk, depth);
 }
 
 const TwigNode* TrunkChild(const TwigNode& node) {
@@ -258,7 +275,7 @@ Result<TwigQuery> TwigQuery::Parse(std::string_view text,
   Cursor cur(s);
   MRX_ASSIGN_OR_RETURN(TwigNode root,
                        ParseChain(&cur, symbols, /*first_descendant=*/false,
-                                  /*mark_trunk=*/true));
+                                  /*mark_trunk=*/true, /*depth=*/1));
   if (!cur.AtEnd()) {
     return Status::InvalidArgument("trailing characters in twig query");
   }

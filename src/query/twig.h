@@ -40,6 +40,8 @@ class TwigQuery {
   ///   //a[b]/c             c children of a's that have a b child
   ///   //a[b/c][//d]/e      ... with a nested path and a descendant pred
   ///   /site/people/person[address/city]
+  /// Steps and predicates may nest at most 256 pattern nodes deep;
+  /// deeper input is InvalidArgument.
   static Result<TwigQuery> Parse(std::string_view text,
                                  const SymbolTable& symbols);
 

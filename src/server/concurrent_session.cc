@@ -476,16 +476,14 @@ void ConcurrentSession::PublishLocked() {
   publications_.fetch_add(1, std::memory_order_relaxed);
 
   // Refresh the index-size gauges from the writer's master copy (equal to
-  // the published clone by construction). PhysicalNodeCount walks the
-  // hierarchy, but the publish just deep-cloned it, so the walk is noise
-  // here.
+  // the published clone by construction). Both physical counts come from
+  // one walk per component, reading duplicates off the supernode links.
+  const MStarIndex::PhysicalSize physical = master_->Physical();
   metrics_.index_epoch->Set(static_cast<int64_t>(snapshot->epoch()));
   metrics_.index_components->Set(
       static_cast<int64_t>(master_->num_components()));
-  metrics_.index_physical_nodes->Set(
-      static_cast<int64_t>(master_->PhysicalNodeCount()));
-  metrics_.index_physical_edges->Set(
-      static_cast<int64_t>(master_->PhysicalEdgeCount()));
+  metrics_.index_physical_nodes->Set(static_cast<int64_t>(physical.nodes));
+  metrics_.index_physical_edges->Set(static_cast<int64_t>(physical.edges));
   if (refine_pool_ != nullptr) {
     const ThreadPool::Stats stats = refine_pool_->stats();
     metrics_.pool_jobs->Set(static_cast<int64_t>(stats.jobs));

@@ -53,9 +53,10 @@ struct ConcurrentSessionOptions {
   size_t inbox_capacity = 1 << 16;
 
   /// Worker threads for the refiner's parallelizable stages (batch target
-  /// evaluation and cascade regrouping; see docs/PERFORMANCE.md). 0 or 1
-  /// keeps the refiner fully serial. The refined index is byte-identical
-  /// for every value — parallelism changes publish latency, not results.
+  /// evaluation and the mutation maintainer's bisimulation rounds; see
+  /// docs/PERFORMANCE.md). 0 or 1 keeps the refiner fully serial. The
+  /// refined index is byte-identical for every value — parallelism changes
+  /// publish latency, not results.
   size_t refine_threads = 1;
 
   /// Span tracer for per-query phase spans (cache lookup → index probe →

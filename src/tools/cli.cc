@@ -313,8 +313,9 @@ int CmdIndexInfo(const Options& options, std::ostream& out,
     out << "  I" << i << ": " << index->component(i).num_nodes()
         << " nodes, " << index->component(i).num_edges() << " edges\n";
   }
-  out << "physical: " << index->PhysicalNodeCount() << " nodes, "
-      << index->PhysicalEdgeCount() << " edges\n";
+  const MStarIndex::PhysicalSize physical = index->Physical();
+  out << "physical: " << physical.nodes << " nodes, " << physical.edges
+      << " edges\n";
   return 0;
 }
 

@@ -75,6 +75,8 @@ TEST(IndexTargetSetTest, SkipsDeadNodes) {
   IndexGraph ig = IndexGraph::LabelPartition(g);
   IndexNodeId b = ig.index_of(4);
   ig.ReplaceNode(b, {{{4}, 1}, {{5, 6, 7, 8, 9}, 0}});
+  SplitScratch scratch;
+  ig.RebuildAdjacency(&scratch);
   auto target = IndexTargetSet(ig, Q(g, "//b"), nullptr);
   EXPECT_EQ(target.size(), 2u);
   for (IndexNodeId v : target) EXPECT_TRUE(ig.alive(v));
@@ -117,6 +119,8 @@ TEST(AnswerOnIndexTest, StatsAccumulateAcrossTargets) {
   IndexGraph ig = IndexGraph::LabelPartition(g);
   // Split b by hand so //b has two target index nodes.
   ig.ReplaceNode(ig.index_of(3), {{{3}, 0}, {{4}, 0}});
+  SplitScratch scratch;
+  ig.RebuildAdjacency(&scratch);
   DataEvaluator eval(g);
   QueryResult r = AnswerOnIndex(ig, Q(g, "//x/b"), &eval);
   EXPECT_EQ(r.answer, (std::vector<NodeId>{3}));

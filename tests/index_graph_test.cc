@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "index/bisimulation.h"
 #include "index/index_graph.h"
 #include "tests/test_util.h"
@@ -45,6 +47,10 @@ TEST(IndexGraphTest, ReplaceNodeSplitsAndRewires) {
   ASSERT_EQ(ids.size(), 2u);
   EXPECT_FALSE(ig.alive(b));
   EXPECT_EQ(ig.num_nodes(), 6u);
+  // ReplaceNode re-homes extents only; adjacency waits for the rebuild.
+  EXPECT_FALSE(ig.CheckConsistency().ok());
+  SplitScratch scratch;
+  ig.RebuildAdjacency(&scratch);
   EXPECT_TRUE(ig.CheckConsistency().ok()) << ig.CheckConsistency();
   // {4} is a child of the a node only; the rest has c and d parents.
   EXPECT_EQ(ig.index_of(4), ids[0]);
@@ -63,6 +69,8 @@ TEST(IndexGraphTest, ReplaceNodeWithSelfLoop) {
   EXPECT_TRUE(std::binary_search(ig.node(a).children.begin(),
                                  ig.node(a).children.end(), a));
   auto ids = ig.ReplaceNode(a, {{{1}, 1}, {{2}, 1}});
+  SplitScratch scratch;
+  ig.RebuildAdjacency(&scratch);
   EXPECT_TRUE(ig.CheckConsistency().ok()) << ig.CheckConsistency();
   // Now the two singleton a nodes point at each other.
   EXPECT_EQ(ig.node(ids[0]).children, (std::vector<IndexNodeId>{ids[1]}));
@@ -74,6 +82,8 @@ TEST(IndexGraphTest, ReplaceNodeSinglePartRaisesK) {
   IndexGraph ig = IndexGraph::LabelPartition(g);
   IndexNodeId a = ig.index_of(1);
   auto ids = ig.ReplaceNode(a, {{{1}, 5}});
+  SplitScratch scratch;
+  ig.RebuildAdjacency(&scratch);
   EXPECT_EQ(ig.num_nodes(), 2u);
   EXPECT_EQ(ig.node(ids[0]).k, 5);
   EXPECT_TRUE(ig.CheckConsistency().ok());
@@ -85,6 +95,8 @@ TEST(IndexGraphTest, NumEdgesCountsAliveOnly) {
   size_t before = ig.num_edges();
   IndexNodeId b = ig.index_of(4);
   ig.ReplaceNode(b, {{{4}, 1}, {{5, 6, 7, 8, 9}, 0}});
+  SplitScratch scratch;
+  ig.RebuildAdjacency(&scratch);
   // a->b4; c,d -> rest; r->a,c,d: total 6 edges again.
   EXPECT_EQ(before, 6u);
   EXPECT_EQ(ig.num_edges(), 6u);
@@ -117,6 +129,8 @@ TEST(IndexGraphTest, CopyIsDeep) {
   IndexGraph a = IndexGraph::LabelPartition(g);
   IndexGraph b = a;
   b.ReplaceNode(b.index_of(4), {{{4}, 1}, {{5, 6, 7, 8, 9}, 0}});
+  SplitScratch scratch;
+  b.RebuildAdjacency(&scratch);
   EXPECT_EQ(a.num_nodes(), 5u);
   EXPECT_EQ(b.num_nodes(), 6u);
   EXPECT_TRUE(a.CheckConsistency().ok());
@@ -126,6 +140,7 @@ TEST(IndexGraphTest, CopyIsDeep) {
 TEST(IndexGraphTest, RandomSplitsKeepConsistency) {
   DataGraph g = RandomGraph(77, 80, 6, 40);
   IndexGraph ig = IndexGraph::LabelPartition(g);
+  SplitScratch scratch;
   Rng rng(5);
   for (int step = 0; step < 30; ++step) {
     auto alive = ig.AliveNodes();
@@ -139,7 +154,62 @@ TEST(IndexGraphTest, RandomSplitsKeepConsistency) {
     }
     if (left.empty() || right.empty()) continue;
     ig.ReplaceNode(v, {{left, 1}, {right, 0}});
+    ig.RebuildAdjacency(&scratch);
     ASSERT_TRUE(ig.CheckConsistency().ok()) << ig.CheckConsistency();
+  }
+}
+
+// Adjacency rebuilt once after many splits — of fresh nodes too, before
+// their own lists exist — equals adjacency rebuilt after every split.
+TEST(IndexGraphTest, BatchedRebuildMatchesPerSplitRebuild) {
+  DataGraph g = RandomGraph(91, 120, 5, 60);
+  IndexGraph eager = IndexGraph::LabelPartition(g);
+  IndexGraph batched = eager;
+  SplitScratch scratch;
+  Rng rng(13);
+  for (int step = 0; step < 60; ++step) {
+    auto alive = eager.AliveNodes();
+    IndexNodeId v = alive[rng.Below(alive.size())];
+    std::vector<NodeId> left, right;
+    for (NodeId o : eager.node(v).extent) {
+      (rng.Chance(0.5) ? left : right).push_back(o);
+    }
+    if (left.empty() || right.empty()) continue;
+    eager.ReplaceNode(v, {{left, 1}, {right, 0}});
+    eager.RebuildAdjacency(&scratch);
+    batched.ReplaceNode(v, {{left, 1}, {right, 0}});
+    if (step % 7 == 6) {
+      batched.RebuildAdjacency(&scratch);
+      ASSERT_TRUE(batched.CheckConsistency().ok())
+          << batched.CheckConsistency();
+    }
+  }
+  batched.RebuildAdjacency(&scratch);
+  ASSERT_TRUE(eager.CheckConsistency().ok()) << eager.CheckConsistency();
+  ASSERT_TRUE(batched.CheckConsistency().ok()) << batched.CheckConsistency();
+  ASSERT_EQ(eager.capacity(), batched.capacity());
+  for (IndexNodeId v = 0; v < eager.capacity(); ++v) {
+    ASSERT_EQ(eager.alive(v), batched.alive(v));
+    EXPECT_EQ(eager.node(v).children, batched.node(v).children) << v;
+    EXPECT_EQ(eager.node(v).parents, batched.node(v).parents) << v;
+  }
+}
+
+// The M*(k) cascade leaves per-id values in the shared scratch (its
+// touched-list slots) that a later rebuild's passes may equal; the rebuild
+// must not read them as dedupe stamps and drop a neighbour.
+TEST(IndexGraphTest, RebuildIgnoresLeftoverSlots) {
+  DataGraph g = MakeFigure3Graph();
+  for (uint32_t offset = 1; offset <= 4; ++offset) {
+    IndexGraph ig = IndexGraph::LabelPartition(g);
+    ig.ReplaceNode(ig.index_of(4), {{{4}, 2}, {{5, 6, 7, 8, 9}, 0}});
+    SplitScratch scratch;
+    scratch.NextPass(ig.capacity());
+    std::fill(scratch.slot.begin(), scratch.slot.end(),
+              scratch.pass + offset);
+    ig.RebuildAdjacency(&scratch);
+    EXPECT_TRUE(ig.CheckConsistency().ok())
+        << "offset " << offset << ": " << ig.CheckConsistency();
   }
 }
 

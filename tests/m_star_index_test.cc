@@ -134,6 +134,9 @@ TEST(MStarIndexTest, PhysicalSizeSkipsDuplicates) {
   EXPECT_LT(nodes, 5u + index.component(1).num_nodes() +
                        index.component(2).num_nodes());
   EXPECT_GE(nodes, 5u + 2u);  // At least the split pieces count once.
+  // The one-walk form agrees with the separate counts.
+  EXPECT_EQ(index.Physical().nodes, nodes);
+  EXPECT_EQ(index.Physical().edges, index.PhysicalEdgeCount());
 }
 
 TEST(MStarIndexTest, GrowsMonotonicallyWithRefinement) {

@@ -195,7 +195,8 @@ TEST(SplitKernelTest, RandomCasesMatchReference) {
                                              by.node(v).parents, &scratch)) {
           parts.push_back(IndexGraph::Part{std::move(piece), 1});
         }
-        by.ReplaceNode(v, std::move(parts), &scratch);
+        by.ReplaceNode(v, std::move(parts));
+        by.RebuildAdjacency(&scratch);
         ASSERT_TRUE(by.CheckConsistency().ok()) << by.CheckConsistency();
       }
     }
@@ -221,7 +222,8 @@ TEST(SplitKernelTest, ScratchPassWrapKeepsAdjacencyExact) {
                                          ig.node(v).parents, &scratch)) {
       parts.push_back(IndexGraph::Part{std::move(piece), 1});
     }
-    ig.ReplaceNode(v, std::move(parts), &scratch);
+    ig.ReplaceNode(v, std::move(parts));
+    ig.RebuildAdjacency(&scratch);
     ASSERT_TRUE(ig.CheckConsistency().ok()) << ig.CheckConsistency();
   }
   EXPECT_LT(scratch.pass, 100u);
@@ -298,7 +300,9 @@ std::vector<PathExpression> Section5Fups(const DataGraph& g) {
   return extractor.fups();
 }
 
-/// Every index family refined by the §5 FUPs of one dataset.
+/// Every index family refined by the §5 FUPs of one dataset. Each refined
+/// graph must also pass the structural checks: the digests hash children
+/// only, so stale parent lists after a refine call would slip past them.
 std::vector<std::pair<std::string, Golden>> RefinedFingerprints(
     const std::string& name, const DataGraph& g) {
   const std::vector<PathExpression> fups = Section5Fups(g);
@@ -307,22 +311,29 @@ std::vector<std::pair<std::string, Golden>> RefinedFingerprints(
     MkIndex mk(g);
     mk.set_merge_unnecessary_splits(merge);
     for (const PathExpression& fup : fups) mk.Refine(fup);
-    out.emplace_back(name + (merge ? "/mk" : "/mk_nomerge"),
-                     OfGraph(mk.graph()));
+    const std::string key = name + (merge ? "/mk" : "/mk_nomerge");
+    const Status consistent = mk.graph().CheckConsistency();
+    EXPECT_TRUE(consistent.ok()) << key << ": " << consistent;
+    out.emplace_back(key, OfGraph(mk.graph()));
   }
   DkIndex dk(g);
   for (const PathExpression& fup : fups) dk.Promote(fup);
+  const Status dk_consistent = dk.graph().CheckConsistency();
+  EXPECT_TRUE(dk_consistent.ok()) << name << "/dk: " << dk_consistent;
   out.emplace_back(name + "/dk", OfGraph(dk.graph()));
   MStarIndex mstar(g);
   mstar.RefineBatch(fups);
+  const Status properties = mstar.CheckProperties();
+  EXPECT_TRUE(properties.ok()) << name << "/mstar: " << properties;
   out.emplace_back(name + "/mstar", OfHierarchy(mstar));
   out.emplace_back(name + "/fups", Golden{fups.size(), 0});
   return out;
 }
 
-// Recorded with the per-parent split loop: the kernel, the adjacency
-// dedupe and the call sites must leave every refined partition — node
-// ids, labels, k, extents, children and supernode links — unchanged.
+// Recorded with the per-parent split loop and eager per-split adjacency:
+// the kernel, the batched adjacency rebuild, the linear cascade and the
+// call sites must leave every refined partition — node ids, labels, k,
+// extents, children and supernode links — unchanged.
 TEST(SplitKernelTest, RefinedPartitionsMatchGolden) {
   const std::map<std::string, Golden> expected = {
       {"xmark/mk", {8168, 0xe3dd30f657271ed7ull}},
@@ -346,6 +357,36 @@ TEST(SplitKernelTest, RefinedPartitionsMatchGolden) {
       EXPECT_EQ(actual.digest, want.digest)
           << key << std::hex << " digest 0x" << actual.digest;
     }
+  }
+}
+
+// Refine(fup) is RefineBatch({fup}): one scratch per call, so its stamp
+// counter restarts at every call while the cascade leaves its touched-list
+// slots behind in the scratch. Each call must still return with exact
+// adjacency and Properties 1-5, and the calls together must refine to the
+// same hierarchy as one batch.
+TEST(SplitKernelTest, PerFupRefineKeepsPropertiesAndMatchesBatch) {
+  for (const std::string name : {"xmark", "nasa"}) {
+    Result<DataGraph> g = name == "xmark" ? harness::BuildXMarkGraph(0.05)
+                                          : harness::BuildNasaGraph(0.05);
+    ASSERT_TRUE(g.ok()) << g.status();
+    const std::vector<PathExpression> fups = Section5Fups(*g);
+    ASSERT_FALSE(fups.empty()) << name;
+    MStarIndex each(*g);
+    for (size_t i = 0; i < fups.size(); ++i) {
+      each.Refine(fups[i]);
+      const Status properties = each.CheckProperties();
+      ASSERT_TRUE(properties.ok())
+          << name << " after FUP " << i << " "
+          << fups[i].ToString(g->symbols()) << ": "
+          << properties;
+    }
+    MStarIndex batch(*g);
+    batch.RefineBatch(fups);
+    const Golden a = OfHierarchy(each);
+    const Golden b = OfHierarchy(batch);
+    EXPECT_EQ(a.nodes, b.nodes) << name;
+    EXPECT_EQ(a.digest, b.digest) << name;
   }
 }
 

@@ -55,6 +55,32 @@ TEST(TwigParseTest, Errors) {
   EXPECT_FALSE(TwigQuery::Parse("//a[[b]]", g.symbols()).ok());
 }
 
+// The parser, evaluation and TwigNode's destructor recurse once per
+// pattern node, so nesting is capped at 256 and deeper text is rejected
+// instead of overflowing the stack.
+TEST(TwigParseTest, DepthCapRejectsDeepTwigs) {
+  DataGraph g = MakeGraph({"a", "b"}, {{0, 1}});
+  std::string at_cap = "//a";
+  for (int i = 1; i < 256; ++i) at_cap += "/a";
+  EXPECT_TRUE(TwigQuery::Parse(at_cap, g.symbols()).ok());
+  EXPECT_FALSE(TwigQuery::Parse(at_cap + "/a", g.symbols()).ok());
+
+  std::string chain = "//a[b]";
+  for (int i = 0; i < 200000; ++i) chain += "/a";
+  Result<TwigQuery> long_chain = TwigQuery::Parse(chain, g.symbols());
+  ASSERT_FALSE(long_chain.ok());
+  EXPECT_EQ(long_chain.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(long_chain.status().message().find("nests deeper"),
+            std::string::npos);
+
+  std::string nested = "//a";
+  for (int i = 0; i < 200000; ++i) nested += "[a";
+  nested += std::string(200000, ']');
+  Result<TwigQuery> deep_predicates = TwigQuery::Parse(nested, g.symbols());
+  ASSERT_FALSE(deep_predicates.ok());
+  EXPECT_EQ(deep_predicates.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(TwigEvalTest, PredicateFiltersTrunk) {
   //        r
   //      /   \
