@@ -2,6 +2,7 @@
 #define MRX_INDEX_EVALUATOR_H_
 
 #include <atomic>
+#include <cstddef>
 #include <vector>
 
 #include "index/index_graph.h"
@@ -14,7 +15,7 @@ namespace mrx {
 namespace fault {
 
 /// Test-only fault injection for the differential checker (src/check/):
-/// while true, AnswerOnIndex silently drops the highest data node from
+/// while true, AssembleAnswer silently drops the highest data node from
 /// every non-empty answer — a deliberate extent bug in the production
 /// answer path. The checker's acceptance test flips this flag to prove
 /// the oracle catches wrong answers and the shrinker minimizes them.
@@ -52,10 +53,47 @@ std::vector<IndexNodeId> IndexTargetSet(const IndexGraph& ig,
                                         const PathExpression& path,
                                         QueryStats* stats);
 
+/// \brief IndexTargetSet from a given start frontier: the nodes of `ig`
+/// matching step 0 of `path` (the data root's node if anchored), which an
+/// M*(k) component finds through its hierarchy instead of a scan. Counts
+/// the start frontier like the scan would.
+std::vector<IndexNodeId> IndexTargetSet(const IndexGraph& ig,
+                                        const PathExpression& path,
+                                        std::vector<IndexNodeId> start,
+                                        QueryStats* stats);
+
+/// \brief One child step of an index-graph search: the children of
+/// `frontier` whose label matches step `step` of `path`, each once, in the
+/// order they are reached. Dedupes with the calling thread's stamped marks,
+/// so a step costs the adjacency it reads, not the component's capacity.
+std::vector<IndexNodeId> ChildStep(const IndexGraph& ig,
+                                   const std::vector<IndexNodeId>& frontier,
+                                   const PathExpression& path, size_t step);
+
+/// \brief The backward counterpart of ChildStep (bottom-up evaluation): the
+/// parents of `frontier` whose label matches step `step`, each once.
+std::vector<IndexNodeId> ParentStep(const IndexGraph& ig,
+                                    const std::vector<IndexNodeId>& frontier,
+                                    const PathExpression& path, size_t step);
+
+/// \brief Keeps, in order, the members of `nodes` that are also in `keep`
+/// (both duplicate-free sets of ids of `ig`).
+void KeepCommon(const IndexGraph& ig, const std::vector<IndexNodeId>& keep,
+                std::vector<IndexNodeId>* nodes);
+
+/// \brief The answer collector every index query ends in (§3.1 step 2,
+/// QUERYTOPDOWN lines 5-12). `result->target` must be sorted. Appends the
+/// extent of each target node with k ≥ the query length, and the
+/// validated survivors (through `validator`, charging
+/// `data_nodes_validated`) of each other target node, each as one
+/// ascending run into one allocation sized to the targets' extents; the
+/// runs are disjoint, so a bottom-up merge of them sorts the answer in
+/// O(n log runs), and one run, or runs already in order, cost no merge.
+void AssembleAnswer(const IndexGraph& ig, const PathExpression& path,
+                    DataEvaluator* validator, QueryResult* result);
+
 /// \brief The M(k)/A(k)/D(k) query algorithm (§3.1): computes the target
-/// set on the index, returns extents of sufficiently-refined target nodes
-/// directly, and validates the extents of under-refined ones against the
-/// data graph via `validator` (charging `data_nodes_validated`).
+/// set on the index and assembles the answer from it (AssembleAnswer).
 QueryResult AnswerOnIndex(const IndexGraph& ig, const PathExpression& path,
                           DataEvaluator* validator);
 

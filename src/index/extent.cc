@@ -484,13 +484,13 @@ bool Extent::Contains(NodeId id) const {
 
 std::vector<NodeId> Extent::Materialize() const {
   std::vector<NodeId> out;
+  out.reserve(size());
   AppendTo(&out);
   return out;
 }
 
 void Extent::AppendTo(std::vector<NodeId>* out) const {
   if (payload_ == nullptr) return;
-  out->reserve(out->size() + payload_->size);
   switch (payload_->rep) {
     case ExtentRep::kSortedVector:
       out->insert(out->end(), payload_->sorted.begin(), payload_->sorted.end());

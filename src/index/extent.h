@@ -188,7 +188,8 @@ class Extent {
   std::vector<NodeId> Materialize() const;
 
   /// Appends all members to `out` in ascending order (bulk decode; the
-  /// answer-collection hot path).
+  /// answer-collection hot path). Reserves nothing itself: a caller that
+  /// appends several extents reserves their total once.
   void AppendTo(std::vector<NodeId>* out) const;
 
   /// Non-null iff the physical representation is kSortedVector — the

@@ -21,6 +21,27 @@ MStarIndex::MStarIndex(const DataGraph& g) : data_(g) {
 
 MStarIndex::MStarIndex(const DataGraph& g, EmptyInit) : data_(g) {}
 
+void MStarIndex::Component::BuildSubnodes(size_t prev_capacity) {
+  // Counting sort of the alive nodes by supernode, in ascending id order:
+  // count into sub_begin[u + 1], prefix-sum, place each node at its
+  // supernode's cursor sub_begin[u], then shift the cursors back to the
+  // list starts.
+  sub_begin.assign(prev_capacity + 1, 0);
+  size_t total = 0;
+  for (IndexNodeId v = 0; v < graph.capacity(); ++v) {
+    if (!graph.alive(v)) continue;
+    ++sub_begin[supernode[v] + 1];
+    ++total;
+  }
+  for (size_t u = 0; u < prev_capacity; ++u) sub_begin[u + 1] += sub_begin[u];
+  sub_nodes.resize(total);
+  for (IndexNodeId v = 0; v < graph.capacity(); ++v) {
+    if (graph.alive(v)) sub_nodes[sub_begin[supernode[v]]++] = v;
+  }
+  for (size_t u = prev_capacity; u > 0; --u) sub_begin[u] = sub_begin[u - 1];
+  sub_begin[0] = 0;
+}
+
 Result<MStarIndex> MStarIndex::FromComponents(
     const DataGraph& g, const std::vector<MStarComponentSpec>& specs) {
   if (specs.empty()) {
@@ -64,6 +85,10 @@ Result<MStarIndex> MStarIndex::FromComponents(
       }
     }
     index.components_.push_back(Component{std::move(graph), std::move(sup)});
+    if (i > 0) {
+      index.components_[i].BuildSubnodes(
+          index.components_[i - 1].graph.capacity());
+    }
   }
   MRX_RETURN_IF_ERROR(index.CheckProperties());
   return index;
@@ -114,6 +139,7 @@ MStarIndex MStarIndex::BuildStaticHierarchy(const DataGraph& g, int k_max,
       }
       built[i] =
           std::make_unique<Component>(Component{std::move(graph), std::move(sup)});
+      if (i > 0) built[i]->BuildSubnodes(num_blocks[i - 1]);
     }
   };
   if (pool != nullptr && levels > 1) {
@@ -136,11 +162,13 @@ MStarIndex MStarIndex::BuildStaticHierarchy(const DataGraph& g, int k_max,
 void MStarIndex::AppendComponentCopy() {
   // Copies the finest component; supernode links are the identity.
   IndexGraph graph = components_.back().graph;
-  std::vector<IndexNodeId> sup(graph.capacity(), kInvalidIndexNode);
-  for (IndexNodeId v = 0; v < graph.capacity(); ++v) {
+  const size_t capacity = graph.capacity();
+  std::vector<IndexNodeId> sup(capacity, kInvalidIndexNode);
+  for (IndexNodeId v = 0; v < capacity; ++v) {
     if (graph.alive(v)) sup[v] = v;
   }
   components_.push_back(Component{std::move(graph), std::move(sup)});
+  components_.back().BuildSubnodes(capacity);
 }
 
 void MStarIndex::Refine(const PathExpression& fup) { RefineBatch({fup}); }
@@ -180,7 +208,14 @@ void MStarIndex::RefineBatch(const std::vector<PathExpression>& fups) {
   for (size_t i = 0; i < eligible.size(); ++i) {
     RefineWithTarget(*eligible[i], targets[i], &scratch);
   }
-  for (Component& comp : components_) comp.graph.RebuildAdjacency(&scratch);
+  // Adjacency and subnode lists become exact again here, before any
+  // reader can see the index.
+  for (size_t i = 0; i < components_.size(); ++i) {
+    components_[i].graph.RebuildAdjacency(&scratch);
+    if (i > 0) {
+      components_[i].BuildSubnodes(components_[i - 1].graph.capacity());
+    }
+  }
 }
 
 void MStarIndex::RefineWithTarget(const PathExpression& fup,
@@ -516,73 +551,39 @@ QueryResult MStarIndex::QueryNaive(const PathExpression& path,
                                    DataEvaluator* validator) const {
   const size_t ci = std::min(path.length(), components_.size() - 1);
   obs::CountComponentTouched(ci);
-  return AnswerOnIndex(components_[ci].graph, path, validator);
+  const IndexGraph& comp = components_[ci].graph;
+  QueryResult result;
+  result.target =
+      IndexTargetSet(comp, path, StartNodes(ci, path), &result.stats);
+  AssembleAnswer(comp, path, validator, &result);
+  return result;
 }
 
 QueryResult MStarIndex::QueryTopDown(const PathExpression& path,
                                      DataEvaluator* validator) const {
   // Descendant axes need closure evaluation; the naive strategy's
-  // AnswerOnIndex implements it.
+  // IndexTargetSet implements it.
   if (path.HasDescendantAxis()) return QueryNaive(path, validator);
   QueryResult result;
   const size_t finest = components_.size() - 1;
 
   // Level 0 in I0.
-  std::vector<IndexNodeId> q;
-  {
-    const IndexGraph& c0 = components_[0].graph;
-    if (path.anchored()) {
-      IndexNodeId root_node = c0.index_of(data_.root());
-      if (path.StepMatches(0, c0.node(root_node).label)) {
-        q.push_back(root_node);
-      }
-    } else {
-      for (IndexNodeId v = 0; v < c0.capacity(); ++v) {
-        if (c0.alive(v) && path.StepMatches(0, c0.node(v).label)) {
-          q.push_back(v);
-        }
-      }
-    }
-    result.stats.index_nodes_visited += q.size();
-  }
   obs::CountComponentTouched(0);
+  std::vector<IndexNodeId> q = StartNodes(0, path);
+  result.stats.index_nodes_visited += q.size();
 
   size_t current_component = 0;
   for (size_t step = 1; step < path.num_steps() && !q.empty(); ++step) {
     const size_t ci = std::min(step, finest);
-    const IndexGraph& comp = components_[ci].graph;
     obs::CountComponentTouched(ci);
-
     // QUERYTOPDOWN line 3: descend to the subnodes in the next component.
-    std::vector<IndexNodeId> s;
     if (ci != current_component) {
-      const IndexGraph& prev_comp = components_[current_component].graph;
-      for (IndexNodeId u : q) {
-        obs::CountExtentScan(prev_comp.node(u).extent.size());
-        for (NodeId o : prev_comp.node(u).extent) {
-          s.push_back(comp.index_of(o));
-        }
-      }
-      SortUnique(&s);
-      result.stats.index_nodes_visited += s.size();
+      q = DescendNodes(current_component, ci, std::move(q), &result.stats);
       current_component = ci;
-    } else {
-      s = std::move(q);
     }
-
     // QUERYTOPDOWN line 4: one forward step within component ci.
-    std::vector<IndexNodeId> next;
-    std::vector<char> seen(comp.capacity(), 0);
-    for (IndexNodeId u : s) {
-      for (IndexNodeId v : comp.node(u).children) {
-        if (path.StepMatches(step, comp.node(v).label) && !seen[v]) {
-          seen[v] = 1;
-          next.push_back(v);
-        }
-      }
-    }
-    result.stats.index_nodes_visited += next.size();
-    q = std::move(next);
+    q = ChildStep(components_[ci].graph, q, path, step);
+    result.stats.index_nodes_visited += q.size();
   }
 
   // Lines 5-12: collect extents, validating under-refined nodes.
@@ -608,56 +609,23 @@ QueryResult MStarIndex::QueryWithPrefilter(const PathExpression& path,
   std::vector<IndexNodeId> coarse_hits =
       IndexTargetSet(components_[cs].graph, sub, &result.stats);
 
-  // Map the survivors down to the fine component through the hierarchy
-  // (extent containment makes the data-node route exact).
-  std::vector<char> candidate(fine.capacity(), 0);
-  std::vector<IndexNodeId> fine_candidates;
-  for (IndexNodeId u : coarse_hits) {
-    obs::CountExtentScan(components_[cs].graph.node(u).extent.size());
-    for (NodeId o : components_[cs].graph.node(u).extent) {
-      IndexNodeId v = fine.index_of(o);
-      if (!candidate[v]) {
-        candidate[v] = 1;
-        fine_candidates.push_back(v);
-      }
-    }
-  }
-  result.stats.index_nodes_visited += fine_candidates.size();
+  // Map the survivors down to the fine component through the subnode
+  // lists (extent containment makes the route exact).
+  const std::vector<IndexNodeId> candidates =
+      DescendNodes(cs, cq, std::move(coarse_hits), nullptr);
+  result.stats.index_nodes_visited += candidates.size();
 
   // Phase 2: evaluate the full path in the fine component, restricting the
   // frontier at step `sub_end` to the pre-filtered candidates.
-  std::vector<IndexNodeId> frontier;
-  if (path.anchored()) {
-    IndexNodeId root_node = fine.index_of(data_.root());
-    if (path.StepMatches(0, fine.node(root_node).label)) {
-      frontier.push_back(root_node);
-    }
-  } else {
-    for (IndexNodeId v = 0; v < fine.capacity(); ++v) {
-      if (fine.alive(v) && path.StepMatches(0, fine.node(v).label)) {
-        frontier.push_back(v);
-      }
-    }
-  }
-  if (sub_end == 0) {
-    std::erase_if(frontier, [&](IndexNodeId v) { return !candidate[v]; });
-  }
+  std::vector<IndexNodeId> frontier = StartNodes(cq, path);
+  if (sub_end == 0) KeepCommon(fine, candidates, &frontier);
   result.stats.index_nodes_visited += frontier.size();
 
   for (size_t step = 1; step < path.num_steps() && !frontier.empty();
        ++step) {
-    std::vector<IndexNodeId> next;
-    std::vector<char> seen(fine.capacity(), 0);
-    for (IndexNodeId u : frontier) {
-      for (IndexNodeId v : fine.node(u).children) {
-        if (!path.StepMatches(step, fine.node(v).label) || seen[v]) continue;
-        if (step == sub_end && !candidate[v]) continue;
-        seen[v] = 1;
-        next.push_back(v);
-      }
-    }
-    result.stats.index_nodes_visited += next.size();
-    frontier = std::move(next);
+    frontier = ChildStep(fine, frontier, path, step);
+    if (step == sub_end) KeepCommon(fine, candidates, &frontier);
+    result.stats.index_nodes_visited += frontier.size();
   }
 
   CollectAnswer(path, cq, std::move(frontier), validator, &result);
@@ -731,6 +699,44 @@ MStarIndex::PhysicalSize MStarIndex::Physical() const {
 
 Status MStarIndex::CheckProperties() const { return CheckProperties(nullptr); }
 
+Status MStarIndex::CheckSubnodes(size_t i) const {
+  // The lists must be {index_of(o) : o ∈ extent(u)} for every u. Called
+  // after CheckProperties has checked that each alive node's extent lies
+  // in its supernode's, and extents partition the data, so it suffices
+  // that u's list names distinct alive nodes linked to u whose extents add
+  // up to u's.
+  const Component& comp = components_[i];
+  const IndexGraph& prev = components_[i - 1].graph;
+  if (comp.sub_begin.size() != prev.capacity() + 1 ||
+      comp.sub_begin.front() != 0 ||
+      comp.sub_begin.back() != comp.sub_nodes.size()) {
+    return Status::Internal("subnode lists out of date");
+  }
+  for (IndexNodeId u = 0; u < prev.capacity(); ++u) {
+    const uint32_t begin = comp.sub_begin[u];
+    const uint32_t end = comp.sub_begin[u + 1];
+    if (end < begin) return Status::Internal("subnode lists out of date");
+    if (!prev.alive(u)) {
+      if (end != begin) return Status::Internal("dead node has subnodes");
+      continue;
+    }
+    size_t covered = 0;
+    for (uint32_t j = begin; j < end; ++j) {
+      const IndexNodeId v = comp.sub_nodes[j];
+      if (v >= comp.graph.capacity() || !comp.graph.alive(v) ||
+          comp.supernode[v] != u ||
+          (j > begin && v <= comp.sub_nodes[j - 1])) {
+        return Status::Internal("subnode list names a non-subnode");
+      }
+      covered += comp.graph.node(v).extent.size();
+    }
+    if (covered != prev.node(u).extent.size()) {
+      return Status::Internal("subnode lists do not cover the supernode");
+    }
+  }
+  return Status::Ok();
+}
+
 Status MStarIndex::CheckProperties(ThreadPool* pool) const {
   // Each component's checks read only that component and its predecessor,
   // so components verify independently (and in parallel when a pool is
@@ -766,7 +772,7 @@ Status MStarIndex::CheckProperties(ThreadPool* pool) const {
         return Status::Internal("Property 5 violated: k not stable");
       }
     }
-    return Status::Ok();
+    return i == 0 ? Status::Ok() : CheckSubnodes(i);
   };
 
   if (pool == nullptr || components_.size() <= 1) {

@@ -2,6 +2,7 @@
 #define MRX_INDEX_M_STAR_INDEX_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "index/bisimulation.h"
@@ -131,7 +132,7 @@ class MStarIndex {
 
   /// §4.1 QUERYTOPDOWN: evaluates prefixes of increasing length in
   /// successively finer components, descending through the partition
-  /// hierarchy via supernode links, and validates under-refined answers.
+  /// hierarchy by its subnode lists, and validates under-refined answers.
   QueryResult QueryTopDown(const PathExpression& path,
                            DataEvaluator* validator) const;
 
@@ -175,6 +176,15 @@ class MStarIndex {
     return components_[i].supernode[v];
   }
 
+  /// The subnodes in component i (≥ 1) of node `u` of component i-1,
+  /// ascending: the nodes whose supernode is u, whose extents partition
+  /// u's. Empty for a dead u.
+  std::span<const IndexNodeId> subnodes(size_t i, IndexNodeId u) const {
+    const Component& comp = components_[i];
+    return {comp.sub_nodes.data() + comp.sub_begin[u],
+            comp.sub_nodes.data() + comp.sub_begin[u + 1]};
+  }
+
   /// Total reorganization effort across all components (including the
   /// cascade realignments).
   RefinementStats TotalRefinementStats() const;
@@ -197,8 +207,10 @@ class MStarIndex {
 
   /// Verifies Properties 1-5 of §4 that are checkable structurally
   /// (component consistency, caps, hierarchy refinement, Property 4 k
-  /// bounds, Property 5 stability). Bisimilarity of extents is checked
-  /// separately in tests against reference partitions.
+  /// bounds, Property 5 stability), and that every subnode list is exactly
+  /// {index_of(o) : o ∈ extent(u)} in the finer component. Bisimilarity
+  /// of extents is checked separately in tests against reference
+  /// partitions.
   Status CheckProperties() const;
 
   /// Same checks fanned out per component over `pool` (may be null =
@@ -217,6 +229,18 @@ class MStarIndex {
     /// Per node id (parallel to graph's id space): the node's supernode in
     /// the previous component; kInvalidIndexNode in component 0.
     std::vector<IndexNodeId> supernode;
+    /// The inverse of `supernode` in CSR form, indexed by node id of the
+    /// previous component: u's subnodes are sub_nodes[sub_begin[u] ..
+    /// sub_begin[u + 1]), ascending. Empty in component 0. Rebuilt by
+    /// BuildSubnodes wherever the links become final — construction, load,
+    /// AppendComponentCopy and the end of every refine call — so queries
+    /// only read it.
+    std::vector<uint32_t> sub_begin = {};
+    std::vector<IndexNodeId> sub_nodes = {};
+
+    /// Rebuilds the subnode lists from `supernode`, given the previous
+    /// component's capacity: one counting pass over both id spaces.
+    void BuildSubnodes(size_t prev_capacity);
   };
 
   /// Appends a copy of the finest component; supernode links are identity.
@@ -266,14 +290,17 @@ class MStarIndex {
 
   bool NoFalseInstances(const PathExpression& fup, SplitScratch* scratch);
 
+  /// CheckProperties' subnode-list check for component i ≥ 1.
+  Status CheckSubnodes(size_t i) const;
+
   /// Per node id of component `i` (≥1): whether the node duplicates its
   /// supernode (equal extents; the extent lies inside the supernode's by
   /// Property 3, so equal sizes suffice). Dead ids read false.
   std::vector<char> DuplicateMask(size_t i) const;
 
-  /// Shared tail of the query strategies: collects extents of the target
-  /// index nodes of `path` in component `ci`, validating under-refined
-  /// ones through `validator`, into `result`.
+  /// Shared tail of the query strategies: sorts the target index nodes of
+  /// `path` in component `ci` into `result` and assembles the answer from
+  /// them (AssembleAnswer).
   void CollectAnswer(const PathExpression& path, size_t ci,
                      std::vector<IndexNodeId> target, DataEvaluator* validator,
                      QueryResult* result) const;
@@ -285,12 +312,38 @@ class MStarIndex {
                          const PathExpression& path, size_t from,
                          QueryStats* stats) const;
 
+  /// The alive nodes of component `ci` whose label matches step `step` of
+  /// `path`. I0 is the label partition, so they are the matching nodes of
+  /// I0 carried down the subnode lists: the cost is the nodes found, not
+  /// ci's capacity.
+  std::vector<IndexNodeId> MatchingNodes(size_t ci, const PathExpression& path,
+                                         size_t step) const;
+
+  /// Where a search for `path` starts in component `ci`: the data root's
+  /// node if `path` is anchored (and the root's label matches step 0),
+  /// else MatchingNodes(ci, path, 0).
+  std::vector<IndexNodeId> StartNodes(size_t ci,
+                                      const PathExpression& path) const;
+
   /// Maps index nodes of component `from_ci` to the index nodes of the
-  /// finer component `to_ci` covering the same data, charging the visit
-  /// count to `stats`.
+  /// finer component `to_ci` covering the same data, by walking subnode
+  /// lists one level at a time, and charges the nodes reached in `to_ci` to
+  /// `stats`. Each node has one supernode, so distinct nodes have
+  /// distinct subnodes and no walk needs a dedupe.
   std::vector<IndexNodeId> DescendNodes(size_t from_ci, size_t to_ci,
-                                        const std::vector<IndexNodeId>& nodes,
+                                        std::vector<IndexNodeId> nodes,
                                         QueryStats* stats) const;
+
+  /// The bottom-up half of §4.1 "Other approaches", shared by the
+  /// bottom-up and hybrid strategies: grows the suffix of `path` one step
+  /// at a time up to `suffix_steps` steps, each in the next finer
+  /// component, keeping the nodes at the suffix's start whose outgoing
+  /// suffix still exists there. Returns them, with their component in
+  /// `*ci`.
+  std::vector<IndexNodeId> VerifiedSuffixStarts(const PathExpression& path,
+                                                size_t suffix_steps,
+                                                size_t* ci,
+                                                QueryStats* stats) const;
 
   const DataGraph& data_;
   std::vector<Component> components_;

@@ -80,7 +80,9 @@ Result<QueryResult> QueryServer::Execute(const PathExpression& query) {
   auto promise = std::make_shared<std::promise<QueryResult>>();
   std::future<QueryResult> answer = promise->get_future();
   Request request{query,
-                  [promise](const QueryResult& r) { promise->set_value(r); },
+                  [promise](QueryResult&& r) {
+                    promise->set_value(std::move(r));
+                  },
                   Clock::now()};
   if (!queue_.Push(std::move(request))) {
     return Status::Unavailable("server is shutting down");
@@ -113,7 +115,7 @@ void QueryServer::WorkerLoop(WorkerStats* stats) {
     // Completion is signalled only after the stats are recorded: a caller
     // unblocked by done() may Snapshot() immediately and must see this
     // query in the latency histogram.
-    if (request->done) request->done(result);
+    if (request->done) request->done(std::move(result));
   }
 }
 

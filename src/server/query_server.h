@@ -40,7 +40,9 @@ struct QueryServerOptions {
 /// stats lock.
 class QueryServer {
  public:
-  using Callback = std::function<void(const QueryResult&)>;
+  /// Receives the answer as an rvalue: a callback may move it on (Execute
+  /// moves it into its promise) instead of copying it.
+  using Callback = std::function<void(QueryResult&&)>;
 
   explicit QueryServer(const DataGraph& graph, QueryServerOptions options = {});
   ~QueryServer();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <utility>
 
 #include "storage/binary_io.h"
 
@@ -140,40 +141,13 @@ Result<QueryResult> DiskMStarIndex::QueryTopDown(
       s = std::move(q);
     }
 
-    std::vector<IndexNodeId> next;
-    std::vector<char> seen(comp.capacity(), 0);
-    for (IndexNodeId u : s) {
-      for (IndexNodeId v : comp.node(u).children) {
-        if (path.StepMatches(step, comp.node(v).label) && !seen[v]) {
-          seen[v] = 1;
-          next.push_back(v);
-        }
-      }
-    }
-    result.stats.index_nodes_visited += next.size();
-    q = std::move(next);
+    q = ChildStep(comp, s, path, step);
+    result.stats.index_nodes_visited += q.size();
   }
 
   std::sort(q.begin(), q.end());
-  result.target = q;
-  const IndexGraph& comp = component(current);
-  const int32_t needed = static_cast<int32_t>(path.length());
-  for (IndexNodeId v : q) {
-    const IndexGraph::Node& node = comp.node(v);
-    if (node.k >= needed && !path.anchored()) {
-      result.answer.insert(result.answer.end(), node.extent.begin(),
-                           node.extent.end());
-    } else {
-      result.precise = false;
-      for (NodeId o : node.extent) {
-        if (evaluator_.HasIncomingPath(
-                o, path, &result.stats.data_nodes_validated)) {
-          result.answer.push_back(o);
-        }
-      }
-    }
-  }
-  std::sort(result.answer.begin(), result.answer.end());
+  result.target = std::move(q);
+  AssembleAnswer(component(current), path, &evaluator_, &result);
   return result;
 }
 

@@ -5,8 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "harness/datasets.h"
 #include "index/m_star_index.h"
 #include "query/data_evaluator.h"
+#include "tests/section5.h"
 #include "tests/test_util.h"
 
 namespace mrx {
@@ -16,6 +23,8 @@ using mrx::testing::MakeFigure1Graph;
 using mrx::testing::MakeFigure3Graph;
 using mrx::testing::MakeGraph;
 using mrx::testing::RandomGraph;
+using mrx::testing::Section5Fups;
+using mrx::testing::Section5Stream;
 
 PathExpression Q(const DataGraph& g, std::string_view text) {
   return std::move(PathExpression::Parse(text, g.symbols())).value();
@@ -127,6 +136,98 @@ TEST_P(StrategySweepTest, AllFiveStrategiesAgreeOnRandomGraphs) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StrategySweepTest,
                          ::testing::Range<uint64_t>(200, 206));
+
+/// The paper's cost metric and the answers of one evaluation route over
+/// the whole §5 stream: per query, the answer, the target set, index nodes
+/// visited and data nodes validated. The obs counters (extent elements
+/// scanned) are implementation cost, not the paper's, and stay out.
+template <typename Route>
+uint64_t StreamDigest(const std::vector<PathExpression>& stream,
+                      Route route) {
+  mrx::testing::Digest digest;
+  for (const PathExpression& q : stream) {
+    const QueryResult r = route(q);
+    digest.Add(r.answer.size());
+    for (NodeId o : r.answer) digest.Add(o);
+    digest.Add(r.target.size());
+    for (IndexNodeId v : r.target) digest.Add(v);
+    digest.Add(r.stats.index_nodes_visited);
+    digest.Add(r.stats.data_nodes_validated);
+  }
+  return digest.value();
+}
+
+/// Every §4.1 strategy, plus subpath pre-filtering on the path's second
+/// half, on a half-refined and a fully refined hierarchy (the §5 FUPs).
+std::map<std::string, uint64_t> StrategyDigests(const std::string& name,
+                                                const DataGraph& g) {
+  const std::vector<PathExpression> stream = Section5Stream(g);
+  const std::vector<PathExpression> fups = Section5Fups(g);
+  std::map<std::string, uint64_t> out;
+  for (const bool half : {true, false}) {
+    MStarIndex index(g);
+    index.RefineBatch(half ? std::vector<PathExpression>(
+                                 fups.begin(), fups.begin() + fups.size() / 2)
+                           : fups);
+    const std::string state = name + (half ? "/half/" : "/full/");
+    for (MStarQueryStrategy strategy : kMStarQueryStrategies) {
+      DataEvaluator eval(g);
+      out[state + StrategyName(strategy)] =
+          StreamDigest(stream, [&](const PathExpression& q) {
+            return index.Query(strategy, q, &eval);
+          });
+    }
+    DataEvaluator eval(g);
+    out[state + "prefilter"] =
+        StreamDigest(stream, [&](const PathExpression& q) {
+          return index.QueryWithPrefilter(q, (q.num_steps() - 1) / 2,
+                                          q.num_steps() - 1, &eval);
+        });
+  }
+  return out;
+}
+
+// Recorded with the extent-decoding descents and the sort-based answer
+// assembly: how the strategies descend the hierarchy and assemble answers
+// must leave every answer, target set and paper cost figure unchanged.
+TEST(MStarCostGoldenTest, Section5StreamMatchesGolden) {
+  const std::map<std::string, uint64_t> expected = {
+      {"xmark/full/bottomup", 0x129626a23797330eull},
+      {"xmark/full/hybrid", 0x4b27ce24d7b8944dull},
+      {"xmark/full/naive", 0x637eb2877293696eull},
+      {"xmark/full/prefilter", 0xbfe971e5cccb81adull},
+      {"xmark/full/topdown", 0x645da8bc5ba58736ull},
+      {"xmark/half/bottomup", 0xb33a0f1b10db75a1ull},
+      {"xmark/half/hybrid", 0x6bc8646346e1863cull},
+      {"xmark/half/naive", 0xd8d33369092a7aefull},
+      {"xmark/half/prefilter", 0x0dc8fb5b7994f8beull},
+      {"xmark/half/topdown", 0x67e47c73bceed404ull},
+      {"nasa/full/bottomup", 0xa3314238c9615743ull},
+      {"nasa/full/hybrid", 0x106a3b81e371d3d1ull},
+      {"nasa/full/naive", 0x9ccc032fe70278aaull},
+      {"nasa/full/prefilter", 0xecc30e077c2f5070ull},
+      {"nasa/full/topdown", 0x5465d244f745656dull},
+      {"nasa/half/bottomup", 0x3cefaa068f5bb6bbull},
+      {"nasa/half/hybrid", 0xbe825bdb356a4404ull},
+      {"nasa/half/naive", 0x42f0faa64a816c1dull},
+      {"nasa/half/prefilter", 0xa1b3735d246e45b3ull},
+      {"nasa/half/topdown", 0x4ac23e7e35cabad2ull},
+  };
+  for (const std::string name : {"xmark", "nasa"}) {
+    Result<DataGraph> g = name == "xmark" ? harness::BuildXMarkGraph(0.05)
+                                          : harness::BuildNasaGraph(0.05);
+    ASSERT_TRUE(g.ok()) << g.status();
+    for (const auto& [key, actual] : StrategyDigests(name, *g)) {
+      const auto want = expected.find(key);
+      if (want == expected.end()) {
+        ADD_FAILURE() << "no golden digest for " << key;
+        continue;
+      }
+      EXPECT_EQ(actual, want->second)
+          << key << std::hex << " digest 0x" << actual;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace mrx

@@ -170,8 +170,8 @@ TEST(QueryServerTest, SubmitInvokesCallbackWithAnswer) {
   std::promise<std::vector<NodeId>> answered;
   ASSERT_TRUE(server
                   .Submit(p,
-                          [&](const QueryResult& r) {
-                            answered.set_value(r.answer);
+                          [&](QueryResult&& r) {
+                            answered.set_value(std::move(r.answer));
                           })
                   .ok());
   EXPECT_EQ(answered.get_future().get(), DataEvaluator(g).Evaluate(p));

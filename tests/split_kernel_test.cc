@@ -17,22 +17,23 @@
 #include <utility>
 #include <vector>
 
-#include "bench/bench_common.h"
 #include "check/case_gen.h"
 #include "harness/datasets.h"
 #include "index/d_k_index.h"
 #include "index/index_graph.h"
 #include "index/m_k_index.h"
 #include "index/m_star_index.h"
+#include "tests/section5.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
-#include "workload/fup_extractor.h"
 
 namespace mrx {
 namespace {
 
+using mrx::testing::Digest;
 using mrx::testing::MakeFigure3Graph;
 using mrx::testing::MakeGraph;
+using mrx::testing::Section5Fups;
 using Pieces = std::vector<std::vector<NodeId>>;
 
 /// The paper's Succ(s): all data nodes with a parent in `s`; sorted.
@@ -229,22 +230,6 @@ TEST(SplitKernelTest, ScratchPassWrapKeepsAdjacencyExact) {
   EXPECT_LT(scratch.pass, 100u);
 }
 
-/// FNV-1a over 32-bit words: a compact, platform-independent digest of a
-/// partition, so a golden value fits on one line.
-class Digest {
- public:
-  void Add(uint64_t word) {
-    for (int byte = 0; byte < 4; ++byte) {
-      hash_ ^= (word >> (8 * byte)) & 0xff;
-      hash_ *= 1099511628211ull;
-    }
-  }
-  uint64_t value() const { return hash_; }
-
- private:
-  uint64_t hash_ = 14695981039346656037ull;
-};
-
 /// Every alive node of `graph`: id, label, k, extent and children.
 void AddGraph(const IndexGraph& graph, Digest* digest) {
   for (IndexNodeId v = 0; v < graph.capacity(); ++v) {
@@ -288,21 +273,10 @@ Golden OfHierarchy(const MStarIndex& index) {
   return Golden{nodes, digest.value()};
 }
 
-/// The §5 workload's FUPs, as the serving benchmark promotes them: the
-/// 500-query stream (label paths ≤ 9, seed 1) observed twice through a
-/// threshold-2 extractor.
-std::vector<PathExpression> Section5Fups(const DataGraph& g) {
-  const std::vector<PathExpression> stream = bench::MakeWorkload(g, 9);
-  FupExtractor extractor(FupExtractor::Options{2, 0});
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const PathExpression& q : stream) extractor.Observe(q);
-  }
-  return extractor.fups();
-}
-
 /// Every index family refined by the §5 FUPs of one dataset. Each refined
 /// graph must also pass the structural checks: the digests hash children
-/// only, so stale parent lists after a refine call would slip past them.
+/// and supernode links only, so stale parent or subnode lists after a
+/// refine call would slip past them.
 std::vector<std::pair<std::string, Golden>> RefinedFingerprints(
     const std::string& name, const DataGraph& g) {
   const std::vector<PathExpression> fups = Section5Fups(g);
@@ -383,6 +357,8 @@ TEST(SplitKernelTest, PerFupRefineKeepsPropertiesAndMatchesBatch) {
     }
     MStarIndex batch(*g);
     batch.RefineBatch(fups);
+    const Status batch_properties = batch.CheckProperties();
+    EXPECT_TRUE(batch_properties.ok()) << name << ": " << batch_properties;
     const Golden a = OfHierarchy(each);
     const Golden b = OfHierarchy(batch);
     EXPECT_EQ(a.nodes, b.nodes) << name;

@@ -156,6 +156,17 @@ TEST(IndexIoTest, RoundTripPreservesComponents) {
   }
   EXPECT_EQ(loaded->PhysicalNodeCount(), index.PhysicalNodeCount());
   EXPECT_EQ(loaded->PhysicalEdgeCount(), index.PhysicalEdgeCount());
+  // The load path rebuilds the subnode lists the queries descend by; ids
+  // are renumbered, so compare each data node's supernode's list length.
+  const Status properties = loaded->CheckProperties();
+  EXPECT_TRUE(properties.ok()) << properties;
+  for (size_t i = 1; i < index.num_components(); ++i) {
+    for (NodeId o = 0; o < g.num_nodes(); ++o) {
+      EXPECT_EQ(
+          loaded->subnodes(i, loaded->component(i - 1).index_of(o)).size(),
+          index.subnodes(i, index.component(i - 1).index_of(o)).size());
+    }
+  }
 }
 
 TEST(IndexIoTest, LoadedIndexAnswersQueries) {
