@@ -21,7 +21,7 @@ MStarIndex::MStarIndex(const DataGraph& g) : data_(g) {
 
 MStarIndex::MStarIndex(const DataGraph& g, EmptyInit) : data_(g) {}
 
-void MStarIndex::Component::BuildSubnodes(size_t prev_capacity) {
+void MStarComponent::BuildSubnodes(size_t prev_capacity) {
   // Counting sort of the alive nodes by supernode, in ascending id order:
   // count into sub_begin[u + 1], prefix-sum, place each node at its
   // supernode's cursor sub_begin[u], then shift the cursors back to the

@@ -63,6 +63,35 @@ struct MStarComponentSpec {
   std::vector<uint32_t> supernodes;
 };
 
+/// One component of a hierarchy with its links to the previous one. The
+/// in-memory MStarIndex holds one per resolution; the disk-resident index
+/// holds the ones it has loaded.
+struct MStarComponent {
+  IndexGraph graph;
+  /// Per node id (parallel to graph's id space): the node's supernode in
+  /// the previous component; kInvalidIndexNode in component 0.
+  std::vector<IndexNodeId> supernode;
+  /// The inverse of `supernode` in CSR form, indexed by node id of the
+  /// previous component: u's subnodes are sub_nodes[sub_begin[u] ..
+  /// sub_begin[u + 1]), ascending. Empty in component 0. MStarIndex
+  /// rebuilds it wherever the links become final — construction, load,
+  /// AppendComponentCopy and the end of every refine call — and
+  /// DiskMStarIndex on the first descent into the component, so queries
+  /// only read it.
+  std::vector<uint32_t> sub_begin = {};
+  std::vector<IndexNodeId> sub_nodes = {};
+
+  /// Rebuilds the subnode lists from `supernode`, given the previous
+  /// component's capacity: one counting pass over both id spaces.
+  void BuildSubnodes(size_t prev_capacity);
+
+  /// The subnodes of node `u` of the previous component, ascending.
+  std::span<const IndexNodeId> subnodes(IndexNodeId u) const {
+    return {sub_nodes.data() + sub_begin[u],
+            sub_nodes.data() + sub_begin[u + 1]};
+  }
+};
+
 class MStarIndex {
  public:
   /// Starts with the single component I0 = A(0); `g` must outlive the
@@ -180,9 +209,7 @@ class MStarIndex {
   /// ascending: the nodes whose supernode is u, whose extents partition
   /// u's. Empty for a dead u.
   std::span<const IndexNodeId> subnodes(size_t i, IndexNodeId u) const {
-    const Component& comp = components_[i];
-    return {comp.sub_nodes.data() + comp.sub_begin[u],
-            comp.sub_nodes.data() + comp.sub_begin[u + 1]};
+    return components_[i].subnodes(u);
   }
 
   /// Total reorganization effort across all components (including the
@@ -224,24 +251,7 @@ class MStarIndex {
   /// every component themselves).
   struct EmptyInit {};
   MStarIndex(const DataGraph& g, EmptyInit);
-  struct Component {
-    IndexGraph graph;
-    /// Per node id (parallel to graph's id space): the node's supernode in
-    /// the previous component; kInvalidIndexNode in component 0.
-    std::vector<IndexNodeId> supernode;
-    /// The inverse of `supernode` in CSR form, indexed by node id of the
-    /// previous component: u's subnodes are sub_nodes[sub_begin[u] ..
-    /// sub_begin[u + 1]), ascending. Empty in component 0. Rebuilt by
-    /// BuildSubnodes wherever the links become final — construction, load,
-    /// AppendComponentCopy and the end of every refine call — so queries
-    /// only read it.
-    std::vector<uint32_t> sub_begin = {};
-    std::vector<IndexNodeId> sub_nodes = {};
-
-    /// Rebuilds the subnode lists from `supernode`, given the previous
-    /// component's capacity: one counting pass over both id spaces.
-    void BuildSubnodes(size_t prev_capacity);
-  };
+  using Component = MStarComponent;
 
   /// Appends a copy of the finest component; supernode links are identity.
   void AppendComponentCopy();

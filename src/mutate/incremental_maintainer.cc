@@ -1,12 +1,10 @@
 #include "mutate/incremental_maintainer.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "index/d_k_index.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace mrx::mutate {
 namespace {
@@ -344,19 +342,15 @@ uint32_t IncrementalRound(const DataGraph& g, const LevelView& prev,
 
 IncrementalMaintainer::IncrementalMaintainer(const DataGraph& g,
                                              MaintainerOptions options)
-    : live_(g), options_(std::move(options)) {
-  Result<MutableDataGraph::Materialized> mat = live_.Materialize();
-  if (!mat.ok()) std::abort();  // Unreachable: the seed graph has a root.
-  graph_ = std::make_shared<DataGraph>(std::move(mat->graph));
-  stable_of_ = std::move(mat->stable_of);
-  compact_of_ = std::move(mat->compact_of);
+    : live_(std::make_shared<const DataGraph>(g)),
+      options_(std::move(options)) {
   if (options_.k_max < 0) options_.k_max = 0;
   RebuildAChain();
   if (options_.maintain_dk) RebuildDChain();
 }
 
 void IncrementalMaintainer::RebuildAChain() {
-  const DataGraph& g = *graph_;
+  const DataGraph& g = graph();
   a_chain_.levels.assign(static_cast<size_t>(options_.k_max) + 1, Level{});
   UpdateLevelZero(&a_chain_);
   BisimulationPartition part;
@@ -370,7 +364,7 @@ void IncrementalMaintainer::RebuildAChain() {
 }
 
 void IncrementalMaintainer::RebuildDChain() {
-  const DataGraph& g = *graph_;
+  const DataGraph& g = graph();
   dk_kreq_ = ComputeDkLabelRequirements(g, options_.dk_fups);
   int32_t max_k = 0;
   for (int32_t k : dk_kreq_) max_k = std::max(max_k, k);
@@ -389,7 +383,7 @@ void IncrementalMaintainer::RebuildDChain() {
 
 void IncrementalMaintainer::UpdateLevelZero(Chain* chain, bool append_only,
                                             size_t old_num_nodes) const {
-  const DataGraph& g = *graph_;
+  const DataGraph& g = graph();
   const size_t num_nodes = g.num_nodes();
   Level& lvl = chain->levels[0];
   if (append_only && lvl.block_of.size() == old_num_nodes &&
@@ -605,91 +599,34 @@ void IncrementalMaintainer::UpdateChain(
 }
 
 Result<BatchReceipt> IncrementalMaintainer::Apply(const MutationBatch& batch) {
-  static obs::Counter* batches_total = obs::MetricsRegistry::Global().GetCounter(
-      "mrx_mutation_batches_total");
-  static obs::Counter* ops_total =
-      obs::MetricsRegistry::Global().GetCounter("mrx_mutation_ops_total");
-  static obs::Counter* added_total = obs::MetricsRegistry::Global().GetCounter(
-      "mrx_mutation_nodes_added_total");
-  static obs::Counter* deleted_total =
-      obs::MetricsRegistry::Global().GetCounter(
-          "mrx_mutation_nodes_deleted_total");
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   static obs::Counter* full_rounds_total =
-      obs::MetricsRegistry::Global().GetCounter(
-          "mrx_mutation_full_rounds_total");
-  static obs::Counter* rejected_total =
-      obs::MetricsRegistry::Global().GetCounter("mrx_mutation_rejected_total");
+      registry.GetCounter("mrx_mutation_full_rounds_total");
   static obs::Counter* dk_rebuilds_total =
-      obs::MetricsRegistry::Global().GetCounter(
-          "mrx_mutation_dk_rebuilds_total");
+      registry.GetCounter("mrx_mutation_dk_rebuilds_total");
   static obs::Histogram* cascade_size =
-      obs::MetricsRegistry::Global().GetHistogram("mrx_mutation_cascade_size");
-  static obs::Histogram* apply_ns =
-      obs::MetricsRegistry::Global().GetHistogram("mrx_mutation_apply_ns");
-  static obs::Gauge* graph_nodes =
-      obs::MetricsRegistry::Global().GetGauge("mrx_mutation_graph_nodes");
-  static obs::Gauge* graph_edges =
-      obs::MetricsRegistry::Global().GetGauge("mrx_mutation_graph_edges");
-  static obs::Gauge* version_gauge =
-      obs::MetricsRegistry::Global().GetGauge("mrx_mutation_version");
+      registry.GetHistogram("mrx_mutation_cascade_size");
 
   BatchReceipt receipt;
   if (batch.empty()) {
-    receipt.version = version_;
-    receipt.nodes = graph_->num_nodes();
-    receipt.edges = graph_->num_edges();
+    receipt.version = version();
+    receipt.nodes = graph().num_nodes();
+    receipt.edges = graph().num_edges();
     return receipt;
   }
 
-  const uint64_t start_ns = obs::MonotonicNowNs();
-  Result<MutableDataGraph::BatchTouch> touch_r =
-      live_.ApplyBatch(batch, stable_of_);
-  if (!touch_r.ok()) {
-    rejected_total->Increment();
-    return touch_r.status();
-  }
-  const MutableDataGraph::BatchTouch& touch = *touch_r;
+  // The graph steps to the new version first; the chains then read their
+  // stored previous levels and the new graph (nothing past this can fail).
+  MRX_ASSIGN_OR_RETURN(LiveGraph::Step step, live_.Apply(batch));
+  const DataGraph& g = graph();
+  std::vector<NodeId> seed = step.new_nodes;
+  seed.insert(seed.end(), step.parent_set_changed.begin(),
+              step.parent_set_changed.end());
+  const std::vector<NodeId>* new_to_old =
+      step.any_deletion ? &step.new_to_old : nullptr;
 
-  Result<MutableDataGraph::Materialized> mat_r =
-      live_.MaterializeAfter(*graph_, stable_of_, touch);
-  if (!mat_r.ok()) return mat_r.status();  // Unreachable: root survives.
-  MutableDataGraph::Materialized mat = *std::move(mat_r);
-
-  const size_t old_num_nodes = graph_->num_nodes();
-  const size_t num_nodes = mat.graph.num_nodes();
-
-  // Old-version → new-version compact id map (identity prefix when no
-  // deletion: compaction preserves ascending stable order, appends get the
-  // largest stable ids).
-  std::vector<NodeId> new_to_old;
-  if (touch.any_deletion) {
-    new_to_old.assign(num_nodes, kInvalidNode);
-    for (NodeId o = 0; o < old_num_nodes; ++o) {
-      const NodeId nc = mat.compact_of[stable_of_[o]];
-      if (nc != kInvalidNode) new_to_old[nc] = o;
-    }
-  }
-
-  std::vector<NodeId> new_nodes;
-  new_nodes.reserve(touch.new_nodes.size());
-  for (uint32_t s : touch.new_nodes) new_nodes.push_back(mat.compact_of[s]);
-  std::vector<NodeId> seed = new_nodes;
-  for (uint32_t s : touch.parent_set_changed) {
-    seed.push_back(mat.compact_of[s]);
-  }
-
-  // Publish the new version, then bring the chains to it (they read the
-  // stored previous levels and the new graph; nothing past this point can
-  // fail).
-  graph_ = std::make_shared<DataGraph>(std::move(mat.graph));
-  stable_of_ = std::move(mat.stable_of);
-  compact_of_ = std::move(mat.compact_of);
-  ++version_;
-  const DataGraph& g = *graph_;
-
-  UpdateChain(&a_chain_, nullptr, g, new_nodes, seed,
-              touch.any_deletion ? &new_to_old : nullptr, old_num_nodes,
-              touch.any_deletion, &receipt);
+  UpdateChain(&a_chain_, nullptr, g, step.new_nodes, seed, new_to_old,
+              step.old_num_nodes, step.any_deletion, &receipt);
 
   if (options_.maintain_dk) {
     std::vector<int32_t> new_kreq =
@@ -714,36 +651,27 @@ Result<BatchReceipt> IncrementalMaintainer::Apply(const MutationBatch& batch) {
       // the current maximum (they have no base requirement of their own),
       // and their nodes are new — already dirty at every level.
       dk_kreq_ = std::move(new_kreq);
-      UpdateChain(&d_chain_, &dk_kreq_, g, new_nodes, seed,
-                  touch.any_deletion ? &new_to_old : nullptr, old_num_nodes,
-                  touch.any_deletion, &receipt);
+      UpdateChain(&d_chain_, &dk_kreq_, g, step.new_nodes, seed, new_to_old,
+                  step.old_num_nodes, step.any_deletion, &receipt);
     }
   }
 
-  receipt.version = version_;
-  receipt.new_nodes = std::move(new_nodes);
+  receipt.version = step.version;
+  receipt.new_nodes = std::move(step.new_nodes);
   receipt.nodes = g.num_nodes();
   receipt.edges = g.num_edges();
-  receipt.nodes_deleted = touch.nodes_deleted;
+  receipt.nodes_deleted = step.nodes_deleted;
 
   stats_.batches += 1;
   stats_.ops += batch.size();
   stats_.nodes_added += receipt.new_nodes.size();
-  stats_.nodes_deleted += touch.nodes_deleted;
+  stats_.nodes_deleted += step.nodes_deleted;
   stats_.incremental_rounds += receipt.incremental_rounds;
   stats_.full_rounds += receipt.full_rounds;
   stats_.dirty_nodes += receipt.dirty_nodes;
 
-  batches_total->Increment();
-  ops_total->Increment(batch.size());
-  added_total->Increment(receipt.new_nodes.size());
-  deleted_total->Increment(touch.nodes_deleted);
   full_rounds_total->Increment(receipt.full_rounds);
   cascade_size->Record(receipt.dirty_nodes);
-  apply_ns->Record(obs::MonotonicNowNs() - start_ns);
-  graph_nodes->Set(static_cast<int64_t>(receipt.nodes));
-  graph_edges->Set(static_cast<int64_t>(receipt.edges));
-  version_gauge->Set(static_cast<int64_t>(version_));
   return receipt;
 }
 
@@ -787,7 +715,7 @@ void IncrementalMaintainer::SetDkFups(std::vector<PathExpression> fups) {
 
 std::vector<MStarComponentSpec> IncrementalMaintainer::ExportStaticSpecs()
     const {
-  const DataGraph& g = *graph_;
+  const DataGraph& g = graph();
   const std::vector<Level>& levels = a_chain_.levels;
   std::vector<MStarComponentSpec> specs(levels.size());
 
@@ -849,7 +777,7 @@ std::vector<MStarComponentSpec> IncrementalMaintainer::ExportStaticSpecs()
 }
 
 Result<MStarIndex> IncrementalMaintainer::BuildMStar() const {
-  return MStarIndex::FromComponents(*graph_, ExportStaticSpecs());
+  return MStarIndex::FromComponents(graph(), ExportStaticSpecs());
 }
 
 }  // namespace mrx::mutate

@@ -26,8 +26,7 @@ struct MaintainerOptions {
   /// > 1 never falls back.
   double rebuild_threshold = 0.25;
   /// When true the maintainer also keeps the D(k)-construct partition for
-  /// `dk_fups` exact (the A-chain is always maintained). Off by default:
-  /// the server path serves M*(k) from the A-chain alone.
+  /// `dk_fups` exact (the A-chain is always maintained). Off by default.
   bool maintain_dk = false;
   std::vector<PathExpression> dk_fups;
   /// Optional pool for the full-round fallback and the from-scratch seed
@@ -68,11 +67,13 @@ struct MaintainerStats {
 
 /// \brief Keeps the A(k) chain — and optionally the D(k)-construct
 /// partition — exact under graph mutations, by local re-refinement with a
-/// bounded cascade (ISSUE 6 tentpole).
+/// bounded cascade. The serving writer does not run it: it is the oracle
+/// behind `mrx mutate`, `mrx check --mode mutate`, the tests and
+/// bench_mutation.
 ///
-/// The algorithm per batch: apply the ops to the live adjacency-list graph,
-/// materialize a fresh CSR version, then walk the partition chain level by
-/// level. Level 0 (the label partition) is recomputed directly in O(V).
+/// The algorithm per batch: step the LiveGraph to its next version, then
+/// walk the partition chain level by level. Level 0 (the label partition)
+/// is recomputed directly in O(V).
 /// For level i ≥ 1 the dirty set is
 ///
 ///   dirty_i = new nodes ∪ parent-set-changed ∪ changed_{i-1}
@@ -102,23 +103,26 @@ class IncrementalMaintainer {
  public:
   /// Seeds from `g` at version 0 with full from-scratch builds. The seed
   /// graph is only read during construction; the maintainer keeps its own
-  /// materialized copy afterwards.
+  /// copy afterwards.
   explicit IncrementalMaintainer(const DataGraph& g,
                                  MaintainerOptions options = {});
 
   IncrementalMaintainer(const IncrementalMaintainer&) = delete;
   IncrementalMaintainer& operator=(const IncrementalMaintainer&) = delete;
 
-  /// Applies `batch` atomically and brings every maintained partition to
-  /// the new version. On failure (any op invalid) the graph and partitions
-  /// are untouched. Batch node ids refer to the current version()'s compact
-  /// id space; receipt ids to the new version's.
+  /// Steps the graph to the next version (LiveGraph::Apply) and brings
+  /// every maintained partition to it. On failure (any op invalid) the
+  /// graph and partitions are untouched. Batch node ids refer to the
+  /// current version()'s compact id space; receipt ids to the new
+  /// version's.
   Result<BatchReceipt> Apply(const MutationBatch& batch);
 
   /// The current materialized version (compact NodeId space).
-  const DataGraph& graph() const { return *graph_; }
-  std::shared_ptr<const DataGraph> graph_ptr() const { return graph_; }
-  uint64_t version() const { return version_; }
+  const DataGraph& graph() const { return live_.graph(); }
+  std::shared_ptr<const DataGraph> graph_ptr() const {
+    return live_.graph_ptr();
+  }
+  uint64_t version() const { return live_.version(); }
 
   const MaintainerOptions& options() const { return options_; }
   const MaintainerStats& stats() const { return stats_; }
@@ -200,11 +204,7 @@ class IncrementalMaintainer {
   void PatchLevelAppendOnly(Level* lvl, size_t old_num_nodes,
                             uint32_t old_blocks, uint32_t id_bound) const;
 
-  std::shared_ptr<const DataGraph> graph_;
-  MutableDataGraph live_;
-  std::vector<uint32_t> stable_of_;  ///< compact → stable, current version.
-  std::vector<NodeId> compact_of_;   ///< stable → compact, current version.
-  uint64_t version_ = 0;
+  LiveGraph live_;
 
   MaintainerOptions options_;
   MaintainerStats stats_;

@@ -5,6 +5,9 @@
 #include <tuple>
 #include <utility>
 
+#include "obs/metrics.h"
+#include "obs/trace.h"
+
 namespace mrx::mutate {
 namespace {
 
@@ -523,80 +526,52 @@ Result<MutableDataGraph::Materialized> MutableDataGraph::MaterializeAfter(
       if (prev_knd[i] == EdgeKind::kReference) --refs;
     }
   };
-  if (identity) {
-    // Maximal runs of unchanged rows move as two bulk copies each; their
-    // offsets are prev's shifted by the run's displacement.
-    NodeId c = 0;
-    while (c < old_n) {
-      if (!row_changed[c]) {
-        NodeId run_end = c + 1;
-        while (run_end < old_n && !row_changed[run_end]) ++run_end;
-        const uint32_t base = prev_off[c];
-        const uint32_t len = prev_off[run_end] - base;
-        std::copy_n(prev_tgt.data() + base, len, targets.data() + at);
-        std::copy_n(prev_knd.data() + base, len, kinds.data() + at);
-        const int64_t shift = static_cast<int64_t>(at) - base;
-        for (NodeId r = c; r < run_end; ++r) {
-          offsets[r + 1] = static_cast<uint32_t>(prev_off[r + 1] + shift);
-        }
-        at += len;
-        c = run_end;
-      } else {
-        drop_prev_row_refs(c);
-        for (const AdjEntry& e : children_[prev_stable_of[c]]) {
-          targets[at] = out.compact_of[e.to];
-          kinds[at] = e.kind;
-          if (e.kind == EdgeKind::kReference) ++refs;
-          ++at;
-        }
-        offsets[c + 1] = static_cast<uint32_t>(at);
-        ++c;
-      }
+  // Maximal runs of consecutive unchanged survivors share one edge-shift
+  // and one id-shift (no doomed node inside a run), so their offsets and
+  // kinds move in bulk; targets move in bulk too when every old node
+  // survived, and otherwise pay the per-edge remap (their values slide past
+  // the doomed).
+  for (NodeId c = 0; c < old_n;) {
+    if (remap[c] == kInvalidNode) {
+      drop_prev_row_refs(c);
+      ++c;
+      continue;
     }
-  } else {
-    // Same run treatment as the identity path: consecutive unchanged
-    // survivors share one edge-shift and one id-shift (no doomed node
-    // inside a run), so their offsets and kinds move in bulk and only the
-    // targets pay the per-edge remap (their values slide past the doomed).
-    NodeId c = 0;
-    while (c < old_n) {
-      if (remap[c] == kInvalidNode) {
-        drop_prev_row_refs(c);
-        ++c;
-        continue;
+    if (row_changed[c]) {
+      drop_prev_row_refs(c);
+      for (const AdjEntry& e : children_[prev_stable_of[c]]) {
+        targets[at] = out.compact_of[e.to];
+        kinds[at] = e.kind;
+        if (e.kind == EdgeKind::kReference) ++refs;
+        ++at;
       }
-      if (row_changed[c]) {
-        drop_prev_row_refs(c);
-        for (const AdjEntry& e : children_[prev_stable_of[c]]) {
-          targets[at] = out.compact_of[e.to];
-          kinds[at] = e.kind;
-          if (e.kind == EdgeKind::kReference) ++refs;
-          ++at;
-        }
-        offsets[remap[c] + 1] = static_cast<uint32_t>(at);
-        ++c;
-        continue;
-      }
-      NodeId run_end = c + 1;
-      while (run_end < old_n && remap[run_end] != kInvalidNode &&
-             !row_changed[run_end]) {
-        ++run_end;
-      }
-      const uint32_t base = prev_off[c];
-      const uint32_t len = prev_off[run_end] - base;
-      const int64_t shift = static_cast<int64_t>(at) - base;
-      const NodeId nbase = remap[c];
-      for (NodeId r = c; r < run_end; ++r) {
-        offsets[nbase + (r - c) + 1] =
-            static_cast<uint32_t>(prev_off[r + 1] + shift);
-      }
+      offsets[remap[c] + 1] = static_cast<uint32_t>(at);
+      ++c;
+      continue;
+    }
+    NodeId run_end = c + 1;
+    while (run_end < old_n && remap[run_end] != kInvalidNode &&
+           !row_changed[run_end]) {
+      ++run_end;
+    }
+    const uint32_t base = prev_off[c];
+    const uint32_t len = prev_off[run_end] - base;
+    const int64_t shift = static_cast<int64_t>(at) - base;
+    const NodeId nbase = remap[c];
+    for (NodeId r = c; r < run_end; ++r) {
+      offsets[nbase + (r - c) + 1] =
+          static_cast<uint32_t>(prev_off[r + 1] + shift);
+    }
+    if (identity) {
+      std::copy_n(prev_tgt.data() + base, len, targets.data() + at);
+    } else {
       for (uint32_t i = 0; i < len; ++i) {
         targets[at + i] = remap[prev_tgt[base + i]];
       }
-      std::copy_n(prev_knd.data() + base, len, kinds.data() + at);
-      at += len;
-      c = run_end;
     }
+    std::copy_n(prev_knd.data() + base, len, kinds.data() + at);
+    at += len;
+    c = run_end;
   }
   for (size_t c = first_new; c < out.stable_of.size(); ++c) {
     for (const AdjEntry& e : children_[out.stable_of[c]]) {
@@ -634,65 +609,42 @@ Result<MutableDataGraph::Materialized> MutableDataGraph::MaterializeAfter(
   inv.parent_targets.resize(num_edges_);
   inv.parent_offsets[0] = 0;
   size_t pat = 0;
-  if (identity) {
-    NodeId c = 0;
-    while (c < old_n) {
-      if (!prow_changed[c]) {
-        NodeId run_end = c + 1;
-        while (run_end < old_n && !prow_changed[run_end]) ++run_end;
-        const uint32_t base = prev_poff[c];
-        const uint32_t len = prev_poff[run_end] - base;
-        std::copy_n(prev_ptgt.data() + base, len,
-                    inv.parent_targets.data() + pat);
-        const int64_t shift = static_cast<int64_t>(pat) - base;
-        for (NodeId r = c; r < run_end; ++r) {
-          inv.parent_offsets[r + 1] =
-              static_cast<uint32_t>(prev_poff[r + 1] + shift);
-        }
-        pat += len;
-        c = run_end;
-      } else {
-        for (uint32_t p : parents_[prev_stable_of[c]]) {
-          inv.parent_targets[pat++] = out.compact_of[p];
-        }
-        inv.parent_offsets[c + 1] = static_cast<uint32_t>(pat);
-        ++c;
-      }
+  for (NodeId c = 0; c < old_n;) {
+    if (remap[c] == kInvalidNode) {
+      ++c;
+      continue;
     }
-  } else {
-    NodeId c = 0;
-    while (c < old_n) {
-      if (remap[c] == kInvalidNode) {
-        ++c;
-        continue;
+    if (prow_changed[c]) {
+      for (uint32_t p : parents_[prev_stable_of[c]]) {
+        inv.parent_targets[pat++] = out.compact_of[p];
       }
-      if (prow_changed[c]) {
-        for (uint32_t p : parents_[prev_stable_of[c]]) {
-          inv.parent_targets[pat++] = out.compact_of[p];
-        }
-        inv.parent_offsets[remap[c] + 1] = static_cast<uint32_t>(pat);
-        ++c;
-        continue;
-      }
-      NodeId run_end = c + 1;
-      while (run_end < old_n && remap[run_end] != kInvalidNode &&
-             !prow_changed[run_end]) {
-        ++run_end;
-      }
-      const uint32_t base = prev_poff[c];
-      const uint32_t len = prev_poff[run_end] - base;
-      const int64_t shift = static_cast<int64_t>(pat) - base;
-      const NodeId nbase = remap[c];
-      for (NodeId r = c; r < run_end; ++r) {
-        inv.parent_offsets[nbase + (r - c) + 1] =
-            static_cast<uint32_t>(prev_poff[r + 1] + shift);
-      }
+      inv.parent_offsets[remap[c] + 1] = static_cast<uint32_t>(pat);
+      ++c;
+      continue;
+    }
+    NodeId run_end = c + 1;
+    while (run_end < old_n && remap[run_end] != kInvalidNode &&
+           !prow_changed[run_end]) {
+      ++run_end;
+    }
+    const uint32_t base = prev_poff[c];
+    const uint32_t len = prev_poff[run_end] - base;
+    const int64_t shift = static_cast<int64_t>(pat) - base;
+    const NodeId nbase = remap[c];
+    for (NodeId r = c; r < run_end; ++r) {
+      inv.parent_offsets[nbase + (r - c) + 1] =
+          static_cast<uint32_t>(prev_poff[r + 1] + shift);
+    }
+    if (identity) {
+      std::copy_n(prev_ptgt.data() + base, len,
+                  inv.parent_targets.data() + pat);
+    } else {
       for (uint32_t i = 0; i < len; ++i) {
         inv.parent_targets[pat + i] = remap[prev_ptgt[base + i]];
       }
-      pat += len;
-      c = run_end;
     }
+    pat += len;
+    c = run_end;
   }
   for (size_t c = first_new; c < out.stable_of.size(); ++c) {
     for (uint32_t p : parents_[out.stable_of[c]]) {
@@ -751,6 +703,78 @@ Result<MutableDataGraph::Materialized> MutableDataGraph::MaterializeAfter(
   if (!graph.ok()) return graph.status();
   out.graph = *std::move(graph);
   return out;
+}
+
+LiveGraph::LiveGraph(std::shared_ptr<const DataGraph> g)
+    : live_(*g), graph_(std::move(g)), stable_of_(graph_->num_nodes()) {
+  for (NodeId n = 0; n < stable_of_.size(); ++n) stable_of_[n] = n;
+}
+
+Result<LiveGraph::Step> LiveGraph::Apply(const MutationBatch& batch) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  static obs::Counter* batches_total =
+      registry.GetCounter("mrx_mutation_batches_total");
+  static obs::Counter* ops_total = registry.GetCounter("mrx_mutation_ops_total");
+  static obs::Counter* added_total =
+      registry.GetCounter("mrx_mutation_nodes_added_total");
+  static obs::Counter* deleted_total =
+      registry.GetCounter("mrx_mutation_nodes_deleted_total");
+  static obs::Counter* rejected_total =
+      registry.GetCounter("mrx_mutation_rejected_total");
+  static obs::Histogram* apply_ns =
+      registry.GetHistogram("mrx_mutation_apply_ns");
+  static obs::Gauge* graph_nodes = registry.GetGauge("mrx_mutation_graph_nodes");
+  static obs::Gauge* graph_edges = registry.GetGauge("mrx_mutation_graph_edges");
+  static obs::Gauge* version_gauge = registry.GetGauge("mrx_mutation_version");
+
+  Step step;
+  step.version = version_;
+  step.old_num_nodes = graph_->num_nodes();
+  if (batch.empty()) return step;
+
+  const uint64_t start_ns = obs::MonotonicNowNs();
+  Result<MutableDataGraph::BatchTouch> touch_r =
+      live_.ApplyBatch(batch, stable_of_);
+  if (!touch_r.ok()) {
+    rejected_total->Increment();
+    return touch_r.status();
+  }
+  const MutableDataGraph::BatchTouch& touch = *touch_r;
+  MRX_ASSIGN_OR_RETURN(MutableDataGraph::Materialized mat,
+                       live_.MaterializeAfter(*graph_, stable_of_, touch));
+
+  // Old compact ids map onto new ones as an identity prefix unless
+  // something was deleted: compaction preserves ascending stable order, and
+  // appends get the largest stable ids.
+  if (touch.any_deletion) {
+    step.new_to_old.assign(mat.graph.num_nodes(), kInvalidNode);
+    for (NodeId o = 0; o < step.old_num_nodes; ++o) {
+      const NodeId nc = mat.compact_of[stable_of_[o]];
+      if (nc != kInvalidNode) step.new_to_old[nc] = o;
+    }
+  }
+  step.new_nodes.reserve(touch.new_nodes.size());
+  for (uint32_t s : touch.new_nodes) step.new_nodes.push_back(mat.compact_of[s]);
+  step.parent_set_changed.reserve(touch.parent_set_changed.size());
+  for (uint32_t s : touch.parent_set_changed) {
+    step.parent_set_changed.push_back(mat.compact_of[s]);
+  }
+  step.nodes_deleted = touch.nodes_deleted;
+  step.any_deletion = touch.any_deletion;
+
+  graph_ = std::make_shared<const DataGraph>(std::move(mat.graph));
+  stable_of_ = std::move(mat.stable_of);
+  step.version = ++version_;
+
+  batches_total->Increment();
+  ops_total->Increment(batch.size());
+  added_total->Increment(step.new_nodes.size());
+  deleted_total->Increment(step.nodes_deleted);
+  apply_ns->Record(obs::MonotonicNowNs() - start_ns);
+  graph_nodes->Set(static_cast<int64_t>(graph_->num_nodes()));
+  graph_edges->Set(static_cast<int64_t>(graph_->num_edges()));
+  version_gauge->Set(static_cast<int64_t>(version_));
+  return step;
 }
 
 }  // namespace mrx::mutate

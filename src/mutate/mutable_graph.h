@@ -2,6 +2,7 @@
 #define MRX_MUTATE_MUTABLE_GRAPH_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "graph/data_graph.h"
@@ -139,6 +140,48 @@ class MutableDataGraph {
   uint32_t root_ = 0;
   size_t num_alive_ = 0;
   size_t num_edges_ = 0;  ///< Edges between alive nodes.
+};
+
+/// \brief A MutableDataGraph and the frozen version it last materialized:
+/// the one place a batch becomes the next graph version (apply, patch the
+/// CSR forward, carry the id maps, count the version). The serving writer
+/// (ConcurrentSession) holds only this; IncrementalMaintainer keeps its
+/// partition chains on top of it.
+class LiveGraph {
+ public:
+  /// What one batch changed, in the new version's compact ids.
+  struct Step {
+    uint64_t version = 0;             ///< Version number after the batch.
+    std::vector<NodeId> new_nodes;    ///< Appended nodes, in op order.
+    /// Surviving old nodes whose parent set changed, ascending.
+    std::vector<NodeId> parent_set_changed;
+    /// New compact id → previous version's (kInvalidNode for appended
+    /// nodes); filled only when the batch deleted something; otherwise the
+    /// old ids are an identity prefix.
+    std::vector<NodeId> new_to_old;
+    size_t old_num_nodes = 0;
+    size_t nodes_deleted = 0;
+    bool any_deletion = false;
+  };
+
+  /// Version 0 is `g` itself, shared rather than materialized again: a
+  /// built DataGraph already is what Materialize() would produce from it.
+  explicit LiveGraph(std::shared_ptr<const DataGraph> g);
+
+  /// Applies `batch` atomically and materializes the next version. On
+  /// failure nothing changes. Batch ids refer to version()'s compact id
+  /// space. An empty batch makes no new version.
+  Result<Step> Apply(const MutationBatch& batch);
+
+  const DataGraph& graph() const { return *graph_; }
+  std::shared_ptr<const DataGraph> graph_ptr() const { return graph_; }
+  uint64_t version() const { return version_; }
+
+ private:
+  MutableDataGraph live_;
+  std::shared_ptr<const DataGraph> graph_;
+  std::vector<uint32_t> stable_of_;  ///< compact → stable, current version.
+  uint64_t version_ = 0;
 };
 
 }  // namespace mrx::mutate

@@ -38,15 +38,9 @@ ConcurrentSession::ConcurrentSession(const DataGraph& graph,
       options_(options),
       cache_(options.cache_results ? options.cache_capacity : 0,
              options.cache_shards == 0 ? 16 : options.cache_shards),
-      fups_(FupExtractor::Options{options.refine_after, 0}),
-      // The seed graph stays caller-owned (the pre-mutation contract); the
-      // aliasing pointer lets it ride in snapshots next to maintainer-owned
-      // successors.
-      master_graph_(&graph, [](const DataGraph*) {}),
-      master_(std::make_unique<MStarIndex>(graph)) {
+      fups_(FupExtractor::Options{options.refine_after, 0}) {
   if (options.refine_threads > 1) {
     refine_pool_ = std::make_unique<ThreadPool>(options.refine_threads);
-    master_->set_thread_pool(refine_pool_.get());
   }
   metrics_.pool_threads->Set(static_cast<int64_t>(
       refine_pool_ != nullptr ? refine_pool_->num_threads() : 1));
@@ -56,11 +50,14 @@ ConcurrentSession::ConcurrentSession(const DataGraph& graph,
   }
   // Seed publication: epoch 0, graph version 0. publications_ counts only
   // post-seed publications, so index_epoch() == index_publications() holds
-  // for mutation-free sessions.
-  auto fresh = std::make_shared<const MStarIndex>(master_->Clone());
-  auto chooser = std::make_shared<const StrategyChooser>(*fresh);
-  handle_.Publish(master_graph_, std::move(fresh), std::move(chooser),
-                  /*version=*/0);
+  // for mutation-free sessions. The seed graph stays caller-owned (the
+  // pre-mutation contract); the aliasing pointer lets it ride in snapshots
+  // next to the live graph's successors.
+  auto seed = std::make_shared<const MStarIndex>(graph);
+  auto chooser = std::make_shared<const StrategyChooser>(*seed);
+  handle_.Publish(std::shared_ptr<const DataGraph>(&graph,
+                                                   [](const DataGraph*) {}),
+                  std::move(seed), std::move(chooser), /*version=*/0);
   refiner_ = std::thread([this] { RefineLoop(); });
 }
 
@@ -325,38 +322,31 @@ Result<ConcurrentSession::MutationReceipt> ConcurrentSession::ApplyMutations(
   std::lock_guard<std::mutex> lock(refine_mu_);
   const uint64_t apply_start = obs::MonotonicNowNs();
   obs::StallWatchdog::ScopedActivity watch(mutate_activity_, apply_start);
-  if (maintainer_ == nullptr) {
-    mutate::MaintainerOptions mo = options_.mutation;
-    if (mo.pool == nullptr) mo.pool = refine_pool_.get();
-    maintainer_ =
-        std::make_unique<mutate::IncrementalMaintainer>(*master_graph_, mo);
+  if (live_ == nullptr) {
+    live_ = std::make_unique<mutate::LiveGraph>(handle_.Acquire()->graph_ptr());
   }
-  MRX_ASSIGN_OR_RETURN(mutate::BatchReceipt receipt,
-                       maintainer_->Apply(batch));
+  MRX_ASSIGN_OR_RETURN(mutate::LiveGraph::Step step, live_->Apply(batch));
 
-  // Rebuild the adaptive master over the new version and replay every FUP
-  // promoted so far: the result is exactly what a fresh session on the new
+  // A fresh index over the new version with every FUP promoted so far
+  // replayed in promotion order: exactly what a fresh session on the new
   // graph would serve after promoting the same FUPs.
-  master_graph_ = maintainer_->graph_ptr();
-  master_ = std::make_unique<MStarIndex>(*master_graph_);
-  if (refine_pool_ != nullptr) master_->set_thread_pool(refine_pool_.get());
-  if (!applied_fups_.empty()) master_->RefineBatch(applied_fups_);
-  master_version_ = receipt.version;
+  MStarIndex index(live_->graph());
+  index.set_thread_pool(refine_pool_.get());
+  if (!fups_.fups().empty()) index.RefineBatch(fups_.fups());
 
   const uint64_t publish_start = obs::MonotonicNowNs();
-  PublishLocked();
+  const std::shared_ptr<mutate::VersionSnapshot> snapshot =
+      PublishLocked(std::move(index), live_->graph_ptr(), step.version);
   metrics_.publish_ns->Record(obs::MonotonicNowNs() - publish_start);
   obs::FlightRecorder::Global().Record(
       obs::FlightEventType::kMutationApply,
-      obs::MonotonicNowNs() - apply_start, receipt.version);
-
-  MutationReceipt out;
-  out.batch = std::move(receipt);
-  out.epoch = handle_.epoch();
-  return out;
+      obs::MonotonicNowNs() - apply_start, step.version);
+  return MutationReceipt{step.version, std::move(step.new_nodes),
+                         snapshot->epoch()};
 }
 
 void ConcurrentSession::RecordObservation(const PathExpression& query) {
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(inbox_mu_);
     // Never block the read path on the refiner: a full inbox sheds the
@@ -366,11 +356,15 @@ void ConcurrentSession::RecordObservation(const PathExpression& query) {
       metrics_.observations_dropped->Increment();
       return;
     }
+    wake = inbox_.empty();
     inbox_.push_back(query);
     ++submitted_;
     metrics_.inbox_backlog->Set(static_cast<int64_t>(inbox_.size()));
   }
-  inbox_cv_.notify_one();
+  // Wake the refiner once per batch: it waits on !inbox_.empty() and
+  // re-checks that after every batch it processes, so only the push that
+  // makes the inbox non-empty needs a signal.
+  if (wake) inbox_cv_.notify_one();
 }
 
 void ConcurrentSession::RefineLoop() {
@@ -388,49 +382,45 @@ void ConcurrentSession::RefineLoop() {
       metrics_.inbox_backlog->Set(0);
     }
 
-    // FUP extraction and refinement run against the private master under
-    // the writer mutex (serializing with ApplyMutations) — readers are
-    // undisturbed until the publish swaps the snapshot pointer.
+    // FUP extraction and refinement run under the writer mutex
+    // (serializing with ApplyMutations), on a clone of the published index
+    // — readers are undisturbed until the publish swaps the snapshot.
     std::lock_guard<std::mutex> writer_lock(refine_mu_);
     const uint64_t batch_start = obs::MonotonicNowNs();
     obs::StallWatchdog::ScopedActivity watch(refine_activity_, batch_start);
-    const uint64_t splits_before = master_->TotalRefinementStats().splits;
     std::vector<PathExpression> promoted;
     for (const PathExpression& q : batch) {
       if (fups_.Observe(q)) promoted.push_back(q);
     }
-    // One RefineBatch call per drained inbox: target evaluation for the
-    // whole promoted set fans out over the refine pool (when configured),
-    // and the serial refinement that follows is identical to per-query
-    // Refine calls in order.
-    if (!promoted.empty()) {
-      master_->RefineBatch(promoted);
-      for (const PathExpression& q : promoted) {
-        // Remember the promotion for post-mutation replays (dedup on the
-        // printed form; label ids are stable across versions).
-        if (applied_fup_keys_.insert(q.ToString(master_graph_->symbols()))
-                .second) {
-          applied_fups_.push_back(q);
-        }
-      }
-      refinements_applied_.fetch_add(promoted.size(),
-                                     std::memory_order_relaxed);
-      metrics_.fup_promotions->Increment(promoted.size());
-    }
     const uint64_t promotions = promoted.size();
-    const uint64_t splits =
-        master_->TotalRefinementStats().splits - splits_before;
-    metrics_.partition_splits->Increment(splits);
-
+    uint64_t splits = 0;
     uint64_t publish_start = 0;
     uint64_t publish_ns = 0;
+    std::shared_ptr<mutate::VersionSnapshot> published;
     if (promotions > 0) {
+      // One RefineBatch call per drained inbox: target evaluation for the
+      // whole promoted set fans out over the refine pool (when
+      // configured), and the serial refinement that follows is identical
+      // to per-query Refine calls in order.
+      const std::shared_ptr<mutate::VersionSnapshot> current =
+          handle_.Acquire();
+      MStarIndex index = current->index().Clone();
+      index.set_thread_pool(refine_pool_.get());
+      const uint64_t splits_before = index.TotalRefinementStats().splits;
+      index.RefineBatch(promoted);
+      splits = index.TotalRefinementStats().splits - splits_before;
+      refinements_applied_.fetch_add(promotions, std::memory_order_relaxed);
+      metrics_.fup_promotions->Increment(promotions);
+      metrics_.partition_splits->Increment(splits);
+
       publish_start = obs::MonotonicNowNs();
-      PublishLocked();
+      published = PublishLocked(std::move(index), current->graph_ptr(),
+                                current->version());
       publish_ns = obs::MonotonicNowNs() - publish_start;
       metrics_.publish_ns->Record(publish_ns);
       obs::FlightRecorder::Global().Record(
-          obs::FlightEventType::kRefinePublish, publish_ns, handle_.epoch());
+          obs::FlightEventType::kRefinePublish, publish_ns,
+          published->epoch());
     }
 
     // Refinement batches are rare and high-signal, so they bypass the
@@ -444,7 +434,8 @@ void ConcurrentSession::RefineLoop() {
         span.AddAttr("batch_observations", batch.size());
         span.AddAttr("fup_promotions", promotions);
         span.AddAttr("partition_splits", splits);
-        span.AddAttr("index_physical_nodes", master_->PhysicalNodeCount());
+        span.AddAttr("index_physical_nodes",
+                     published->index().PhysicalNodeCount());
         span.EndManual(batch_start, obs::MonotonicNowNs() - batch_start);
       }
     }
@@ -457,13 +448,17 @@ void ConcurrentSession::RefineLoop() {
   }
 }
 
-void ConcurrentSession::PublishLocked() {
-  // Clone and build the chooser before the handle swap: readers only ever
-  // wait for the snapshot-pointer swap itself.
-  auto fresh = std::make_shared<const MStarIndex>(master_->Clone());
+std::shared_ptr<mutate::VersionSnapshot> ConcurrentSession::PublishLocked(
+    MStarIndex index, std::shared_ptr<const DataGraph> graph,
+    uint64_t version) {
+  // Readers never refine, and the pool must outlive every index holding
+  // it. Build the chooser before the handle swap: readers only ever wait
+  // for the snapshot-pointer swap itself.
+  index.set_thread_pool(nullptr);
+  auto fresh = std::make_shared<const MStarIndex>(std::move(index));
   auto chooser = std::make_shared<const StrategyChooser>(*fresh);
   std::shared_ptr<mutate::VersionSnapshot> snapshot = handle_.Publish(
-      master_graph_, std::move(fresh), std::move(chooser), master_version_);
+      std::move(graph), fresh, std::move(chooser), version);
   // Invalidate after the swap: entries admitted before this are wiped, and
   // a racing Put tagged with an older epoch is dropped by the epoch guard.
   // Until the wipe lands, readers already on the new snapshot miss the old
@@ -475,13 +470,12 @@ void ConcurrentSession::PublishLocked() {
       obs::FlightEventType::kCacheEvictionSweep, snapshot->epoch());
   publications_.fetch_add(1, std::memory_order_relaxed);
 
-  // Refresh the index-size gauges from the writer's master copy (equal to
-  // the published clone by construction). Both physical counts come from
-  // one walk per component, reading duplicates off the supernode links.
-  const MStarIndex::PhysicalSize physical = master_->Physical();
+  // Both physical counts come from one walk per component, reading
+  // duplicates off the supernode links.
+  const MStarIndex::PhysicalSize physical = fresh->Physical();
   metrics_.index_epoch->Set(static_cast<int64_t>(snapshot->epoch()));
   metrics_.index_components->Set(
-      static_cast<int64_t>(master_->num_components()));
+      static_cast<int64_t>(fresh->num_components()));
   metrics_.index_physical_nodes->Set(static_cast<int64_t>(physical.nodes));
   metrics_.index_physical_edges->Set(static_cast<int64_t>(physical.edges));
   if (refine_pool_ != nullptr) {
@@ -489,6 +483,7 @@ void ConcurrentSession::PublishLocked() {
     metrics_.pool_jobs->Set(static_cast<int64_t>(stats.jobs));
     metrics_.pool_busy_ns->Set(static_cast<int64_t>(stats.busy_ns));
   }
+  return snapshot;
 }
 
 void ConcurrentSession::DrainRefinements() {

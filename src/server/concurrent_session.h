@@ -8,12 +8,11 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "core/session.h"
 #include "index/strategy_chooser.h"
-#include "mutate/incremental_maintainer.h"
+#include "mutate/mutable_graph.h"
 #include "mutate/mutation.h"
 #include "mutate/versioned_handle.h"
 #include "obs/metrics.h"
@@ -52,11 +51,10 @@ struct ConcurrentSessionOptions {
   /// statistics, not work items — a hot query will be observed again).
   size_t inbox_capacity = 1 << 16;
 
-  /// Worker threads for the refiner's parallelizable stages (batch target
-  /// evaluation and the mutation maintainer's bisimulation rounds; see
-  /// docs/PERFORMANCE.md). 0 or 1 keeps the refiner fully serial. The
-  /// refined index is byte-identical for every value — parallelism changes
-  /// publish latency, not results.
+  /// Worker threads for the writer's batch target evaluation (refinement
+  /// and the FUP replay after a mutation; see docs/PERFORMANCE.md). 0 or 1
+  /// keeps the writer fully serial. The refined index is byte-identical
+  /// for every value — parallelism changes publish latency, not results.
   size_t refine_threads = 1;
 
   /// Span tracer for per-query phase spans (cache lookup → index probe →
@@ -64,12 +62,6 @@ struct ConcurrentSessionOptions {
   /// metrics (the process-global registry) are always on. The recorder
   /// must outlive the session. See docs/OBSERVABILITY.md.
   obs::TraceRecorder* tracer = nullptr;
-
-  /// Options for the incremental maintainer behind ApplyMutations (cascade
-  /// fallback threshold and A-chain depth; see docs/UPDATES.md). The
-  /// maintainer is created lazily on the first mutation, so sessions that
-  /// never mutate pay nothing.
-  mutate::MaintainerOptions mutation;
 
   /// Slow-query capture threshold in nanoseconds; 0 disables. A query
   /// whose wall time crosses it gets a forced (sampler-bypassing) trace
@@ -98,16 +90,14 @@ struct ConcurrentSessionOptions {
 ///    reader's view: a query that began on version N finishes on version N
 ///    with exact answers for N, even while N+1 publishes.
 ///  - Query() records its expression in a bounded inbox (mutex + swap). A
-///    single background refinement worker drains the inbox, runs the FUP
-///    extractor, refines a *private* master copy of the M*(k)-index, and
-///    publishes a clone as a fresh snapshot. Readers therefore never
-///    observe a half-refined hierarchy, and refinement cost never rides on
-///    the query path.
-///  - ApplyMutations() feeds a batch through the live-update subsystem
-///    (src/mutate/): the IncrementalMaintainer applies it atomically and
-///    brings its partitions to the new version; the session then rebuilds
-///    its master index over the new graph, replays every previously
-///    promoted FUP, and publishes — so the published index is
+///    single background refinement worker drains the inbox and runs the
+///    FUP extractor; when it promotes something, it refines a clone of the
+///    published M*(k)-index and publishes the clone as a fresh snapshot.
+///    Readers therefore never observe a half-refined hierarchy, and
+///    refinement cost never rides on the query path.
+///  - ApplyMutations() steps the session's LiveGraph (src/mutate/) to the
+///    next graph version atomically, builds a fresh index over it, replays
+///    every FUP promoted so far, and publishes — so the published index is
 ///    indistinguishable from a fresh session on the new graph that
 ///    promoted the same FUPs. Mutations serialize with the refiner on one
 ///    writer mutex; readers are never blocked beyond the snapshot-pointer
@@ -126,9 +116,8 @@ class ConcurrentSession {
  public:
   /// What one ApplyMutations call did.
   struct MutationReceipt {
-    /// The maintainer's receipt (new version number, appended compact ids,
-    /// cascade statistics; ids refer to the new version's id space).
-    mutate::BatchReceipt batch;
+    uint64_t version = 0;           ///< Graph version after the batch.
+    std::vector<NodeId> new_nodes;  ///< Appended nodes, new compact ids.
     /// Answer-cache epoch of the publication that made the new version
     /// visible to readers.
     uint64_t epoch = 0;
@@ -294,10 +283,12 @@ class ConcurrentSession {
   void RecordObservation(const PathExpression& query);
   void RefineLoop();
 
-  /// Clones the master, publishes it as a fresh snapshot over
-  /// master_graph_, and invalidates the answer cache under the new epoch.
-  /// Caller holds refine_mu_.
-  void PublishLocked();
+  /// Publishes `index` over `graph` at graph version `version` as a fresh
+  /// snapshot, invalidates the answer cache under the new epoch, and
+  /// refreshes the index-size gauges. Caller holds refine_mu_.
+  std::shared_ptr<mutate::VersionSnapshot> PublishLocked(
+      MStarIndex index, std::shared_ptr<const DataGraph> graph,
+      uint64_t version);
 
   const DataGraph& graph_;
   const ConcurrentSessionOptions options_;
@@ -327,29 +318,18 @@ class ConcurrentSession {
   bool stop_ = false;
 
   // --- Writer state (refiner thread and mutators) ------------------------
-  /// Serializes every master mutation: the refiner's drain-refine-publish
+  /// Serializes every publication: the refiner's drain-refine-publish
   /// step and ApplyMutations. Readers never take this lock.
   std::mutex refine_mu_;
 
-  /// The FUP extractor, the pool the writer's parallel stages run on (null
-  /// when refine_threads ≤ 1; declared before the master so it outlives
-  /// it), the graph the master is built over and its version, and the
-  /// master index the writers refine before cloning it into the published
-  /// snapshot. All guarded by refine_mu_ after construction.
+  /// The writer's whole state besides the published snapshot, all guarded
+  /// by refine_mu_: the FUP extractor (its fups() are the replay set after
+  /// a mutation), the pool the writer's target evaluation runs on (null
+  /// when refine_threads ≤ 1), and the live graph, created on the first
+  /// ApplyMutations so sessions that never mutate pay nothing.
   FupExtractor fups_;
   std::unique_ptr<ThreadPool> refine_pool_;
-  std::shared_ptr<const DataGraph> master_graph_;
-  uint64_t master_version_ = 0;
-  std::unique_ptr<MStarIndex> master_;
-
-  /// The live-update subsystem, created on the first ApplyMutations.
-  std::unique_ptr<mutate::IncrementalMaintainer> maintainer_;
-
-  /// Every FUP promoted so far, in promotion order (deduplicated): the
-  /// replay set that makes a post-mutation rebuild land exactly where a
-  /// fresh session on the new graph would after promoting the same FUPs.
-  std::vector<PathExpression> applied_fups_;
-  std::unordered_set<std::string> applied_fup_keys_;
+  std::unique_ptr<mutate::LiveGraph> live_;
 
   std::atomic<uint64_t> refinements_applied_{0};
   std::atomic<uint64_t> publications_{0};

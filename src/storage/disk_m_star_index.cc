@@ -77,11 +77,28 @@ Status DiskMStarIndex::EnsureLoaded(size_t i) {
       return Status::ParseError("component extents do not cover the graph");
     }
   }
-  cache_[i] = IndexGraph::FromPartition(
-      graph_, block_of, static_cast<uint32_t>(spec.extents.size()),
-      spec.ks);
+  // FromPartition numbers nodes by block ordinal, so the blob's supernode
+  // ordinals are node ids in the previous component directly.
+  cache_[i] = MStarComponent{
+      IndexGraph::FromPartition(graph_, block_of,
+                                static_cast<uint32_t>(spec.extents.size()),
+                                spec.ks),
+      std::move(spec.supernodes)};
   ++loaded_count_;
   bytes_read_ += entry.length;
+  return Status::Ok();
+}
+
+Status DiskMStarIndex::LinkSubnodes(size_t i) {
+  MStarComponent& comp = *cache_[i];
+  if (!comp.sub_begin.empty()) return Status::Ok();
+  const size_t prev_capacity = component(i - 1).capacity();
+  for (IndexNodeId u : comp.supernode) {
+    if (u >= prev_capacity) {
+      return Status::ParseError("supernode ordinal out of range");
+    }
+  }
+  comp.BuildSubnodes(prev_capacity);
   return Status::Ok();
 }
 
@@ -124,16 +141,12 @@ Result<QueryResult> DiskMStarIndex::QueryTopDown(
 
     std::vector<IndexNodeId> s;
     if (ci != current) {
-      const IndexGraph& prev = component(current);
-      std::vector<char> seen(comp.capacity(), 0);
+      // QUERYTOPDOWN line 3: descend to the subnodes in the next component.
+      // Each node has one supernode, so the lists are disjoint.
+      MRX_RETURN_IF_ERROR(LinkSubnodes(ci));
       for (IndexNodeId u : q) {
-        for (NodeId o : prev.node(u).extent) {
-          IndexNodeId v = comp.index_of(o);
-          if (!seen[v]) {
-            seen[v] = 1;
-            s.push_back(v);
-          }
-        }
+        const std::span<const IndexNodeId> subs = cache_[ci]->subnodes(u);
+        s.insert(s.end(), subs.begin(), subs.end());
       }
       result.stats.index_nodes_visited += s.size();
       current = ci;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "index/evaluator.h"
+#include "index/m_star_index.h"
 #include "query/data_evaluator.h"
 #include "storage/index_io.h"
 #include "util/result.h"
@@ -59,16 +60,21 @@ class DiskMStarIndex {
         toc_(std::move(toc)),
         cache_(toc_.components.size()) {}
 
-  /// Materializes component `i` from disk if not cached.
+  /// Materializes component `i` from disk if not cached, keeping its
+  /// supernode links.
   Status EnsureLoaded(size_t i);
 
-  const IndexGraph& component(size_t i) const { return *cache_[i]; }
+  /// Builds the subnode lists of loaded component `i` ≥ 1 against loaded
+  /// component i-1, once.
+  Status LinkSubnodes(size_t i);
+
+  const IndexGraph& component(size_t i) const { return cache_[i]->graph; }
 
   const DataGraph& graph_;
   DataEvaluator evaluator_;
   std::string path_;
   MStarFileToc toc_;
-  std::vector<std::optional<IndexGraph>> cache_;
+  std::vector<std::optional<MStarComponent>> cache_;
   size_t loaded_count_ = 0;
   uint64_t bytes_read_ = 0;
 };

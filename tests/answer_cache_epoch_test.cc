@@ -138,7 +138,7 @@ TEST(AnswerCacheEpochTest, MutationInvalidatesCachedAnswers) {
       session.ApplyMutations({mutate::Mutation::AppendLeaf(1, "b")});
   ASSERT_TRUE(receipt.ok()) << receipt.status().ToString();
   EXPECT_GT(receipt->epoch, epoch_before);
-  EXPECT_EQ(receipt->batch.version, 1u);
+  EXPECT_EQ(receipt->version, 1u);
 
   // The new "b" under the "a" (compact id 10: appends go to the end) must
   // show up — a stale cache hit would still say {4}.

@@ -5,13 +5,19 @@
 #include <thread>
 #include <vector>
 
+#include "harness/datasets.h"
+#include "index/m_star_index.h"
 #include "mutate/mutation.h"
 #include "mutate/random_batch.h"
+#include "obs/metrics.h"
 #include "query/data_evaluator.h"
 #include "server/concurrent_session.h"
 #include "server/query_server.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
+#include "workload/fup_extractor.h"
+#include "workload/generator.h"
+#include "workload/label_paths.h"
 
 namespace mrx::server {
 namespace {
@@ -32,8 +38,8 @@ TEST(ConcurrentMutationTest, ApplyPublishesNewVersion) {
   auto receipt =
       session.ApplyMutations({mutate::Mutation::AppendLeaf(0, "z")});
   ASSERT_TRUE(receipt.ok()) << receipt.status().ToString();
-  EXPECT_EQ(receipt->batch.version, 1u);
-  EXPECT_EQ(receipt->batch.new_nodes.size(), 1u);
+  EXPECT_EQ(receipt->version, 1u);
+  EXPECT_EQ(receipt->new_nodes.size(), 1u);
   EXPECT_EQ(session.graph_version(), 1u);
 
   std::shared_ptr<const DataGraph> snapshot = session.graph_snapshot();
@@ -76,32 +82,148 @@ TEST(ConcurrentMutationTest, AnswersTrackTheMutatedGraph) {
 }
 
 TEST(ConcurrentMutationTest, PromotedFupsSurviveMutations) {
-  const DataGraph g = MakeFigure1Graph();
+  // The writer keeps only the graph and the FUP list. After FUPs, a random
+  // mutation trace and one more FUP promoted on the mutated graph, the
+  // served index must be exactly a fresh build over the current graph
+  // refined by every FUP in promotion order: same answers, targets and
+  // §5 cost on every query of the stream.
+  Result<DataGraph> g = harness::BuildXMarkGraph(0.02);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  LabelPathEnumerationOptions eo;
+  eo.max_length = 6;
+  WorkloadOptions wo;
+  wo.num_queries = 60;
+  wo.max_query_length = 6;
+  const std::vector<PathExpression> stream =
+      GenerateWorkload(EnumerateLabelPaths(*g, eo), wo);
+
   ConcurrentSessionOptions options;
   options.refine_after = 2;
-  ConcurrentSession session(g, options);
-  const PathExpression q = Q(g, "//auction/seller");
+  ConcurrentSession session(*g, options);
+  // A mirror of the session's FUP processor: it sees the same
+  // observations, so its fups() is the session's promotion order.
+  FupExtractor mirror(FupExtractor::Options{options.refine_after, 0});
+  size_t next = 0;
+  auto promote = [&](size_t n) {
+    const size_t target = mirror.fups().size() + n;
+    while (mirror.fups().size() < target && next < stream.size()) {
+      const PathExpression& q = stream[next++];
+      for (int i = 0; i < 2; ++i) {
+        session.Query(q);
+        mirror.Observe(q);
+      }
+      session.DrainRefinements();
+    }
+  };
 
-  // Drive the query hot enough to be promoted and published.
-  for (int i = 0; i < 4; ++i) session.Query(q);
-  session.DrainRefinements();
-  ASSERT_GE(session.refinements_applied(), 1u);
-  const size_t refined_components = session.published_components();
+  promote(4);
+  ASSERT_EQ(mirror.fups().size(), 4u);
+  Rng rng(20261019);
+  mutate::RandomBatchOptions gen;
+  gen.num_ops = 4;
+  size_t applied = 0;
+  for (int step = 0; step < 8; ++step) {
+    std::shared_ptr<const DataGraph> before = session.graph_snapshot();
+    if (session.ApplyMutations(mutate::GenerateRandomBatch(rng, *before, gen))
+            .ok()) {
+      ++applied;
+    }
+  }
+  ASSERT_GT(applied, 0u);
+  // Promoted after the last mutation: the refiner must refine the index
+  // over the current graph, not one over the seed.
+  promote(1);
+  ASSERT_EQ(mirror.fups().size(), 5u);
+  EXPECT_EQ(session.refinements_applied(), 5u);
 
-  auto receipt =
-      session.ApplyMutations({mutate::Mutation::AppendLeaf(0, "auction")});
-  ASSERT_TRUE(receipt.ok()) << receipt.status().ToString();
-
-  // The rebuilt index replayed the promoted FUP: the published hierarchy
-  // matches a fresh session on the new graph that promoted the same query.
   std::shared_ptr<const DataGraph> now = session.graph_snapshot();
-  ConcurrentSession oracle(*now, options);
-  for (int i = 0; i < 4; ++i) oracle.Query(q);
-  oracle.DrainRefinements();
-  EXPECT_EQ(session.published_components(), oracle.published_components());
-  EXPECT_GE(session.published_components(), refined_components);
+  MStarIndex fresh(*now);
+  fresh.RefineBatch(mirror.fups());
+  EXPECT_EQ(session.published_components(), fresh.num_components());
+  DataEvaluator validator(*now);
   DataEvaluator ground_truth(*now);
-  EXPECT_EQ(session.Query(q).answer, ground_truth.Evaluate(q));
+  for (const PathExpression& q : stream) {
+    const std::string text = q.ToString(now->symbols());
+    const QueryResult served = session.Peek(q);
+    const QueryResult want =
+        fresh.Query(MStarQueryStrategy::kTopDown, q, &validator);
+    EXPECT_EQ(served.answer, want.answer) << text;
+    EXPECT_EQ(served.answer, ground_truth.Evaluate(q)) << text;
+    EXPECT_EQ(served.target, want.target) << text;
+    EXPECT_EQ(served.stats.index_nodes_visited,
+              want.stats.index_nodes_visited)
+        << text;
+    EXPECT_EQ(served.stats.data_nodes_validated,
+              want.stats.data_nodes_validated)
+        << text;
+  }
+}
+
+TEST(ConcurrentMutationTest, PooledWriterRacesReaders) {
+  // refine_threads = 2: the refiner's clones and the mutator's fresh
+  // builds evaluate their FUP targets on the pool while readers query. Run
+  // under TSan in CI; answers stay exact for the version each reader saw.
+  const DataGraph g = MakeFigure1Graph();
+  ConcurrentSessionOptions options;
+  options.refine_after = 1;
+  options.refine_threads = 2;
+  ConcurrentSession session(g, options);
+  const std::vector<PathExpression> queries = {
+      Q(g, "//auction/bidder"), Q(g, "//person"),
+      Q(g, "//auction/seller/person"), Q(g, "//regions//item"),
+      Q(g, "//people/person"), Q(g, "//auction/bidder/person")};
+  // Two FUPs before the race, so every post-mutation replay is a batch the
+  // pool fans out.
+  session.Query(queries[0]);
+  session.Query(queries[2]);
+  session.DrainRefinements();
+  ASSERT_EQ(session.refinements_applied(), 2u);
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      size_t i = static_cast<size_t>(t);
+      while (!stop.load(std::memory_order_relaxed)) {
+        const PathExpression& q = queries[i++ % queries.size()];
+        ConcurrentSession::VersionedAnswer a = session.QueryVersioned(q);
+        std::shared_ptr<const DataGraph> snap = session.graph_snapshot();
+        if (session.graph_version() == a.graph_version) {
+          DataEvaluator oracle(*snap);
+          if (oracle.Evaluate(q) != a.result.answer) mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+
+  Rng rng(23);
+  mutate::RandomBatchOptions gen;
+  gen.num_ops = 2;
+  uint64_t applied = 0;
+  for (int step = 0; step < 20; ++step) {
+    std::shared_ptr<const DataGraph> before = session.graph_snapshot();
+    if (session.ApplyMutations(mutate::GenerateRandomBatch(rng, *before, gen))
+            .ok()) {
+      ++applied;
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : readers) t.join();
+  session.DrainRefinements();
+
+  EXPECT_GT(applied, 5u);
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(session.graph_version(), applied);
+  EXPECT_GT(obs::MetricsRegistry::Global()
+                .GetGauge("mrx_refine_pool_jobs_total")
+                ->Value(),
+            0);
+  std::shared_ptr<const DataGraph> now = session.graph_snapshot();
+  DataEvaluator ground_truth(*now);
+  for (const PathExpression& q : queries) {
+    EXPECT_EQ(session.Peek(q).answer, ground_truth.Evaluate(q));
+  }
 }
 
 TEST(ConcurrentMutationTest, ReadersStayExactDuringMutations) {
