@@ -671,7 +671,21 @@ MutationStressReport RunMutationStress(const MutationStressOptions& options) {
     std::shared_ptr<const DataGraph> snapshot = session.graph_snapshot();
     const mutate::MutationBatch batch =
         mutate::GenerateRandomBatch(rng, *snapshot, batch_gen);
+    // On alternate batches, hold the refiner between the coarse publish
+    // and the FUP replay until every reader has answered on the coarse
+    // index (bounded, in case a sanitizer makes readers crawl). On graphs
+    // this small an unforced replay closes that window in microseconds.
+    const bool hold = b % 2 == 0;
+    if (hold) fault::hold_replay.store(true);
     if (session.ApplyMutations(batch).ok()) ++report.mutations_applied;
+    if (hold) {
+      const uint64_t floor = queries_run.load() + readers.size();
+      for (int spin = 0; spin < 200 && queries_run.load() < floor; ++spin) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      fault::hold_replay.store(false);
+      ++report.held_batches;
+    }
   }
   // Small batches can all land before the readers' first iteration; keep
   // the session open until every reader has seen the final version at

@@ -146,6 +146,9 @@ struct MutationStressReport {
   uint64_t epoch_regressions = 0;  ///< Per-reader epoch went backwards.
   uint64_t final_mismatches = 0;   ///< Post-run answers vs ground truth.
   uint64_t stale_put_drops = 0;    ///< Cache inserts rejected by the guard.
+  uint64_t held_batches = 0;       ///< Batches applied with the refiner
+                                   ///< held (fault::hold_replay) until the
+                                   ///< readers ran on the coarse index.
 
   bool ok() const {
     return mismatches == 0 && epoch_regressions == 0 &&
@@ -155,7 +158,9 @@ struct MutationStressReport {
 
 /// \brief Hammers a ConcurrentSession from `threads` readers while the main
 /// thread applies random mutation batches (and the background refiner
-/// promotes FUPs). Every versioned answer is cross-checked against
+/// promotes FUPs). On alternate batches the refiner is held between the
+/// coarse publish and the FUP replay, so readers are forced through that
+/// window. Every versioned answer is cross-checked against
 /// DataEvaluator ground truth on the snapshot that answered it; reader
 /// epochs must be monotone; after the run every query is re-checked on the
 /// final version.

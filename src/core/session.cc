@@ -57,14 +57,14 @@ QueryResult AdaptiveIndexSession::Query(const PathExpression& query) {
     key = query.ToString(index_.component(0).data().symbols());
     if (server::CachedAnswerPtr hit = cache_.Get(key, epoch_)) {
       ++cache_hits_;
-      return server::ShardedAnswerCache::Unwrap(*hit);
+      return server::ShardedAnswerCache::Unwrap(*hit, epoch_);
     }
   }
 
   QueryResult result = Peek(query);
   cumulative_stats_ += result.stats;
   if (options_.cache_results) {
-    cache_.Put(key, server::ShardedAnswerCache::Wrap(result), epoch_);
+    cache_.Put(key, server::ShardedAnswerCache::Wrap(result, epoch_), epoch_);
   }
   return result;
 }

@@ -24,7 +24,7 @@ enum class FlightEventType : uint16_t {
   kStrategyDecision = 4,  ///< code = strategy, a = estimated cost (units).
   kRefinePublish = 5,     ///< a = publish_ns, b = new epoch.
   kMutationApply = 6,     ///< a = apply_ns, b = new graph version.
-  kCacheEvictionSweep = 7,  ///< a = new epoch (invalidation sweep).
+  kCacheEvictionSweep = 7,  ///< a = new graph version (invalidation sweep).
   kSlowQuery = 8,         ///< a = latency_ns, b = trace id.
   kWatchdogStall = 9,     ///< a = stalled-for ns, code = probe index.
 };

@@ -36,7 +36,7 @@ void QueryDiag::WriteJson(std::ostream& os) const {
   os << ",\"cache_hit\":" << (cache_hit ? "true" : "false")
      << ",\"precise\":" << (precise ? "true" : "false")
      << ",\"epoch\":" << epoch << ",\"graph_version\":" << graph_version
-     << ",\"trace_id\":" << trace_id;
+     << ",\"answer_epoch\":" << answer_epoch << ",\"trace_id\":" << trace_id;
   if (!considered.empty()) {
     os << ",\"considered\":[";
     for (size_t i = 0; i < considered.size(); ++i) {
@@ -73,7 +73,8 @@ void QueryDiag::WriteText(std::ostream& os) const {
   os << " index-node visits)\n";
   os << "cache: " << (cache_hit ? "hit" : "miss")
      << "  precise: " << (precise ? "yes" : "no") << "  epoch: " << epoch
-     << "  graph_version: " << graph_version << "\n";
+     << "  graph_version: " << graph_version
+     << "  answer_epoch: " << answer_epoch << "\n";
   if (!considered.empty()) {
     os << "considered:\n";
     for (const Candidate& c : considered) {

@@ -30,8 +30,12 @@ struct QueryDiag {
 
   std::string query;           ///< Printed path expression.
   uint64_t trace_id = 0;       ///< Span-trace exemplar id; 0 = untraced.
-  uint64_t epoch = 0;          ///< Answer-cache epoch of the snapshot.
+  uint64_t epoch = 0;          ///< Index epoch of the snapshot.
   uint64_t graph_version = 0;  ///< Mutation batches behind the snapshot.
+  /// Index epoch the answer was computed on: `epoch` on a miss, the cache
+  /// entry's on a hit. A hit from an earlier epoch (a refinement has
+  /// published since, on the same graph version) carries no target ids.
+  uint64_t answer_epoch = 0;
   bool cache_hit = false;
   bool precise = true;  ///< Answer certified without validation.
 

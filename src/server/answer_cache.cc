@@ -25,16 +25,18 @@ ShardedAnswerCache::ShardedAnswerCache(size_t capacity, size_t num_shards)
 }
 
 CachedAnswerPtr ShardedAnswerCache::Get(const std::string& key,
-                                        std::optional<uint64_t> epoch) {
+                                        std::optional<uint64_t> generation) {
   Shard& shard = ShardFor(key);
   CachedAnswerPtr hit;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    // Every entry in a shard carries the shard's epoch: Put admits only
-    // that epoch and Invalidate clears the entries as it advances it.
+    // Every entry in a shard carries the shard's generation: Put admits
+    // only that generation and Invalidate clears the entries as it
+    // advances it.
     const CachedAnswerPtr* cached =
-        epoch.has_value() && *epoch != shard.epoch ? nullptr
-                                                   : shard.lru.Get(key);
+        generation.has_value() && *generation != shard.generation
+            ? nullptr
+            : shard.lru.Get(key);
     if (cached != nullptr) {
       ++shard.stats.hits;
       hit = *cached;  // Refcount bump; no payload copy under the lock.
@@ -47,12 +49,12 @@ CachedAnswerPtr ShardedAnswerCache::Get(const std::string& key,
 }
 
 void ShardedAnswerCache::Put(const std::string& key, CachedAnswerPtr value,
-                             uint64_t epoch) {
+                             uint64_t generation) {
   Shard& shard = ShardFor(key);
   bool evicted = false;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.epoch != epoch) {  // Stale: index republished since.
+    if (shard.generation != generation) {  // Stale: invalidated since.
       ++shard.stats.stale_drops;
       return;
     }
@@ -62,27 +64,30 @@ void ShardedAnswerCache::Put(const std::string& key, CachedAnswerPtr value,
   if (evicted) evictions_counter_->Increment();
 }
 
-CachedAnswerPtr ShardedAnswerCache::Wrap(const QueryResult& result) {
+CachedAnswerPtr ShardedAnswerCache::Wrap(const QueryResult& result,
+                                         uint64_t index_epoch) {
   auto entry = std::make_shared<CachedAnswer>();
   entry->answer = Extent::FromSorted(std::vector<NodeId>(result.answer));
   entry->target = result.target;
   entry->precise = result.precise;
+  entry->index_epoch = index_epoch;
   return entry;
 }
 
-QueryResult ShardedAnswerCache::Unwrap(const CachedAnswer& entry) {
+QueryResult ShardedAnswerCache::Unwrap(const CachedAnswer& entry,
+                                       uint64_t index_epoch) {
   QueryResult result;
   result.answer = entry.answer.Materialize();
-  result.target = entry.target;
+  if (entry.index_epoch == index_epoch) result.target = entry.target;
   result.precise = entry.precise;
   return result;
 }
 
-void ShardedAnswerCache::Invalidate(uint64_t new_epoch) {
+void ShardedAnswerCache::Invalidate(uint64_t new_generation) {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     shard->lru.Clear();
-    shard->epoch = new_epoch;
+    shard->generation = new_generation;
   }
 }
 

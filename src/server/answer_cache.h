@@ -28,6 +28,9 @@ struct CachedAnswer {
   Extent answer;                      ///< Sorted data-node answer set.
   std::vector<IndexNodeId> target;    ///< Target index nodes.
   bool precise = true;                ///< Was the index precise?
+  /// Index epoch the answer was computed on. `target` names nodes of that
+  /// index only, so Unwrap drops it for a reader on another epoch.
+  uint64_t index_epoch = 0;
 };
 
 using CachedAnswerPtr = std::shared_ptr<const CachedAnswer>;
@@ -40,12 +43,15 @@ using CachedAnswerPtr = std::shared_ptr<const CachedAnswer>;
 /// independently locked LruCache, so workers hitting different shards
 /// never contend; the total capacity is split evenly across shards.
 ///
-/// Entries are tagged with the index epoch they were computed under.
-/// Publishing a refined index bumps the epoch and clears the cache; a
-/// racing insert that started under the old epoch is rejected by Put, and
-/// Get(key, epoch) refuses an entry from another epoch than the reader's,
-/// so a reader never sees an answer computed on a different snapshot than
-/// its own (after a mutation, such an answer can be wrong).
+/// Entries are tagged with the *generation* they were computed under: an
+/// owner-chosen number that changes exactly when cached answers may stop
+/// being right. ConcurrentSession uses the graph version, so only a
+/// mutation invalidates; the serial session, which never mutates, counts
+/// its refinements. Invalidate(g) clears the cache and makes g current; a
+/// racing insert that started under an older generation is rejected by
+/// Put, and Get(key, g) refuses an entry from another generation than the
+/// reader's, so a reader never sees an answer computed on a different
+/// graph than its own (after a mutation, such an answer can be wrong).
 class ShardedAnswerCache {
  public:
   /// `capacity` is the total entry bound across all shards; `num_shards`
@@ -56,31 +62,35 @@ class ShardedAnswerCache {
   /// its recency), or null on miss. The handle stays valid after
   /// Invalidate/eviction — entries are immutable and refcounted.
   ///
-  /// A reader on snapshot `epoch` hits only an entry computed under that
-  /// same epoch. A publication swaps the snapshot *before* it invalidates
-  /// the cache, so in between a reader already on the new snapshot would
-  /// otherwise be served an answer computed on the old one. Without
-  /// `epoch` any cached entry is served — for a single owner that never
-  /// reads across a publication.
+  /// A reader of generation `generation` hits only an entry computed under
+  /// that same generation. A publication swaps the snapshot *before* it
+  /// invalidates the cache, so in between a reader already on the new
+  /// snapshot would otherwise be served an answer computed on the old one.
+  /// Without `generation` any cached entry is served — for a single owner
+  /// that never reads across a publication.
   CachedAnswerPtr Get(const std::string& key,
-                      std::optional<uint64_t> epoch = std::nullopt);
+                      std::optional<uint64_t> generation = std::nullopt);
 
-  /// Inserts `value` computed under `epoch`; dropped silently if the
-  /// current epoch has moved on (a refinement was published in between).
-  void Put(const std::string& key, CachedAnswerPtr value, uint64_t epoch);
+  /// Inserts `value` computed under `generation`; dropped silently if the
+  /// current generation has moved on (the owner invalidated in between).
+  void Put(const std::string& key, CachedAnswerPtr value,
+           uint64_t generation);
 
-  /// Seals a freshly computed result into an immutable cache entry.
+  /// Seals a result computed on the index of epoch `index_epoch` (0 for an
+  /// owner that only ever has one index) into an immutable cache entry.
   /// `result.answer` must be sorted and duplicate-free (QueryResult's
   /// contract); the Extent conversion may compress it.
-  static CachedAnswerPtr Wrap(const QueryResult& result);
+  static CachedAnswerPtr Wrap(const QueryResult& result,
+                              uint64_t index_epoch = 0);
 
-  /// The inverse of Wrap: a QueryResult with the entry's answer, target and
-  /// precision, and zeroed stats (a cache hit visits no nodes).
-  static QueryResult Unwrap(const CachedAnswer& entry);
+  /// The inverse of Wrap for a reader on the index of epoch `index_epoch`:
+  /// the entry's answer and precision, zeroed stats (a cache hit visits no
+  /// nodes), and the entry's target only if it was computed on that same
+  /// index — another index's node ids would name the wrong nodes.
+  static QueryResult Unwrap(const CachedAnswer& entry, uint64_t index_epoch);
 
-  /// Clears all shards and records `new_epoch` as current. Called by the
-  /// writer right after it publishes the snapshot of epoch `new_epoch`.
-  void Invalidate(uint64_t new_epoch);
+  /// Clears all shards and records `new_generation` as current.
+  void Invalidate(uint64_t new_generation);
 
   /// Current entry count across shards (approximate under concurrency).
   size_t size() const;
@@ -93,9 +103,9 @@ class ShardedAnswerCache {
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0;
-    /// Puts rejected because the index epoch moved between computing the
+    /// Puts rejected because the generation moved between computing the
     /// answer and inserting it (the stale-entry guard the differential
-    /// stress checker asserts on).
+    /// stress checkers report).
     uint64_t stale_drops = 0;
   };
 
@@ -108,7 +118,7 @@ class ShardedAnswerCache {
   struct Shard {
     std::mutex mu;
     LruCache<std::string, CachedAnswerPtr> lru;
-    uint64_t epoch = 0;
+    uint64_t generation = 0;
     ShardStats stats;
 
     explicit Shard(size_t capacity) : lru(capacity) {}

@@ -1,5 +1,6 @@
 #include "server/concurrent_session.h"
 
+#include <chrono>
 #include <utility>
 
 #include "obs/flight_recorder.h"
@@ -62,6 +63,8 @@ ConcurrentSession::ConcurrentSession(const DataGraph& graph,
 }
 
 ConcurrentSession::~ConcurrentSession() {
+  // The refiner returns at its next check of stop_: an owed replay or a
+  // pending refinement would publish to nobody.
   {
     std::lock_guard<std::mutex> lock(inbox_mu_);
     stop_ = true;
@@ -127,7 +130,9 @@ ConcurrentSession::VersionedAnswer ConcurrentSession::QueryInternal(
     // version the query was parsed against.
     key = query.ToString(snapshot->graph().symbols());
     const uint64_t lookup_start = obs::MonotonicNowNs();
-    const CachedAnswerPtr hit = cache_.Get(key, answer.epoch);
+    // Tagged by graph version: a refinement publish changes no answer, so
+    // entries survive it; only a mutation invalidates.
+    const CachedAnswerPtr hit = cache_.Get(key, answer.graph_version);
     const bool found = hit != nullptr;
     const uint64_t lookup_ns = obs::MonotonicNowNs() - lookup_start;
     metrics_.cache_lookup_ns->Record(lookup_ns);
@@ -143,8 +148,9 @@ ConcurrentSession::VersionedAnswer ConcurrentSession::QueryInternal(
       metrics_.queries_total->Increment();
       root.AddAttr("cache_hit", 1);
       // Rehydrate outside the shard lock; stats stay zeroed (a cache hit
-      // visits no nodes).
-      QueryResult rehydrated = ShardedAnswerCache::Unwrap(*hit);
+      // visits no nodes), and an entry from another index epoch comes
+      // without its target ids.
+      QueryResult rehydrated = ShardedAnswerCache::Unwrap(*hit, answer.epoch);
       const uint64_t total_ns = obs::MonotonicNowNs() - begin_ns;
       const bool is_slow = slow_capture && total_ns >= options_.slow_query_ns;
       if (diag != nullptr || is_slow) {
@@ -155,6 +161,7 @@ ConcurrentSession::VersionedAnswer ConcurrentSession::QueryInternal(
         d->query = key;
         d->epoch = answer.epoch;
         d->graph_version = answer.graph_version;
+        d->answer_epoch = hit->index_epoch;
         d->cache_hit = true;
         d->precise = hit->precise;
         d->latency_ns = total_ns;
@@ -234,7 +241,8 @@ ConcurrentSession::VersionedAnswer ConcurrentSession::QueryInternal(
   stat_data_nodes_.fetch_add(result.stats.data_nodes_validated,
                              std::memory_order_relaxed);
   if (options_.cache_results) {
-    cache_.Put(key, ShardedAnswerCache::Wrap(result), answer.epoch);
+    cache_.Put(key, ShardedAnswerCache::Wrap(result, answer.epoch),
+               answer.graph_version);
   }
 
   const uint64_t total_ns = obs::MonotonicNowNs() - begin_ns;
@@ -247,6 +255,7 @@ ConcurrentSession::VersionedAnswer ConcurrentSession::QueryInternal(
                    : query.ToString(snapshot->graph().symbols());
     d->epoch = answer.epoch;
     d->graph_version = answer.graph_version;
+    d->answer_epoch = answer.epoch;
     d->cache_hit = false;
     d->precise = result.precise;
     d->strategy = StrategyName(used);
@@ -327,17 +336,29 @@ Result<ConcurrentSession::MutationReceipt> ConcurrentSession::ApplyMutations(
   }
   MRX_ASSIGN_OR_RETURN(mutate::LiveGraph::Step step, live_->Apply(batch));
 
-  // A fresh index over the new version with every FUP promoted so far
-  // replayed in promotion order: exactly what a fresh session on the new
-  // graph would serve after promoting the same FUPs.
-  MStarIndex index(live_->graph());
-  index.set_thread_pool(refine_pool_.get());
-  if (!fups_.fups().empty()) index.RefineBatch(fups_.fups());
-
+  // Publish first: the coarse index over the new version is exact, since
+  // validation covers every under-refined node (§4.1); refinement only
+  // makes it faster, so the FUP replay runs on the refiner afterwards.
+  MStarIndex coarse(live_->graph());
   const uint64_t publish_start = obs::MonotonicNowNs();
   const std::shared_ptr<mutate::VersionSnapshot> snapshot =
-      PublishLocked(std::move(index), live_->graph_ptr(), step.version);
+      PublishLocked(std::move(coarse), live_->graph_ptr(), step.version);
+  // Invalidate after the swap: entries admitted before this are wiped, and
+  // a racing Put tagged with an older version is dropped by the guard.
+  // Until the wipe lands, readers already on the new snapshot miss the old
+  // entries because Get checks their version — so no pre-mutation answer
+  // is served to a post-mutation reader.
+  cache_.Invalidate(step.version);
+  obs::FlightRecorder::Global().Record(
+      obs::FlightEventType::kCacheEvictionSweep, step.version);
   metrics_.publish_ns->Record(obs::MonotonicNowNs() - publish_start);
+  if (!fups_.fups().empty()) {
+    {
+      std::lock_guard<std::mutex> inbox_lock(inbox_mu_);
+      replay_owed_ = true;
+    }
+    inbox_cv_.notify_one();
+  }
   obs::FlightRecorder::Global().Record(
       obs::FlightEventType::kMutationApply,
       obs::MonotonicNowNs() - apply_start, step.version);
@@ -372,20 +393,37 @@ void ConcurrentSession::RefineLoop() {
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(inbox_mu_);
-      inbox_cv_.wait(lock, [&] { return stop_ || !inbox_.empty(); });
-      if (inbox_.empty()) {
+      for (;;) {
         if (stop_) return;
-        continue;
+        if (replay_owed_ && fault::hold_replay.load()) {
+          // Held by the test-only pause point, which signals nothing when
+          // it is cleared: poll it.
+          inbox_cv_.wait_for(lock, std::chrono::milliseconds(1));
+        } else if (replay_owed_ || !inbox_.empty()) {
+          break;
+        } else {
+          inbox_cv_.wait(lock);
+        }
       }
       batch.clear();
       batch.swap(inbox_);
       metrics_.inbox_backlog->Set(0);
     }
 
-    // FUP extraction and refinement run under the writer mutex
-    // (serializing with ApplyMutations), on a clone of the published index
-    // — readers are undisturbed until the publish swaps the snapshot.
+    // FUP extraction, refinement and the replay run under the writer mutex
+    // (serializing with ApplyMutations), on an index no reader sees until
+    // the publish swaps the snapshot.
     std::lock_guard<std::mutex> writer_lock(refine_mu_);
+    bool owed = false;
+    bool replay = false;
+    {
+      std::lock_guard<std::mutex> lock(inbox_mu_);
+      if (stop_) return;
+      // A mutation may have landed while this thread waited for the lock;
+      // the pause point holds its replay too.
+      owed = replay_owed_;
+      replay = owed && !fault::hold_replay.load();
+    }
     const uint64_t batch_start = obs::MonotonicNowNs();
     obs::StallWatchdog::ScopedActivity watch(refine_activity_, batch_start);
     std::vector<PathExpression> promoted;
@@ -397,20 +435,24 @@ void ConcurrentSession::RefineLoop() {
     uint64_t publish_start = 0;
     uint64_t publish_ns = 0;
     std::shared_ptr<mutate::VersionSnapshot> published;
-    if (promotions > 0) {
-      // One RefineBatch call per drained inbox: target evaluation for the
-      // whole promoted set fans out over the refine pool (when
-      // configured), and the serial refinement that follows is identical
-      // to per-query Refine calls in order.
+    // While a replay is owed, promotions wait for it: it refines by every
+    // FUP, these included.
+    if (replay || (!owed && promotions > 0)) {
+      // The replay is a fresh index over the current graph refined by
+      // every FUP in promotion order, i.e. what a fresh session on this
+      // graph serves after promoting the same FUPs. A refinement refines a
+      // clone of the published index by the new FUPs only. Either way one
+      // RefineBatch call fans target evaluation out over the refine pool
+      // (when configured), and the serial refinement that follows is
+      // identical to per-query Refine calls in order.
       const std::shared_ptr<mutate::VersionSnapshot> current =
           handle_.Acquire();
-      MStarIndex index = current->index().Clone();
+      MStarIndex index = replay ? MStarIndex(current->graph())
+                                : current->index().Clone();
       index.set_thread_pool(refine_pool_.get());
       const uint64_t splits_before = index.TotalRefinementStats().splits;
-      index.RefineBatch(promoted);
+      index.RefineBatch(replay ? fups_.fups() : promoted);
       splits = index.TotalRefinementStats().splits - splits_before;
-      refinements_applied_.fetch_add(promotions, std::memory_order_relaxed);
-      metrics_.fup_promotions->Increment(promotions);
       metrics_.partition_splits->Increment(splits);
 
       publish_start = obs::MonotonicNowNs();
@@ -422,10 +464,14 @@ void ConcurrentSession::RefineLoop() {
           obs::FlightEventType::kRefinePublish, publish_ns,
           published->epoch());
     }
+    // Counted after their publish or, when an owed replay holds them
+    // back, now: that replay applies them.
+    refinements_applied_.fetch_add(promotions, std::memory_order_relaxed);
+    metrics_.fup_promotions->Increment(promotions);
 
-    // Refinement batches are rare and high-signal, so they bypass the
-    // per-query sampler — every promoted batch shows up in the trace.
-    if (promotions > 0 && options_.tracer != nullptr) {
+    // Refinement batches and replays are rare and high-signal, so they
+    // bypass the per-query sampler — every one shows up in the trace.
+    if (published != nullptr && options_.tracer != nullptr) {
       obs::Span span = options_.tracer->StartTrace("refine_batch",
                                                    /*always_sample=*/true);
       if (span.enabled()) {
@@ -433,6 +479,7 @@ void ConcurrentSession::RefineLoop() {
         publish.EndManual(publish_start, publish_ns);
         span.AddAttr("batch_observations", batch.size());
         span.AddAttr("fup_promotions", promotions);
+        span.AddAttr("fup_replay", replay ? fups_.fups().size() : 0);
         span.AddAttr("partition_splits", splits);
         span.AddAttr("index_physical_nodes",
                      published->index().PhysicalNodeCount());
@@ -443,6 +490,7 @@ void ConcurrentSession::RefineLoop() {
     {
       std::lock_guard<std::mutex> lock(inbox_mu_);
       processed_ += batch.size();
+      if (replay) replay_owed_ = false;
     }
     drained_cv_.notify_all();
   }
@@ -459,15 +507,6 @@ std::shared_ptr<mutate::VersionSnapshot> ConcurrentSession::PublishLocked(
   auto chooser = std::make_shared<const StrategyChooser>(*fresh);
   std::shared_ptr<mutate::VersionSnapshot> snapshot = handle_.Publish(
       std::move(graph), fresh, std::move(chooser), version);
-  // Invalidate after the swap: entries admitted before this are wiped, and
-  // a racing Put tagged with an older epoch is dropped by the epoch guard.
-  // Until the wipe lands, readers already on the new snapshot miss the old
-  // entries because Get checks their epoch — so no pre-publication answer
-  // is served to a post-publication reader (the mutation-staleness
-  // contract).
-  cache_.Invalidate(snapshot->epoch());
-  obs::FlightRecorder::Global().Record(
-      obs::FlightEventType::kCacheEvictionSweep, snapshot->epoch());
   publications_.fetch_add(1, std::memory_order_relaxed);
 
   // Both physical counts come from one walk per component, reading
@@ -488,7 +527,8 @@ std::shared_ptr<mutate::VersionSnapshot> ConcurrentSession::PublishLocked(
 
 void ConcurrentSession::DrainRefinements() {
   std::unique_lock<std::mutex> lock(inbox_mu_);
-  drained_cv_.wait(lock, [&] { return processed_ == submitted_; });
+  drained_cv_.wait(
+      lock, [&] { return processed_ == submitted_ && !replay_owed_; });
 }
 
 uint64_t ConcurrentSession::observations_pending() const {

@@ -24,6 +24,19 @@
 #include "util/thread_pool.h"
 #include "workload/fup_extractor.h"
 
+namespace mrx::fault {
+
+/// Test-only pause point for the publish-first window: while true, a
+/// ConcurrentSession refiner that owes a FUP replay (a mutation has
+/// published its coarse index) holds still — it neither replays nor drains
+/// its inbox — so readers stay on the coarse index for as long as the
+/// flag is set. Clearing it releases the refiner within a millisecond;
+/// destroying the session releases it at once, without the replay. Tests
+/// and `mrx check --mode mutate-stress` set it; never set it elsewhere.
+inline std::atomic<bool> hold_replay{false};
+
+}  // namespace mrx::fault
+
 namespace mrx::server {
 
 /// Options for ConcurrentSession.
@@ -51,9 +64,9 @@ struct ConcurrentSessionOptions {
   /// statistics, not work items — a hot query will be observed again).
   size_t inbox_capacity = 1 << 16;
 
-  /// Worker threads for the writer's batch target evaluation (refinement
+  /// Worker threads for the refiner's batch target evaluation (refinement
   /// and the FUP replay after a mutation; see docs/PERFORMANCE.md). 0 or 1
-  /// keeps the writer fully serial. The refined index is byte-identical
+  /// keeps the refiner fully serial. The refined index is byte-identical
   /// for every value — parallelism changes publish latency, not results.
   size_t refine_threads = 1;
 
@@ -95,19 +108,26 @@ struct ConcurrentSessionOptions {
 ///    published M*(k)-index and publishes the clone as a fresh snapshot.
 ///    Readers therefore never observe a half-refined hierarchy, and
 ///    refinement cost never rides on the query path.
-///  - ApplyMutations() steps the session's LiveGraph (src/mutate/) to the
-///    next graph version atomically, builds a fresh index over it, replays
-///    every FUP promoted so far, and publishes — so the published index is
-///    indistinguishable from a fresh session on the new graph that
-///    promoted the same FUPs. Mutations serialize with the refiner on one
+///  - ApplyMutations() publishes first and refines after. It steps the
+///    session's LiveGraph (src/mutate/) to the next graph version, builds
+///    the coarse A(0)-based M*(k)-index over it, publishes that, and — when
+///    FUPs have been promoted — records that the refiner owes the version a
+///    replay. The refiner then builds a fresh index over the current graph,
+///    replays every FUP in promotion order (FUPs promoted meanwhile fold
+///    in, and mutations that land before it runs share one replay) and
+///    publishes, so after DrainRefinements() the served index is exactly a
+///    fresh session on the new graph that promoted the same FUPs. Between
+///    the two publishes answers stay exact: validation covers every
+///    under-refined node. Mutations serialize with the refiner on one
 ///    writer mutex; readers are never blocked beyond the snapshot-pointer
 ///    swap.
-///  - Publishing (refinement or mutation) bumps the answer-cache epoch and
-///    invalidates the sharded cache; racing inserts tagged with the old
-///    epoch are dropped, and a lookup hits only entries computed under
-///    the reader's own snapshot epoch (the swap precedes the
-///    invalidation). This is what keeps cached answers from surviving a
-///    graph mutation that changed them.
+///  - Every publication bumps the index epoch. The answer cache is tagged
+///    with the graph version instead, so only a mutation invalidates it:
+///    racing inserts tagged with the old version are dropped, and a lookup
+///    hits only entries computed on the reader's own graph version (the
+///    swap precedes the invalidation). A refinement publish keeps the
+///    cache — refinement changes no answer — and a hit on an entry from
+///    another index epoch returns no target ids.
 ///
 /// Answers are always exact for the snapshot they were computed on (as in
 /// the serial session): under-refined index nodes are validated against
@@ -118,7 +138,7 @@ class ConcurrentSession {
   struct MutationReceipt {
     uint64_t version = 0;           ///< Graph version after the batch.
     std::vector<NodeId> new_nodes;  ///< Appended nodes, new compact ids.
-    /// Answer-cache epoch of the publication that made the new version
+    /// Index epoch of the (coarse) publication that made the new version
     /// visible to readers.
     uint64_t epoch = 0;
   };
@@ -126,7 +146,7 @@ class ConcurrentSession {
   /// A query answer tagged with the snapshot it was computed on.
   struct VersionedAnswer {
     QueryResult result;
-    uint64_t epoch = 0;          ///< Answer-cache epoch of the snapshot.
+    uint64_t epoch = 0;          ///< Index epoch of the snapshot.
     uint64_t graph_version = 0;  ///< Mutation batches behind the snapshot.
   };
 
@@ -157,16 +177,19 @@ class ConcurrentSession {
                              obs::QueryDiag* diag);
 
   /// Applies `batch` to the data graph atomically and publishes a new
-  /// snapshot (fresh index over the new graph with every promoted FUP
-  /// replayed). Node ids in `batch` refer to graph_snapshot()'s compact id
-  /// space at version graph_version(). On failure nothing changes and
-  /// readers keep the current snapshot. Thread-safe; mutators serialize
-  /// with each other and the refiner.
+  /// snapshot over the coarse (A(0)-based) index of the new graph; the
+  /// refiner replays the promoted FUPs afterwards and publishes again.
+  /// Node ids in `batch` refer to graph_snapshot()'s compact id space at
+  /// version graph_version(). On failure nothing changes and readers keep
+  /// the current snapshot. Thread-safe; mutators serialize with each other
+  /// and the refiner.
   Result<MutationReceipt> ApplyMutations(const mutate::MutationBatch& batch);
 
   /// Blocks until every observation recorded so far has been processed by
-  /// the refinement worker and any resulting index publication is visible.
-  /// Tests and benchmarks use this to reach a deterministic index state.
+  /// the refinement worker, every owed FUP replay has published, and any
+  /// resulting index publication is visible. Tests and benchmarks use this
+  /// to reach a deterministic index state. Never returns while
+  /// fault::hold_replay holds an owed replay.
   void DrainRefinements();
 
   uint64_t queries_answered() const {
@@ -219,7 +242,7 @@ class ConcurrentSession {
   }
 
   /// Epoch of the currently published snapshot (starts at 0, bumped per
-  /// publication — refinement or mutation).
+  /// publication — refinement, mutation or replay).
   uint64_t index_epoch() const;
 
   /// Graph version of the currently published snapshot (mutation batches
@@ -284,8 +307,9 @@ class ConcurrentSession {
   void RefineLoop();
 
   /// Publishes `index` over `graph` at graph version `version` as a fresh
-  /// snapshot, invalidates the answer cache under the new epoch, and
-  /// refreshes the index-size gauges. Caller holds refine_mu_.
+  /// snapshot and refreshes the index-size gauges. Leaves the answer cache
+  /// alone: a caller that publishes a new graph version invalidates it.
+  /// Caller holds refine_mu_.
   std::shared_ptr<mutate::VersionSnapshot> PublishLocked(
       MStarIndex index, std::shared_ptr<const DataGraph> graph,
       uint64_t version);
@@ -315,6 +339,10 @@ class ConcurrentSession {
   std::vector<PathExpression> inbox_;
   uint64_t submitted_ = 0;  ///< Observations accepted into the inbox.
   uint64_t processed_ = 0;  ///< Observations fully handled (post-publish).
+  /// A mutation published a coarse index and the refiner has not replayed
+  /// the FUPs over it yet. Set by ApplyMutations and cleared by the
+  /// refiner's replay, both under refine_mu_ as well.
+  bool replay_owed_ = false;
   bool stop_ = false;
 
   // --- Writer state (refiner thread and mutators) ------------------------
@@ -324,7 +352,7 @@ class ConcurrentSession {
 
   /// The writer's whole state besides the published snapshot, all guarded
   /// by refine_mu_: the FUP extractor (its fups() are the replay set after
-  /// a mutation), the pool the writer's target evaluation runs on (null
+  /// a mutation), the pool the refiner's target evaluation runs on (null
   /// when refine_threads ≤ 1), and the live graph, created on the first
   /// ApplyMutations so sessions that never mutate pay nothing.
   FupExtractor fups_;

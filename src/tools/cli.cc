@@ -1112,7 +1112,8 @@ int CmdCheck(const Options& options, std::ostream& out, std::ostream& err) {
         << " mismatches=" << report.mismatches << " epoch_regressions="
         << report.epoch_regressions << " final_mismatches="
         << report.final_mismatches << " stale_put_drops="
-        << report.stale_put_drops << "\n";
+        << report.stale_put_drops << " held_batches=" << report.held_batches
+        << "\n";
     out << (report.ok() ? "OK\n" : "FAILED\n");
     return report.ok() ? 0 : 1;
   }

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "mutate/mutation.h"
+#include "obs/query_diag.h"
 #include "server/answer_cache.h"
 #include "server/concurrent_session.h"
 #include "tests/test_util.h"
@@ -27,10 +28,11 @@ uint64_t TotalStaleDrops(const ShardedAnswerCache& cache) {
   return total;
 }
 
-/// The invariant under test: an answer computed under epoch E is never
-/// served once epoch E+1 has been published. Both halves matter — entries
-/// cached before the publish are cleared, and racing inserts tagged with
-/// the old epoch are rejected instead of repopulating the fresh cache.
+/// The invariant under test: an answer computed under generation G (the
+/// concurrent session's graph version) is never served once G+1 has been
+/// published. Both halves matter — entries cached before the publish are
+/// cleared, and racing inserts tagged with the old generation are rejected
+/// instead of repopulating the fresh cache.
 
 TEST(AnswerCacheEpochTest, InvalidateClearsCachedAnswers) {
   ShardedAnswerCache cache(64, 4);
@@ -114,9 +116,60 @@ TEST(AnswerCacheEpochTest, SessionNeverServesStaleAnswersAcrossPublishes) {
     session.DrainRefinements();
   }
   EXPECT_GT(session.index_publications(), 0u);
-  // After the final publish the cache was invalidated; the next Query
-  // recomputes on the refined index and must still agree.
+  // Refinement publishes keep the cache (the graph version never moved),
+  // so the next Query may be served from an entry computed on an earlier
+  // index; it must still agree.
   EXPECT_EQ(session.Query(*q).answer, expected);
+}
+
+/// Refinement changes no answer, so the cache is tagged with the graph
+/// version and a refinement publish keeps its entries. A hit across such a
+/// publish returns the answer but no target ids, because those ids name
+/// nodes of an index that is no longer served; EXPLAIN reports the epoch
+/// the entry was computed on. Only a mutation drops the entry.
+TEST(AnswerCacheEpochTest, RefinementPublishKeepsCachedAnswers) {
+  const DataGraph g = MakeFigure3Graph();
+  ConcurrentSessionOptions options;
+  options.refine_after = 2;
+  ConcurrentSession session(g, options);
+  Result<PathExpression> q = PathExpression::Parse("/r/a/b", g.symbols());
+  ASSERT_TRUE(q.ok());
+
+  const QueryResult cold = session.Query(*q);  // Miss: cached at epoch 0.
+  EXPECT_FALSE(cold.target.empty());
+  session.Query(*q);  // Hit; promotes the query in the background.
+  EXPECT_EQ(session.cache_hits(), 1u);
+  session.DrainRefinements();  // Refined index published.
+  ASSERT_GE(session.index_epoch(), 1u);
+  EXPECT_EQ(session.cache_entries(), 1u);
+
+  obs::QueryDiag diag;
+  const QueryResult hit = session.QueryExplained(*q, &diag);
+  EXPECT_EQ(session.cache_hits(), 2u);
+  EXPECT_EQ(hit.answer, cold.answer);
+  EXPECT_TRUE(hit.target.empty());
+  EXPECT_TRUE(diag.cache_hit);
+  EXPECT_EQ(diag.answer_epoch, 0u);
+  EXPECT_EQ(diag.epoch, session.index_epoch());
+
+  ASSERT_TRUE(
+      session.ApplyMutations({mutate::Mutation::AppendLeaf(0, "z")}).ok());
+  EXPECT_EQ(session.cache_entries(), 0u);
+  EXPECT_EQ(session.Query(*q).answer, cold.answer);  // Miss: recomputed.
+  EXPECT_EQ(session.cache_hits(), 2u);
+}
+
+TEST(AnswerCacheEpochTest, UnwrapKeepsTargetsOnlyOnTheirOwnIndex) {
+  QueryResult r;
+  r.answer = {3, 5};
+  r.target = {1};
+  const CachedAnswerPtr entry = ShardedAnswerCache::Wrap(r, /*index_epoch=*/2);
+  EXPECT_EQ(entry->index_epoch, 2u);
+  EXPECT_EQ(ShardedAnswerCache::Unwrap(*entry, 2).target,
+            (std::vector<IndexNodeId>{1}));
+  const QueryResult other = ShardedAnswerCache::Unwrap(*entry, 3);
+  EXPECT_EQ(other.answer, (std::vector<NodeId>{3, 5}));
+  EXPECT_TRUE(other.target.empty());
 }
 
 /// The mutation half of the invariant (satellite of the live-update

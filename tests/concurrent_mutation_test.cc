@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -224,6 +225,123 @@ TEST(ConcurrentMutationTest, PooledWriterRacesReaders) {
   for (const PathExpression& q : queries) {
     EXPECT_EQ(session.Peek(q).answer, ground_truth.Evaluate(q));
   }
+}
+
+/// Sets fault::hold_replay for its scope, so a failing assertion cannot
+/// leave the refiner held for the tests that follow.
+class ReplayHold {
+ public:
+  ReplayHold() { fault::hold_replay.store(true); }
+  ~ReplayHold() { Release(); }
+  void Release() { fault::hold_replay.store(false); }
+};
+
+TEST(ConcurrentMutationTest, CoarseIndexServesTheWindowBeforeTheReplay) {
+  // Publish first, refine after: with the refiner held between a
+  // mutation's coarse publish and its FUP replay, readers already see the
+  // new version, exactly, on the one-component A(0)-based index. Once the
+  // refiner is released and drained, the served index is the fresh replay.
+  const DataGraph g = MakeFigure1Graph();
+  ConcurrentSessionOptions options;
+  options.refine_after = 2;
+  ConcurrentSession session(g, options);
+  const std::vector<PathExpression> queries = {
+      Q(g, "//auction/bidder"), Q(g, "//auction/seller/person"),
+      Q(g, "//person"), Q(g, "//regions//item"), Q(g, "/site/auction")};
+  FupExtractor mirror(FupExtractor::Options{options.refine_after, 0});
+  auto query = [&](const PathExpression& q) {
+    mirror.Observe(q);
+    return session.QueryVersioned(q);
+  };
+  for (int i = 0; i < 2; ++i) {
+    query(queries[0]);
+    query(queries[1]);
+  }
+  session.DrainRefinements();
+  ASSERT_EQ(session.refinements_applied(), 2u);
+  ASSERT_GT(session.published_components(), 1u);
+
+  ReplayHold hold;
+  auto receipt =
+      session.ApplyMutations({mutate::Mutation::AppendLeaf(10, "bidder")});
+  ASSERT_TRUE(receipt.ok()) << receipt.status().ToString();
+  std::shared_ptr<const DataGraph> now = session.graph_snapshot();
+  DataEvaluator ground_truth(*now);
+  for (int round = 0; round < 2; ++round) {  // Misses, then cache hits.
+    for (const PathExpression& q : queries) {
+      const ConcurrentSession::VersionedAnswer a = query(q);
+      EXPECT_EQ(a.graph_version, 1u);
+      EXPECT_EQ(a.epoch, receipt->epoch);
+      EXPECT_EQ(a.result.answer, ground_truth.Evaluate(q))
+          << q.ToString(now->symbols());
+    }
+  }
+  // Held means held: an unheld refiner replays this graph in far less
+  // time than this.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(session.published_components(), 1u);
+  EXPECT_GT(session.observations_pending(), 0u);
+  EXPECT_EQ(session.index_epoch(), receipt->epoch);
+
+  hold.Release();
+  session.DrainRefinements();
+  EXPECT_GT(session.index_epoch(), receipt->epoch);
+  auto expect_fresh_replay = [&] {
+    std::shared_ptr<const DataGraph> graph = session.graph_snapshot();
+    MStarIndex fresh(*graph);
+    fresh.RefineBatch(mirror.fups());
+    EXPECT_EQ(session.published_components(), fresh.num_components());
+    DataEvaluator validator(*graph);
+    for (const PathExpression& q : queries) {
+      const QueryResult served = session.Peek(q);
+      const QueryResult want =
+          fresh.Query(MStarQueryStrategy::kTopDown, q, &validator);
+      EXPECT_EQ(served.answer, want.answer);
+      EXPECT_EQ(served.target, want.target);
+      EXPECT_EQ(served.stats.index_nodes_visited,
+                want.stats.index_nodes_visited);
+      EXPECT_EQ(served.stats.data_nodes_validated,
+                want.stats.data_nodes_validated);
+    }
+  };
+  expect_fresh_replay();
+
+  // With no observation pending, a drain still waits for the owed replay.
+  ReplayHold second;
+  ASSERT_TRUE(
+      session.ApplyMutations({mutate::Mutation::AppendLeaf(11, "bidder")})
+          .ok());
+  EXPECT_EQ(session.published_components(), 1u);
+  EXPECT_EQ(session.observations_pending(), 0u);
+  second.Release();
+  session.DrainRefinements();
+  expect_fresh_replay();
+}
+
+TEST(ConcurrentMutationTest, DestroyingTheSessionSkipsAnOwedReplay) {
+  const DataGraph g = MakeFigure1Graph();
+  ConcurrentSessionOptions options;
+  options.refine_after = 2;
+  auto session = std::make_unique<ConcurrentSession>(g, options);
+  const PathExpression q = Q(g, "//auction/bidder");
+  session->Query(q);
+  session->Query(q);
+  session->DrainRefinements();
+  ASSERT_EQ(session->refinements_applied(), 1u);
+
+  ReplayHold hold;
+  ASSERT_TRUE(
+      session->ApplyMutations({mutate::Mutation::AppendLeaf(0, "z")}).ok());
+  const obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const uint64_t publishes =
+      registry.Snapshot().FindHistogram("mrx_refine_publish_ns")->count();
+  // The refiner is held on the owed replay; destruction must not wait for
+  // the hold, and the refiner must return instead of replaying.
+  session.reset();
+  hold.Release();
+  EXPECT_EQ(
+      registry.Snapshot().FindHistogram("mrx_refine_publish_ns")->count(),
+      publishes);
 }
 
 TEST(ConcurrentMutationTest, ReadersStayExactDuringMutations) {

@@ -130,28 +130,6 @@ TEST(ConcurrentSessionTest, CacheServesRepeatsWithinEpoch) {
   EXPECT_EQ(warm.stats.total(), 0u);  // Served from the answer cache.
 }
 
-TEST(ConcurrentSessionTest, PublicationInvalidatesCache) {
-  DataGraph g = MakeFigure1Graph();
-  ConcurrentSessionOptions options;
-  options.refine_after = 2;
-  ConcurrentSession session(g, options);
-  PathExpression p = Q(g, "//site/people/person");
-
-  session.Query(p);                        // Cold; cached under epoch 0.
-  session.Query(p);                        // Hit; promotes p in background.
-  EXPECT_EQ(session.cache_hits(), 1u);
-  session.DrainRefinements();              // Refined index published.
-  EXPECT_GE(session.index_epoch(), 1u);
-  EXPECT_EQ(session.cache_entries(), 0u);  // Invalidated at publication.
-
-  QueryResult recomputed = session.Query(p);  // Miss; re-evaluated.
-  EXPECT_EQ(session.cache_hits(), 1u);
-  EXPECT_TRUE(recomputed.precise);
-  QueryResult hit = session.Query(p);  // Cached again under the new epoch.
-  EXPECT_EQ(session.cache_hits(), 2u);
-  EXPECT_EQ(hit.answer, recomputed.answer);
-}
-
 TEST(ConcurrentSessionTest, FullInboxShedsObservationsNotAnswers) {
   DataGraph g = MakeFigure3Graph();
   ConcurrentSessionOptions options;

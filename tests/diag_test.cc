@@ -91,6 +91,7 @@ QueryDiag MakeSampleDiag() {
   d.trace_id = 42;
   d.epoch = 3;
   d.graph_version = 1;
+  d.answer_epoch = 2;
   d.cache_hit = false;
   d.precise = false;
   d.strategy = "topdown";
@@ -121,6 +122,7 @@ TEST(QueryDiagTest, JsonRenderingIsStrictAndComplete) {
   EXPECT_EQ(doc->Find("query")->string_value, "//item/name");
   EXPECT_EQ(doc->Find("strategy")->string_value, "topdown");
   EXPECT_EQ(doc->Find("trace_id")->number_value, 42);
+  EXPECT_EQ(doc->Find("answer_epoch")->number_value, 2);
   EXPECT_DOUBLE_EQ(doc->Find("estimated_cost")->number_value, 7.5);
   const JsonValue* considered = doc->Find("considered");
   ASSERT_NE(considered, nullptr);
