@@ -11,7 +11,9 @@
 //   - serial and 2/4/8-thread BuildStaticHierarchy are timed best-of-reps,
 //   - RefineBatch of the §5 workload's FUPs (the batch the serving
 //     benchmark promotes) is verified identical at 4 threads and serial,
-//     then timed serial and at 4 threads, best-of-reps.
+//     then timed serial and at 4 threads, best-of-reps; a digest of the
+//     serial refined hierarchy is printed, so two builds of the library
+//     can be compared at scale.
 //
 // Emits BENCH_scale_build.json. CI runs `--tiers 500000 --kmax 6 --reps 2`
 // and gates on the 4-thread build speedup (and, through the abort above,
@@ -21,6 +23,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
@@ -91,6 +94,36 @@ bool IdenticalHierarchies(const MStarIndex& a, const MStarIndex& b) {
   return true;
 }
 
+/// FNV-1a over what IdenticalHierarchies compares, so two builds of the
+/// library can be shown to refine to the same hierarchy.
+uint64_t HierarchyDigest(const MStarIndex& index) {
+  uint64_t hash = 14695981039346656037ull;
+  auto add = [&](uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xff;
+      hash *= 1099511628211ull;
+    }
+  };
+  for (size_t i = 0; i < index.num_components(); ++i) {
+    const IndexGraph& comp = index.component(i);
+    add(i);
+    add(comp.capacity());
+    for (IndexNodeId v = 0; v < comp.capacity(); ++v) {
+      if (!comp.alive(v)) continue;
+      const IndexGraph::Node& node = comp.node(v);
+      add(v);
+      add(node.label);
+      add(static_cast<uint32_t>(node.k));
+      add(node.extent.size());
+      for (NodeId o : node.extent) add(o);
+      add(node.children.size());
+      for (IndexNodeId c : node.children) add(c);
+      if (i > 0) add(index.supernode(i, v));
+    }
+  }
+  return hash;
+}
+
 struct TierResult {
   std::string dataset;
   std::string tier;
@@ -102,6 +135,7 @@ struct TierResult {
   size_t fups = 0;
   double refine_serial_ms = 0;
   double refine_t4_ms = 0;
+  uint64_t refine_digest = 0;
 };
 
 TierResult RunTier(const std::string& dataset, const std::string& tier,
@@ -167,6 +201,7 @@ TierResult RunTier(const std::string& dataset, const std::string& tier,
                 << " refined hierarchy diverges at 4 threads\n";
       std::exit(1);
     }
+    result.refine_digest = HierarchyDigest(serial);
   }
   auto refine_once = [&](ThreadPool* pool) {
     MStarIndex index(g);
@@ -286,6 +321,10 @@ int main(int argc, char** argv) {
                " to serial; hardware_concurrency="
             << std::thread::hardware_concurrency() << ") ==\n";
   table.RenderText(std::cout);
+  for (const TierResult& r : results) {
+    std::cout << r.dataset << "/" << r.tier << " refined hierarchy digest 0x"
+              << std::hex << r.refine_digest << std::dec << "\n";
+  }
 
   std::ofstream bench(out_path, std::ios::trunc);
   mrx::harness::WriteBenchJson(bench, "scale_build", metrics);

@@ -85,8 +85,8 @@ void DkIndex::Promote(const PathExpression& fup) {
   // (splits can surface new under-refined target nodes).
   SplitScratch scratch;  // Shared by every split of this call.
   while (true) {
-    graph_.RebuildAdjacency(&scratch);
-    std::vector<IndexNodeId> targets = IndexTargetSet(graph_, fup, nullptr);
+    std::vector<IndexNodeId> targets =
+        RefinementTargetSet(&graph_, fup, &scratch);
     std::vector<NodeId> pending;
     for (IndexNodeId v : targets) {
       if (graph_.node(v).k < len) {
@@ -94,7 +94,10 @@ void DkIndex::Promote(const PathExpression& fup) {
         pending.insert(pending.end(), extent.begin(), extent.end());
       }
     }
-    if (pending.empty()) return;
+    if (pending.empty()) {
+      graph_.RebuildAdjacency(&scratch);
+      return;
+    }
     std::sort(pending.begin(), pending.end());
     PromoteExtent(pending, len, &scratch);
   }

@@ -100,6 +100,19 @@ std::vector<IndexNodeId> NeighbourStep(
   return next;
 }
 
+/// The alive nodes matching step 0 of `path` (the data root's node if
+/// anchored), found through the label's node list.
+std::vector<IndexNodeId> StartNodes(const IndexGraph& ig,
+                                    const PathExpression& path) {
+  if (path.anchored()) {
+    const IndexNodeId root_node = ig.index_of(ig.data().root());
+    if (path.StepMatches(0, ig.node(root_node).label)) return {root_node};
+    return {};
+  }
+  if (path.label(0) == kWildcardLabel) return ig.AliveNodes();
+  return ig.NodesWithLabel(path.label(0));
+}
+
 }  // namespace
 
 std::vector<IndexNodeId> ChildStep(const IndexGraph& ig,
@@ -125,20 +138,35 @@ void KeepCommon(const IndexGraph& ig, const std::vector<IndexNodeId>& keep,
 std::vector<IndexNodeId> IndexTargetSet(const IndexGraph& ig,
                                         const PathExpression& path,
                                         QueryStats* stats) {
-  std::vector<IndexNodeId> start;
-  if (path.anchored()) {
-    IndexNodeId root_node = ig.index_of(ig.data().root());
-    if (path.StepMatches(0, ig.node(root_node).label)) {
-      start.push_back(root_node);
-    }
-  } else {
-    for (IndexNodeId v = 0; v < ig.capacity(); ++v) {
-      if (ig.alive(v) && path.StepMatches(0, ig.node(v).label)) {
-        start.push_back(v);
+  return IndexTargetSet(ig, path, StartNodes(ig, path), stats);
+}
+
+std::vector<IndexNodeId> RefinementTargetSet(IndexGraph* ig,
+                                             const PathExpression& path,
+                                             SplitScratch* scratch) {
+  // A wildcard or descendant step can read any node's children.
+  bool every_label = path.HasDescendantAxis();
+  for (LabelId label : path.labels()) every_label |= label == kWildcardLabel;
+  if (every_label) {
+    ig->RebuildAdjacency(scratch);
+    return IndexTargetSet(*ig, path, nullptr);
+  }
+  std::vector<IndexNodeId> frontier = StartNodes(*ig, path);
+  for (size_t step = 1; step < path.num_steps() && !frontier.empty();
+       ++step) {
+    const LabelId label = path.label(step);
+    NodeMarks& seen = NodeMarks::ForThread();
+    seen.Reset(ig->capacity());
+    std::vector<IndexNodeId> next;
+    for (IndexNodeId u : frontier) {
+      for (IndexNodeId v : ig->ChildrenForWalk(u, label, scratch)) {
+        if (ig->node(v).label == label && seen.Insert(v)) next.push_back(v);
       }
     }
+    frontier.swap(next);
   }
-  return IndexTargetSet(ig, path, std::move(start), stats);
+  std::sort(frontier.begin(), frontier.end());
+  return frontier;
 }
 
 std::vector<IndexNodeId> IndexTargetSet(const IndexGraph& ig,

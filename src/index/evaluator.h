@@ -53,6 +53,16 @@ std::vector<IndexNodeId> IndexTargetSet(const IndexGraph& ig,
                                         const PathExpression& path,
                                         QueryStats* stats);
 
+/// \brief IndexTargetSet on a graph that refinement is splitting, for its
+/// false-instance checks: walks through IndexGraph::ChildrenForWalk, which
+/// derives only the lists the walk reads and the nodes that must list
+/// themselves there. A wildcard or descendant step can read any node, so
+/// such a path rebuilds all adjacency first. The refinement call still
+/// ends with a full RebuildAdjacency.
+std::vector<IndexNodeId> RefinementTargetSet(IndexGraph* ig,
+                                             const PathExpression& path,
+                                             SplitScratch* scratch);
+
 /// \brief IndexTargetSet from a given start frontier: the nodes of `ig`
 /// matching step 0 of `path` (the data root's node if anchored), which an
 /// M*(k) component finds through its hierarchy instead of a scan. Counts

@@ -67,12 +67,16 @@ IndexGraph IndexGraph::FromPartition(const DataGraph& g,
     staged[b].push_back(n);
     ig.node_of_[n] = b;
   }
+  ig.by_label_.resize(g.symbols().size());
   for (uint32_t b = 0; b < num_blocks; ++b) {
     Node& node = ig.nodes_[b];
     assert(!staged[b].empty());
     node.k = block_k[b];
     node.label = g.label(staged[b].front());
     node.extent = Extent::FromSorted(std::move(staged[b]));
+    LabelNodes& same = ig.by_label_[node.label];
+    same.ids.push_back(b);
+    same.derived = static_cast<uint32_t>(same.ids.size());
   }
   // Adjacency from data edges.
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
@@ -86,12 +90,12 @@ IndexGraph IndexGraph::FromPartition(const DataGraph& g,
     SortUnique(&node.children);
     SortUnique(&node.parents);
   }
-  ig.first_stale_ = num_blocks;
+  ig.full_horizon_ = num_blocks;
   return ig;
 }
 
 size_t IndexGraph::num_edges() const {
-  assert(first_stale_ == nodes_.size());
+  assert(!adjacency_stale_);
   size_t edges = 0;
   for (const Node& node : nodes_) {
     if (node.alive) edges += node.children.size();
@@ -103,6 +107,15 @@ std::vector<IndexNodeId> IndexGraph::AliveNodes() const {
   std::vector<IndexNodeId> out;
   out.reserve(num_alive_);
   for (IndexNodeId v = 0; v < nodes_.size(); ++v) {
+    if (nodes_[v].alive) out.push_back(v);
+  }
+  return out;
+}
+
+std::vector<IndexNodeId> IndexGraph::NodesWithLabel(LabelId label) const {
+  std::vector<IndexNodeId> out;
+  if (label >= by_label_.size()) return out;
+  for (IndexNodeId v : by_label_[label].ids) {
     if (nodes_[v].alive) out.push_back(v);
   }
   return out;
@@ -159,15 +172,21 @@ std::vector<IndexNodeId> IndexGraph::ReplaceNode(IndexNodeId v,
     refinement_stats_.nodes_created += parts.size() - 1;
     refinement_stats_.extent_moves += nodes_[v].extent.size();
   }
-  // Neighbours still listing v drop it in the next RebuildAdjacency.
+  // Neighbours still listing v drop it in the next RebuildAdjacency, or
+  // when a walk reads their children (ChildrenForWalk).
   nodes_[v].alive = false;
   nodes_[v].extent = Extent();
   nodes_[v].children = {};
   nodes_[v].parents = {};
   --num_alive_;
+  LabelNodes& same = by_label_[label];
+  ++same.dead;
 
-  // Create the parts and remap their data nodes; their ids are appended,
-  // so they are all at or past first_stale_.
+  // Create the parts and remap their data nodes. Their ids are appended,
+  // so they are past every horizon, and wait in their label's list until
+  // a derivation reaches them.
+  nodes_[v].first_part = static_cast<IndexNodeId>(nodes_.size());
+  nodes_[v].num_parts = static_cast<uint32_t>(parts.size());
   std::vector<IndexNodeId> part_ids;
   part_ids.reserve(parts.size());
   for (Part& part : parts) {
@@ -180,52 +199,119 @@ std::vector<IndexNodeId> IndexGraph::ReplaceNode(IndexNodeId v,
     nodes_.push_back(std::move(node));
     ++num_alive_;
     for (NodeId o : nodes_.back().extent) node_of_[o] = id;
+    same.ids.push_back(id);
   }
+  adjacency_stale_ = true;
   return part_ids;
 }
 
-void IndexGraph::RebuildAdjacency(SplitScratch* scratch) {
-  const IndexNodeId first = first_stale_;
-  const IndexNodeId end = static_cast<IndexNodeId>(nodes_.size());
-  if (first == end) return;
-  // New nodes: both lists straight from the data graph (node_of_ is final,
-  // so edges among new nodes come out consistent on both sides).
-  for (IndexNodeId v = first; v < end; ++v) {
-    if (nodes_[v].alive) ComputeAdjacency(v, scratch);
+void IndexGraph::AppendNeighbour(IndexNodeId owner,
+                                 std::vector<IndexNodeId>* list,
+                                 IndexNodeId v) {
+  if (list->empty() || list->back() < horizon(owner)) {
+    appended_.push_back(owner);
   }
-  // Older nodes: every one listing a node replaced since the last rebuild
-  // has a data edge into a new node, so it is reached here. New ids exceed
-  // every id already listed and are appended ascending, so the lists stay
-  // sorted once the dead ids are dropped.
-  const uint32_t pass = scratch->NextPass(end);
-  std::vector<IndexNodeId> older;
-  auto touch = [&](IndexNodeId w) {
-    if (scratch->seen[w] != pass) {
-      scratch->seen[w] = pass;
-      older.push_back(w);
+  list->push_back(v);
+}
+
+void IndexGraph::Derive(IndexNodeId v, SplitScratch* scratch) {
+  // node_of_ is current, so v's own lists come out exact and sorted. A
+  // derived neighbour lists v already iff v existed when it was derived.
+  ComputeAdjacency(v, scratch);
+  nodes_[v].horizon = static_cast<IndexNodeId>(nodes_.size());
+  for (IndexNodeId c : nodes_[v].children) {
+    const IndexNodeId h = horizon(c);
+    if (h != 0 && v >= h) AppendNeighbour(c, &nodes_[c].parents, v);
+  }
+  for (IndexNodeId p : nodes_[v].parents) {
+    const IndexNodeId h = horizon(p);
+    if (h != 0 && v >= h) AppendNeighbour(p, &nodes_[p].children, v);
+  }
+}
+
+void IndexGraph::DerivePartsOf(IndexNodeId x, SplitScratch* scratch) {
+  std::vector<IndexNodeId> stack = {x};
+  while (!stack.empty()) {
+    const IndexNodeId y = stack.back();
+    stack.pop_back();
+    const Node& node = nodes_[y];
+    if (!node.alive) {
+      for (uint32_t j = 0; j < node.num_parts; ++j) {
+        stack.push_back(node.first_part + j);
+      }
+    } else if (horizon(y) == 0) {
+      Derive(y, scratch);
     }
+  }
+}
+
+const std::vector<IndexNodeId>& IndexGraph::ChildrenForWalk(
+    IndexNodeId u, LabelId label, SplitScratch* scratch) {
+  assert(nodes_[u].alive);
+  if (horizon(u) == 0) {
+    Derive(u, scratch);  // node_of_ is current: exact, no dead ids.
+    return nodes_[u].children;
+  }
+  // u's list held every child as of its horizon, and each child created
+  // since is a part (of a part ...) of a child it names that has died
+  // since; deriving such a part appends it to u's list. Parts keep their
+  // node's label, so only dead children labelled `label` need it. Derives
+  // may append to the list, hence the index loop up to the old size.
+  std::vector<IndexNodeId>& children = nodes_[u].children;
+  auto replaced = [&](IndexNodeId x) {
+    return !nodes_[x].alive && nodes_[x].label == label;
   };
-  for (IndexNodeId v = first; v < end; ++v) {
-    if (!nodes_[v].alive) continue;
-    for (IndexNodeId c : nodes_[v].children) {
-      if (c < first) {
-        nodes_[c].parents.push_back(v);
-        touch(c);
-      }
-    }
-    for (IndexNodeId p : nodes_[v].parents) {
-      if (p < first) {
-        nodes_[p].children.push_back(v);
-        touch(p);
-      }
+  bool any_replaced = false;
+  for (size_t i = 0, n = children.size(); i < n; ++i) {
+    if (replaced(children[i])) {
+      any_replaced = true;
+      DerivePartsOf(children[i], scratch);
     }
   }
+  // Their parts are all derived now, so the dead ids have served. Other
+  // dead ids stay: they lead a later walk to parts still underived.
+  if (any_replaced) std::erase_if(children, replaced);
+  return children;
+}
+
+void IndexGraph::RebuildAdjacency(SplitScratch* scratch) {
+  if (!adjacency_stale_) return;
+  for (LabelNodes& same : by_label_) {
+    for (size_t i = same.derived; i < same.ids.size(); ++i) {
+      const IndexNodeId v = same.ids[i];
+      if (nodes_[v].alive && horizon(v) == 0) Derive(v, scratch);
+    }
+    // Compact once dead ids are the majority, so label lookups stay
+    // linear in the label's alive nodes.
+    if (2 * same.dead > same.ids.size()) {
+      std::erase_if(same.ids,
+                    [&](IndexNodeId v) { return !nodes_[v].alive; });
+      same.dead = 0;
+    }
+    same.derived = static_cast<uint32_t>(same.ids.size());
+  }
+  // Every alive node is derived now. A list that names a node replaced
+  // since it was derived also had that node's alive parts appended (each
+  // one is past the list's horizon and was derived after it), so the lists
+  // with anything to fix are exactly the appended ones: a sorted prefix
+  // below the owner's horizon, then ids past it in derivation order.
+  const uint32_t pass = scratch->NextPass(nodes_.size());
   auto dead = [&](IndexNodeId x) { return !nodes_[x].alive; };
-  for (IndexNodeId w : older) {
-    std::erase_if(nodes_[w].parents, dead);
-    std::erase_if(nodes_[w].children, dead);
+  for (IndexNodeId w : appended_) {
+    if (scratch->seen[w] == pass || !nodes_[w].alive) continue;
+    scratch->seen[w] = pass;
+    const IndexNodeId h = horizon(w);
+    for (std::vector<IndexNodeId>* list :
+         {&nodes_[w].parents, &nodes_[w].children}) {
+      std::erase_if(*list, dead);
+      std::sort(std::partition_point(list->begin(), list->end(),
+                                     [h](IndexNodeId x) { return x < h; }),
+                list->end());
+    }
   }
-  first_stale_ = end;
+  appended_.clear();
+  full_horizon_ = static_cast<IndexNodeId>(nodes_.size());
+  adjacency_stale_ = false;
 }
 
 std::vector<NodeId> IndexGraph::Pred(const std::vector<NodeId>& s) const {
@@ -295,21 +381,57 @@ std::vector<std::vector<NodeId>> IndexGraph::SplitByParents(
   // most significant, "in Succ(u)" before "not in". On column lists that
   // is lexicographic order where the end of a list ranks above every
   // column: at the first difference the smaller column sorts first, and a
-  // strict prefix sorts after the longer list. The sort is stable, so
-  // members stay ascending within a piece.
-  auto before = [&](uint32_t a, uint32_t b) {
-    std::span<const uint32_t> x = columns_of(a);
-    std::span<const uint32_t> y = columns_of(b);
-    const size_t common = std::min(x.size(), y.size());
-    for (size_t j = 0; j < common; ++j) {
-      if (x[j] != y[j]) return x[j] < y[j];
-    }
-    return x.size() > y.size();
+  // strict prefix sorts after the longer list. So the members are sorted
+  // by column j = 0, 1, ... in turn (a list's end reads as us.size(), above
+  // every column), most significant first: each range of members that
+  // agree on columns 0..j-1 is counted and placed by column j. Placing is
+  // stable, so members stay ascending within a piece.
+  const uint32_t end_of_list = static_cast<uint32_t>(us.size());
+  auto column = [&](uint32_t i, uint32_t j) {
+    return offsets[i] + j < offsets[i + 1] ? columns[offsets[i] + j]
+                                            : end_of_list;
   };
   std::vector<uint32_t>& order = scratch->order;
   order.resize(n);
   std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(), before);
+  std::vector<uint32_t>& placed = scratch->placed;
+  placed.resize(n);
+  std::vector<uint32_t>& at = scratch->at;  // Count, then cursor, per value.
+  at.assign(us.size() + 1, 0);
+  std::vector<uint32_t> values;
+  struct Range {
+    uint32_t begin, end, j;
+  };
+  std::vector<Range> ranges = {{0, static_cast<uint32_t>(n), 0}};
+  while (!ranges.empty()) {
+    const Range r = ranges.back();
+    ranges.pop_back();
+    if (r.end - r.begin < 2) continue;
+    values.clear();
+    for (uint32_t x = r.begin; x < r.end; ++x) {
+      const uint32_t value = column(order[x], r.j);
+      if (at[value]++ == 0) values.push_back(value);
+    }
+    std::sort(values.begin(), values.end());
+    uint32_t cursor = r.begin;
+    for (uint32_t value : values) {
+      const uint32_t count = at[value];
+      // Members whose lists ended are equal: one piece, nothing to sort.
+      if (value != end_of_list) {
+        ranges.push_back({cursor, cursor + count, r.j + 1});
+      }
+      at[value] = cursor;
+      cursor += count;
+    }
+    if (values.size() > 1) {
+      for (uint32_t x = r.begin; x < r.end; ++x) {
+        placed[at[column(order[x], r.j)]++] = order[x];
+      }
+      std::copy(placed.begin() + r.begin, placed.begin() + r.end,
+                order.begin() + r.begin);
+    }
+    for (uint32_t value : values) at[value] = 0;
+  }
 
   std::vector<std::vector<NodeId>> pieces;
   for (size_t r = 0; r < n; ++r) {
@@ -323,7 +445,7 @@ std::vector<std::vector<NodeId>> IndexGraph::SplitByParents(
 }
 
 Status IndexGraph::CheckConsistency() const {
-  if (first_stale_ != nodes_.size()) {
+  if (adjacency_stale_) {
     return Status::Internal("adjacency not rebuilt after ReplaceNode");
   }
   const DataGraph& g = *graph_;
@@ -350,6 +472,22 @@ Status IndexGraph::CheckConsistency() const {
   }
   if (alive_count != num_alive_) {
     return Status::Internal("alive counter out of sync");
+  }
+  size_t listed = 0;
+  for (LabelId label = 0; label < by_label_.size(); ++label) {
+    const std::vector<IndexNodeId>& ids = by_label_[label].ids;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      if (i > 0 && ids[i] <= ids[i - 1]) {
+        return Status::Internal("label list not ascending");
+      }
+      if (nodes_[ids[i]].label != label) {
+        return Status::Internal("node in another label's list");
+      }
+      if (nodes_[ids[i]].alive) ++listed;
+    }
+  }
+  if (listed != num_alive_) {
+    return Status::Internal("label lists miss alive nodes");
   }
   for (NodeId o = 0; o < g.num_nodes(); ++o) {
     if (!seen[o]) return Status::Internal("data node in no extent");

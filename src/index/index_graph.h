@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/data_graph.h"
@@ -45,7 +46,7 @@ struct SplitScratch {
   /// and is only cleared when the counter wraps.
   std::vector<uint32_t> seen;
   /// Per index-node id, grown with `seen`: a value a pass attaches to each
-  /// id it stamps (CascadeInto's slot in its touched list). Meaningful
+  /// id it stamps (its slot in the pass's list of the ids). Meaningful
   /// only for ids `seen` holds the current stamp for; never a stamp, so
   /// leftovers from earlier passes cannot be mistaken for one.
   std::vector<uint32_t> slot;
@@ -57,6 +58,10 @@ struct SplitScratch {
   std::vector<uint32_t> offsets;
   std::vector<uint32_t> columns;
   std::vector<uint32_t> order;
+  /// SplitByParents' counting sort: the placement buffer, and a count,
+  /// then a cursor, per column value.
+  std::vector<uint32_t> placed;
+  std::vector<uint32_t> at;
 
   /// Starts a dedupe pass over ids below `capacity`; returns its stamp.
   uint32_t NextPass(size_t capacity);
@@ -73,10 +78,10 @@ struct SplitScratch {
 ///  - extents of alive nodes partition the data nodes (Property 1's carrier);
 ///  - there is an index edge (u, v) iff some data edge crosses the extents
 ///    (Property 2). Property 2 makes adjacency a function of the extents,
-///    so ReplaceNode only re-homes extents and RebuildAdjacency derives the
-///    lists of the nodes created since the last rebuild, and patches their
-///    older neighbours, from the data graph — once per batch of splits
-///    rather than once per split;
+///    so ReplaceNode only re-homes extents, and the lists of the nodes
+///    created since are derived from the data graph where they are next
+///    read: ChildrenForWalk for what a walk reads, RebuildAdjacency for the
+///    rest — once per batch of splits rather than once per split;
 ///  - `k` values are whatever the owning index algorithm assigns; the
 ///    *semantic* guarantees (extents k-bisimilar, Property 3) are the
 ///    algorithm's responsibility and are verified in the test suite.
@@ -97,13 +102,26 @@ class IndexGraph {
     std::vector<IndexNodeId> parents;
     std::vector<IndexNodeId> children;
     bool alive = true;
+    /// Adjacency bookkeeping between rebuilds (see ChildrenForWalk). An
+    /// alive node created since the last RebuildAdjacency: 0 while its
+    /// lists are not derived, else the capacity when they were.
+    IndexNodeId horizon = 0;
+    /// A dead node: the parts that replaced it are the ids from
+    /// `first_part` on, `num_parts` of them.
+    IndexNodeId first_part = 0;
+    uint32_t num_parts = 0;
   };
 
   /// One piece of a node split: the new extent and its local similarity.
-  /// Parts stay plain vectors — split kernels assemble them element by
-  /// element; they are sealed into Extents when ReplaceNode installs them.
+  /// Split kernels assemble a piece as a vector, which seals into an
+  /// Extent here; a part that repeats another node's extent shares it.
   struct Part {
-    std::vector<NodeId> extent;
+    Part() = default;
+    Part(std::vector<NodeId> members, int32_t similarity)
+        : extent(std::move(members)), k(similarity) {}
+    Part(Extent shared, int32_t similarity)
+        : extent(std::move(shared)), k(similarity) {}
+    Extent extent;
     int32_t k = 0;
   };
 
@@ -160,14 +178,31 @@ class IndexGraph {
                                        std::vector<Part> parts);
 
   /// Makes adjacency exact again after ReplaceNode calls: derives both
-  /// lists of every alive node created since the last rebuild from the data
-  /// graph, then adds those nodes to their older neighbours' lists and
-  /// drops dead ids there. Costs the new nodes' in- and out-edges plus the
-  /// touched neighbours' list lengths; a no-op when adjacency is current.
-  /// Refinement calls it before reading parents or children and before it
-  /// returns, so adjacency is exact wherever a caller can see it; it passes
-  /// the scratch of the whole call.
+  /// lists of every alive node created since the last rebuild that
+  /// ChildrenForWalk has not derived yet, then drops dead ids from, and
+  /// sorts, the lists that derivations appended to. Costs the new nodes'
+  /// in- and out-edges plus the touched neighbours' list lengths; a no-op
+  /// when adjacency is current. Refinement calls it before reading parents
+  /// and before it returns, so adjacency is exact wherever a caller can see
+  /// it; it passes the scratch of the whole call.
   void RebuildAdjacency(SplitScratch* scratch);
+
+  /// What a forward walk between rebuilds reads of `u` (alive): its
+  /// children list, holding every alive child labelled `label`, and
+  /// possibly other children, dead ones among them, but no dead node
+  /// labelled `label`. Derives only what that
+  /// needs: u's own lists if u was created since the last rebuild, else
+  /// the lists of the parts (created since and labelled `label`) of the
+  /// children u lists that were replaced since; each derived node appends
+  /// itself to the lists of its derived neighbours. Lists may be left with
+  /// appended ids out of order until the next RebuildAdjacency.
+  const std::vector<IndexNodeId>& ChildrenForWalk(IndexNodeId u,
+                                                   LabelId label,
+                                                   SplitScratch* scratch);
+
+  /// The alive nodes labelled `label`, ascending. Reads the label's own
+  /// id list, not the id space.
+  std::vector<IndexNodeId> NodesWithLabel(LabelId label) const;
 
   /// The split kernel of SPLITNODE*, PROMOTE*, REFINENODE and PROMOTE
   /// (§2, §3.2, §4.2). Partitions `members` (sorted data nodes) by which
@@ -210,19 +245,53 @@ class IndexGraph {
  private:
   IndexGraph() = default;
 
+  /// The ids of one label's nodes in creation (= ascending) order, dead
+  /// ones included until the list is compacted.
+  struct LabelNodes {
+    std::vector<IndexNodeId> ids;
+    /// ids before this position were derived or died; ids past it may
+    /// have been derived by a walk.
+    uint32_t derived = 0;
+    uint32_t dead = 0;  ///< Dead ids in `ids`.
+  };
+
   /// Recomputes children/parents of `v` from the data graph. Does not
   /// touch other nodes' lists.
   void ComputeAdjacency(IndexNodeId v, SplitScratch* scratch);
+
+  /// Ids below horizon(v) that neighbour `v` are in v's lists (its lists
+  /// were derived when they were the whole id space); 0 means not derived.
+  IndexNodeId horizon(IndexNodeId v) const {
+    return v < full_horizon_ ? full_horizon_ : nodes_[v].horizon;
+  }
+
+  /// Derives `v`'s lists and appends `v` to each derived neighbour that
+  /// does not list it yet (the ones whose horizon `v` is past).
+  void Derive(IndexNodeId v, SplitScratch* scratch);
+
+  /// Derives the alive, not yet derived nodes among the parts that
+  /// replaced dead node `x`, following parts that were replaced in turn.
+  void DerivePartsOf(IndexNodeId x, SplitScratch* scratch);
+
+  /// Appends `v` to `owner`'s `list`, noting the first append since the
+  /// list was last exact in `appended_`.
+  void AppendNeighbour(IndexNodeId owner, std::vector<IndexNodeId>* list,
+                       IndexNodeId v);
 
   const DataGraph* graph_ = nullptr;
   std::vector<Node> nodes_;
   std::vector<IndexNodeId> node_of_;  // per data node
   size_t num_alive_ = 0;
-  /// Nodes from this id on were created by ReplaceNode since the last
-  /// RebuildAdjacency and have no adjacency yet; older alive nodes have
-  /// exact lists except that they still name the nodes replaced since
-  /// instead of the parts that replaced them.
-  IndexNodeId first_stale_ = 0;
+  /// Per label id.
+  std::vector<LabelNodes> by_label_;
+  /// Every node below this id had exact lists at the last RebuildAdjacency,
+  /// except that they name the nodes replaced since instead of their parts.
+  IndexNodeId full_horizon_ = 0;
+  /// ReplaceNode ran since the last RebuildAdjacency.
+  bool adjacency_stale_ = false;
+  /// Nodes whose lists had ids appended since the last RebuildAdjacency
+  /// (possibly repeated); only these can hold dead or unordered ids.
+  std::vector<IndexNodeId> appended_;
   RefinementStats refinement_stats_;
 };
 

@@ -34,8 +34,7 @@ void MkIndex::Refine(const PathExpression& fup) {
   // REFINE lines 3-4: break false instances of the FUP that refinement may
   // have created (the Figure 6 situation).
   while (true) {
-    graph_.RebuildAdjacency(&scratch);
-    std::vector<IndexNodeId> s = IndexTargetSet(graph_, fup, nullptr);
+    std::vector<IndexNodeId> s = RefinementTargetSet(&graph_, fup, &scratch);
     IndexNodeId bad = kInvalidIndexNode;
     for (IndexNodeId v : s) {
       if (graph_.node(v).k < len) {
@@ -43,7 +42,10 @@ void MkIndex::Refine(const PathExpression& fup) {
         break;
       }
     }
-    if (bad == kInvalidIndexNode) return;
+    if (bad == kInvalidIndexNode) {
+      graph_.RebuildAdjacency(&scratch);
+      return;
+    }
     // Copy the extent: PromotePrime splits nodes, which can reallocate the
     // node array and invalidate references into it.
     std::vector<NodeId> bad_extent = graph_.node(bad).extent.Materialize();
@@ -170,8 +172,7 @@ void MkIndex::SplitCover(IndexNodeId v, int32_t k,
 bool MkIndex::NoFalseInstances(const PathExpression& fup,
                                SplitScratch* scratch) {
   const int32_t len = static_cast<int32_t>(fup.length());
-  graph_.RebuildAdjacency(scratch);
-  for (IndexNodeId v : IndexTargetSet(graph_, fup, nullptr)) {
+  for (IndexNodeId v : RefinementTargetSet(&graph_, fup, scratch)) {
     if (graph_.node(v).k < len) return false;
   }
   return true;

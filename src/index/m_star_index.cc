@@ -186,20 +186,24 @@ void MStarIndex::RefineBatch(const std::vector<PathExpression>& fups) {
 
   // Target sets depend only on the immutable data graph, never on index
   // state, so they can all be evaluated before any refinement — and in
-  // parallel. Each chunk gets its own evaluator (graph-sized scratch).
+  // parallel. In prefix order, expressions sharing a prefix sit together,
+  // so each chunk evaluates a shared prefix once (one evaluator, with its
+  // graph-sized scratch, per chunk).
+  const std::vector<uint32_t> order = DataEvaluator::PrefixOrder(eligible);
   std::vector<std::vector<NodeId>> targets(eligible.size());
-  if (pool_ != nullptr && pool_->num_threads() > 1 && eligible.size() > 1) {
-    pool_->ParallelFor(0, eligible.size(), 1, [&](size_t lo, size_t hi) {
-      DataEvaluator evaluator(data_);
-      for (size_t i = lo; i < hi; ++i) {
-        targets[i] = evaluator.Evaluate(*eligible[i]);
-      }
-    });
-  } else {
-    DataEvaluator evaluator(data_);
-    for (size_t i = 0; i < eligible.size(); ++i) {
-      targets[i] = evaluator.Evaluate(*eligible[i]);
+  auto evaluate = [&](size_t lo, size_t hi) {
+    std::vector<const PathExpression*> chunk;
+    for (size_t j = lo; j < hi; ++j) chunk.push_back(eligible[order[j]]);
+    std::vector<std::vector<NodeId>> sets =
+        DataEvaluator(data_).EvaluateAll(chunk);
+    for (size_t j = lo; j < hi; ++j) {
+      targets[order[j]] = std::move(sets[j - lo]);
     }
+  };
+  if (pool_ != nullptr) {
+    pool_->ParallelFor(0, eligible.size(), 1, evaluate);
+  } else {
+    evaluate(0, eligible.size());
   }
 
   // The refinement itself stays serial: splits mutate the shared
@@ -208,10 +212,12 @@ void MStarIndex::RefineBatch(const std::vector<PathExpression>& fups) {
   for (size_t i = 0; i < eligible.size(); ++i) {
     RefineWithTarget(*eligible[i], targets[i], &scratch);
   }
-  // Adjacency and subnode lists become exact again here, before any
-  // reader can see the index.
+  FinishRefine(&scratch);
+}
+
+void MStarIndex::FinishRefine(SplitScratch* scratch) {
   for (size_t i = 0; i < components_.size(); ++i) {
-    components_[i].graph.RebuildAdjacency(&scratch);
+    components_[i].graph.RebuildAdjacency(scratch);
     if (i > 0) {
       components_[i].BuildSubnodes(components_[i - 1].graph.capacity());
     }
@@ -230,20 +236,12 @@ void MStarIndex::RefineWithTarget(const PathExpression& fup,
 
   // REFINE* lines 7-8: break false instances created by refinement.
   while (true) {
-    IndexGraph& finest = components_[len].graph;
-    finest.RebuildAdjacency(scratch);
-    std::vector<IndexNodeId> s = IndexTargetSet(finest, fup, nullptr);
-    IndexNodeId bad = kInvalidIndexNode;
-    for (IndexNodeId v : s) {
-      if (finest.node(v).k < len) {
-        bad = v;
-        break;
-      }
-    }
+    const IndexNodeId bad = FirstFalseInstance(fup, scratch);
     if (bad == kInvalidIndexNode) return;
     // Copy the extent: PromoteStar splits nodes, which can reallocate the
     // component's node array and invalidate references into it.
-    std::vector<NodeId> bad_extent = finest.node(bad).extent.Materialize();
+    std::vector<NodeId> bad_extent =
+        components_[len].graph.node(bad).extent.Materialize();
     PromoteStar(len, bad_extent, fup, scratch);
   }
 }
@@ -268,37 +266,42 @@ void MStarIndex::RefineNodeStar(int k, const std::vector<NodeId>& relevant,
   // Lines 9-13: split the ancestor supernodes coarse-to-fine; each split
   // cascades into finer components immediately (the propagation of line
   // 13), so by the time component i is processed, component i-1 is final.
-  // A split in component i changes only the node it splits there, so the
-  // members before `pos` stay in nodes with k ≥ i and the scan for the
-  // next under-refined member resumes where the last one stopped.
+  // A split in component i changes only the node it splits there, and
+  // leaves every relevant member of that node in a part with k = i, so the
+  // under-refined nodes and their members can be grouped once per level;
+  // in first-member order, they are split in the order a scan would meet
+  // them.
+  std::vector<IndexNodeId> nodes;
+  std::vector<std::vector<NodeId>> members;
   for (int i = 1; i <= k; ++i) {
     const IndexGraph& ci = components_[i].graph;
-    size_t pos = 0;
-    while (true) {
-      IndexNodeId p = kInvalidIndexNode;
-      for (; pos < active.size(); ++pos) {
-        IndexNodeId cand = ci.index_of(active[pos]);
-        if (ci.node(cand).k < i) {
-          p = cand;
-          break;
-        }
+    nodes.clear();
+    members.clear();
+    const uint32_t pass = scratch->NextPass(ci.capacity());
+    for (NodeId o : active) {
+      const IndexNodeId v = ci.index_of(o);
+      if (ci.node(v).k >= i) continue;
+      if (scratch->seen[v] != pass) {
+        scratch->seen[v] = pass;
+        scratch->slot[v] = static_cast<uint32_t>(nodes.size());
+        nodes.push_back(v);
+        members.emplace_back();
       }
-      if (p == kInvalidIndexNode) break;
-      SplitNodeStar(i, p, active, scratch);
+      members[scratch->slot[v]].push_back(o);
+    }
+    for (size_t g = 0; g < nodes.size(); ++g) {
+      SplitNodeStar(i, nodes[g], members[g], scratch);
     }
   }
 }
 
 void MStarIndex::SplitNodeStar(int ci, IndexNodeId v,
-                               const std::vector<NodeId>& relevant,
+                               const std::vector<NodeId>& relevant_here,
                                SplitScratch* scratch) {
   assert(ci >= 1);
+  assert(!relevant_here.empty());
   IndexGraph& comp = components_[ci].graph;
   const IndexGraph& prev = components_[ci - 1].graph;
-
-  const std::vector<NodeId> relevant_here =
-      Intersect(comp.node(v).extent, relevant);
-  if (relevant_here.empty()) return;
   const int32_t kold = comp.node(v).k;
 
   // The perfectly qualified parents: parents of v's supernode in component
@@ -365,14 +368,46 @@ void MStarIndex::SplitAndPropagate(int ci, IndexNodeId v,
   comp.supernode.resize(comp.graph.capacity(), kInvalidIndexNode);
   for (IndexNodeId id : ids) comp.supernode[id] = sup;
   if (static_cast<size_t>(ci) + 1 < components_.size()) {
-    CascadeInto(ci + 1, affected, scratch);
+    CascadeInto(ci + 1, affected, ids, scratch);
   }
 }
 
 void MStarIndex::CascadeInto(int ci, const std::vector<NodeId>& affected,
+                             const std::vector<IndexNodeId>& covers,
                              SplitScratch* scratch) {
   Component& comp = components_[ci];
   const IndexGraph& prev = components_[ci - 1].graph;
+  const bool finer = static_cast<size_t>(ci) + 1 < components_.size();
+
+  // Every node touched here lies inside what changed one component up
+  // (Property 3 held before the change), so a node as large as `affected`
+  // is all of it. Such a node duplicated what changed, and its members now
+  // sit under exactly `covers`: it is relinked, or split into the covers'
+  // extents, shared rather than rebuilt, without reading a member.
+  const IndexNodeId whole = comp.graph.index_of(affected.front());
+  if (comp.graph.node(whole).extent.size() == affected.size()) {
+    const int32_t k = comp.graph.node(whole).k;
+    std::vector<IndexNodeId> changed;
+    if (covers.size() == 1) {
+      comp.supernode[whole] = covers[0];
+      if (k >= prev.node(covers[0]).k) return;
+      comp.graph.SetK(whole, prev.node(covers[0]).k);
+      changed = {whole};
+    } else {
+      std::vector<IndexGraph::Part> parts(covers.size());
+      for (size_t j = 0; j < covers.size(); ++j) {
+        parts[j] = IndexGraph::Part{prev.node(covers[j]).extent,
+                                    std::max(k, prev.node(covers[j]).k)};
+      }
+      changed = comp.graph.ReplaceNode(whole, std::move(parts));
+      comp.supernode.resize(comp.graph.capacity(), kInvalidIndexNode);
+      for (size_t j = 0; j < changed.size(); ++j) {
+        comp.supernode[changed[j]] = covers[j];
+      }
+    }
+    if (finer) CascadeInto(ci + 1, affected, changed, scratch);
+    return;
+  }
 
   // Every node touched here lies inside the node that split one component
   // up (Property 3 held before the split), so `affected` holds each touched
@@ -410,11 +445,11 @@ void MStarIndex::CascadeInto(int ci, const std::vector<NodeId>& affected,
   std::sort(touched.begin(), touched.end(),
             [](const Touched& a, const Touched& b) { return a.node < b.node; });
 
-  bool any_split = false;
   // Members of changed nodes, any order. They are a subset of `affected`,
-  // so appending extents never reallocates.
+  // so appending extents never reallocates. `changed` holds the nodes.
   std::vector<NodeId> deeper;
   deeper.reserve(affected.size());
+  std::vector<IndexNodeId> changed;
   std::vector<IndexNodeId> sups;
   for (const Touched& t : touched) {
     const IndexNodeId q = t.node;
@@ -424,9 +459,10 @@ void MStarIndex::CascadeInto(int ci, const std::vector<NodeId>& affected,
       // extent is a subset of the supernode's, so inheriting the larger k
       // is sound.
       if (comp.graph.node(q).k < prev.node(t.sup).k) {
+        // k changed; finer components must re-check.
         comp.graph.SetK(q, prev.node(t.sup).k);
         comp.graph.node(q).extent.AppendTo(&deeper);
-        any_split = true;  // k changed; finer components must re-check.
+        changed.push_back(q);
       }
       continue;
     }
@@ -434,7 +470,6 @@ void MStarIndex::CascadeInto(int ci, const std::vector<NodeId>& affected,
     // supernode in ascending id order, members ascending within a part. A
     // part is both q.k-bisimilar (subset of q) and supernode.k-bisimilar
     // (subset of the supernode), so it soundly records the max of the two.
-    any_split = true;
     const size_t begin = deeper.size();
     comp.graph.node(q).extent.AppendTo(&deeper);
     const std::span<const NodeId> members(deeper.data() + begin,
@@ -449,43 +484,44 @@ void MStarIndex::CascadeInto(int ci, const std::vector<NodeId>& affected,
       }
     }
     std::sort(sups.begin(), sups.end());
-    const int32_t qk = comp.graph.node(q).k;
-    std::vector<IndexGraph::Part> parts(sups.size());
-    for (size_t j = 0; j < sups.size(); ++j) {
-      parts[j].k = std::max(qk, prev.node(sups[j]).k);
-    }
+    std::vector<std::vector<NodeId>> pieces(sups.size());
     for (NodeId o : members) {
       const size_t j =
           std::lower_bound(sups.begin(), sups.end(), prev.index_of(o)) -
           sups.begin();
-      parts[j].extent.push_back(o);
+      pieces[j].push_back(o);
+    }
+    const int32_t qk = comp.graph.node(q).k;
+    std::vector<IndexGraph::Part> parts(sups.size());
+    for (size_t j = 0; j < sups.size(); ++j) {
+      parts[j] = IndexGraph::Part{std::move(pieces[j]),
+                                  std::max(qk, prev.node(sups[j]).k)};
     }
     std::vector<IndexNodeId> ids = comp.graph.ReplaceNode(q, std::move(parts));
     comp.supernode.resize(comp.graph.capacity(), kInvalidIndexNode);
     for (size_t j = 0; j < ids.size(); ++j) comp.supernode[ids[j]] = sups[j];
+    changed.insert(changed.end(), ids.begin(), ids.end());
   }
-  if (any_split && static_cast<size_t>(ci) + 1 < components_.size()) {
-    CascadeInto(ci + 1, deeper, scratch);
+  if (!changed.empty() && finer) {
+    std::sort(changed.begin(), changed.end());
+    CascadeInto(ci + 1, deeper, changed, scratch);
   }
 }
 
-bool MStarIndex::NoFalseInstances(const PathExpression& fup,
-                                  SplitScratch* scratch) {
+IndexNodeId MStarIndex::FirstFalseInstance(const PathExpression& fup,
+                                           SplitScratch* scratch) {
   const int32_t len = static_cast<int32_t>(fup.length());
-  const size_t ci =
-      std::min<size_t>(len, components_.size() - 1);
-  IndexGraph& comp = components_[ci].graph;
-  comp.RebuildAdjacency(scratch);
-  for (IndexNodeId v : IndexTargetSet(comp, fup, nullptr)) {
-    if (comp.node(v).k < len) return false;
+  IndexGraph& comp = components_[len].graph;
+  for (IndexNodeId v : RefinementTargetSet(&comp, fup, scratch)) {
+    if (comp.node(v).k < len) return v;
   }
-  return true;
+  return kInvalidIndexNode;
 }
 
 bool MStarIndex::PromoteStar(int k, const std::vector<NodeId>& extent,
                              const PathExpression& fup,
                              SplitScratch* scratch) {
-  if (NoFalseInstances(fup, scratch)) return true;
+  if (FirstFalseInstance(fup, scratch) == kInvalidIndexNode) return true;
   if (k <= 0 || extent.empty()) return false;
   IndexGraph& comp = components_[k].graph;
 
@@ -500,7 +536,9 @@ bool MStarIndex::PromoteStar(int k, const std::vector<NodeId>& extent,
   };
 
   std::vector<IndexNodeId> covers = under_refined_covers();
-  if (covers.empty()) return NoFalseInstances(fup, scratch);
+  if (covers.empty()) {
+    return FirstFalseInstance(fup, scratch) == kInvalidIndexNode;
+  }
 
   std::vector<NodeId> all;
   for (IndexNodeId v : covers) {
@@ -541,10 +579,10 @@ bool MStarIndex::PromoteStar(int k, const std::vector<NodeId>& extent,
         parts.push_back(IndexGraph::Part{std::move(piece), i});
       }
       SplitAndPropagate(i, p, std::move(parts), scratch);
-      if (NoFalseInstances(fup, scratch)) return true;
+      if (FirstFalseInstance(fup, scratch) == kInvalidIndexNode) return true;
     }
   }
-  return NoFalseInstances(fup, scratch);
+  return FirstFalseInstance(fup, scratch) == kInvalidIndexNode;
 }
 
 QueryResult MStarIndex::QueryNaive(const PathExpression& path,

@@ -132,8 +132,9 @@ class MStarIndex {
   /// Refines for a whole batch of FUPs, equivalent to calling Refine on
   /// each in order. The target sets of all eligible expressions are
   /// evaluated up front — they depend only on the immutable data graph,
-  /// not on index state — with one evaluator per call, or fanned out over
-  /// the thread pool (one evaluator per chunk) when one is attached; the
+  /// not on index state — each shared prefix once
+  /// (DataEvaluator::EvaluateAll), in one chunk, or in chunks of prefix
+  /// order fanned out over the thread pool when one is attached; the
   /// refinement itself stays serial (and deterministic).
   void RefineBatch(const std::vector<PathExpression>& fups);
 
@@ -256,12 +257,20 @@ class MStarIndex {
   /// Appends a copy of the finest component; supernode links are identity.
   void AppendComponentCopy();
 
+  /// Tests drive RefineBatch's per-FUP steps one at a time and look at
+  /// the hierarchy between them (tests/m_star_refine_walk_test.cc).
+  friend class MStarIndexTestPeer;
+
   /// RefineBatch's per-FUP body, after its target set was evaluated.
   /// `scratch` serves every split of the batch (the private methods below
   /// take it for the same reason).
   void RefineWithTarget(const PathExpression& fup,
                         const std::vector<NodeId>& target,
                         SplitScratch* scratch);
+
+  /// RefineBatch's tail: adjacency and subnode lists become exact again,
+  /// before any reader can see the index.
+  void FinishRefine(SplitScratch* scratch);
 
   /// REFINENODE*, reformulated over data-node sets: ensures every index
   /// node of component k containing a node of `relevant` has similarity
@@ -273,10 +282,11 @@ class MStarIndex {
 
   /// SPLITNODE* (§4.2) on node `v` of component `ci`: splits by the Succ
   /// sets of the *perfectly qualified* parents of v's supernode in
-  /// component ci-1, keeps `relevant` pieces at similarity ci, merges the
-  /// rest. Then cascades the refinement into finer components.
+  /// component ci-1, keeps the pieces holding `relevant_here` (the
+  /// relevant members of v's extent, sorted, non-empty) at similarity ci,
+  /// merges the rest. Then cascades the refinement into finer components.
   void SplitNodeStar(int ci, IndexNodeId v,
-                     const std::vector<NodeId>& relevant,
+                     const std::vector<NodeId>& relevant_here,
                      SplitScratch* scratch);
 
   /// Replaces `v` in component `ci` by `parts` (inheriting v's supernode)
@@ -288,9 +298,13 @@ class MStarIndex {
   /// Realigns component `ci` with component ci-1 over the data nodes in
   /// `affected`, in any order (splitting nodes that now span several
   /// supernodes and refreshing supernode links), recursing into finer
-  /// components. Linear in the touched nodes' extents: only a node that
-  /// really spans several supernodes has its supernodes sorted.
+  /// components. `covers` are the nodes of ci-1, ascending, whose extents
+  /// partition `affected` (the ones that changed there). Linear in the
+  /// touched nodes' extents: only a node that really spans several
+  /// supernodes has its supernodes sorted, and a node that duplicated
+  /// what changed reads no member at all.
   void CascadeInto(int ci, const std::vector<NodeId>& affected,
+                   const std::vector<IndexNodeId>& covers,
                    SplitScratch* scratch);
 
   /// PROMOTE*: like RefineNodeStar but relevance-free, breaking false
@@ -298,7 +312,12 @@ class MStarIndex {
   bool PromoteStar(int k, const std::vector<NodeId>& extent,
                    const PathExpression& fup, SplitScratch* scratch);
 
-  bool NoFalseInstances(const PathExpression& fup, SplitScratch* scratch);
+  /// The smallest node of `fup`'s target set in component length(fup)
+  /// whose k is below the length (a possible false instance), or
+  /// kInvalidIndexNode. Derives only the adjacency the walk reads
+  /// (RefinementTargetSet).
+  IndexNodeId FirstFalseInstance(const PathExpression& fup,
+                                 SplitScratch* scratch);
 
   /// CheckProperties' subnode-list check for component i ≥ 1.
   Status CheckSubnodes(size_t i) const;

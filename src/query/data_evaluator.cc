@@ -20,63 +20,124 @@ uint64_t NowNs() {
 DataEvaluator::DataEvaluator(const DataGraph& graph)
     : graph_(graph), mark_(graph.num_nodes(), 0) {}
 
+void DataEvaluator::StartFrontier(const PathExpression& path,
+                                  std::vector<NodeId>* out) {
+  out->clear();
+  if (path.anchored()) {
+    if (path.StepMatches(0, graph_.label(graph_.root()))) {
+      out->push_back(graph_.root());
+    }
+  } else if (path.label(0) == kWildcardLabel) {
+    out->resize(graph_.num_nodes());
+    for (NodeId n = 0; n < graph_.num_nodes(); ++n) (*out)[n] = n;
+  } else if (path.label(0) != kUnknownLabel) {
+    const auto nodes = graph_.nodes_with_label(path.label(0));
+    out->assign(nodes.begin(), nodes.end());
+  }
+}
+
+void DataEvaluator::NextFrontier(const std::vector<NodeId>& frontier,
+                                 const PathExpression& path, size_t step,
+                                 std::vector<NodeId>* out) {
+  out->clear();
+  NextEpoch();
+  if (path.DescendantStep(step)) {
+    // Descendant axis: everything reachable through one or more edges;
+    // collect the label matches. `work` doubles as the BFS queue.
+    std::vector<NodeId> work = frontier;
+    // The frontier nodes themselves are *not* marked: a node may match
+    // through a cycle back to itself (one-or-more edges).
+    for (size_t i = 0; i < work.size(); ++i) {
+      for (NodeId c : graph_.children(work[i])) {
+        if (Mark(c)) {
+          work.push_back(c);
+          if (path.StepMatches(step, graph_.label(c))) out->push_back(c);
+        }
+      }
+    }
+  } else {
+    for (NodeId u : frontier) {
+      for (NodeId v : graph_.children(u)) {
+        if (path.StepMatches(step, graph_.label(v)) && Mark(v)) {
+          out->push_back(v);
+        }
+      }
+    }
+  }
+}
+
 std::vector<NodeId> DataEvaluator::Evaluate(const PathExpression& path) {
   // Forward, level by level: frontier_ holds the distinct nodes reachable
   // as instances of the prefix ending at the current step.
-  frontier_.clear();
-  NextEpoch();
-  if (path.anchored()) {
-    if (path.StepMatches(0, graph_.label(graph_.root()))) {
-      frontier_.push_back(graph_.root());
-      Mark(graph_.root());
-    }
-  } else if (path.label(0) == kWildcardLabel) {
-    for (NodeId n = 0; n < graph_.num_nodes(); ++n) {
-      frontier_.push_back(n);
-      Mark(n);
-    }
-  } else if (path.label(0) != kUnknownLabel) {
-    for (NodeId n : graph_.nodes_with_label(path.label(0))) {
-      frontier_.push_back(n);
-      Mark(n);
-    }
-  }
-
+  StartFrontier(path, &frontier_);
   for (size_t step = 1; step < path.num_steps() && !frontier_.empty();
        ++step) {
-    next_.clear();
-    NextEpoch();
-    if (path.DescendantStep(step)) {
-      // Descendant axis: everything reachable through one or more edges;
-      // collect the label matches. `work` doubles as the BFS queue.
-      std::vector<NodeId> work = frontier_;
-      // The frontier nodes themselves are *not* marked: a node may match
-      // through a cycle back to itself (one-or-more edges).
-      for (size_t i = 0; i < work.size(); ++i) {
-        for (NodeId c : graph_.children(work[i])) {
-          if (Mark(c)) {
-            work.push_back(c);
-            if (path.StepMatches(step, graph_.label(c))) {
-              next_.push_back(c);
-            }
-          }
-        }
-      }
-    } else {
-      for (NodeId u : frontier_) {
-        for (NodeId v : graph_.children(u)) {
-          if (path.StepMatches(step, graph_.label(v)) && Mark(v)) {
-            next_.push_back(v);
-          }
-        }
-      }
-    }
+    NextFrontier(frontier_, path, step, &next_);
     frontier_.swap(next_);
   }
-
   std::vector<NodeId> result = frontier_;
   std::sort(result.begin(), result.end());
   return result;
+}
+
+namespace {
+
+/// Number of leading steps `a` and `b` share: equal labels and axes, and
+/// for step 0 equal anchoring.
+size_t SharedSteps(const PathExpression& a, const PathExpression& b) {
+  if (a.anchored() != b.anchored()) return 0;
+  const size_t n = std::min(a.num_steps(), b.num_steps());
+  size_t s = 0;
+  while (s < n && a.label(s) == b.label(s) &&
+         a.DescendantStep(s) == b.DescendantStep(s)) {
+    ++s;
+  }
+  return s;
+}
+
+}  // namespace
+
+std::vector<uint32_t> DataEvaluator::PrefixOrder(
+    std::span<const PathExpression* const> paths) {
+  std::vector<uint32_t> order(paths.size());
+  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
+    const PathExpression& a = *paths[x];
+    const PathExpression& b = *paths[y];
+    if (a.anchored() != b.anchored()) return a.anchored() < b.anchored();
+    const size_t s = SharedSteps(a, b);
+    if (s == a.num_steps() || s == b.num_steps()) {
+      return a.num_steps() < b.num_steps();
+    }
+    if (a.label(s) != b.label(s)) return a.label(s) < b.label(s);
+    return a.DescendantStep(s) < b.DescendantStep(s);
+  });
+  return order;
+}
+
+std::vector<std::vector<NodeId>> DataEvaluator::EvaluateAll(
+    std::span<const PathExpression* const> paths) {
+  std::vector<std::vector<NodeId>> targets(paths.size());
+  // levels[s]: the instances of step s of the last path evaluated.
+  std::vector<std::vector<NodeId>> levels;
+  const PathExpression* last = nullptr;
+  for (uint32_t i : PrefixOrder(paths)) {
+    const PathExpression& path = *paths[i];
+    levels.resize(last == nullptr ? 0 : SharedSteps(*last, path));
+    if (levels.empty()) {
+      levels.emplace_back();
+      StartFrontier(path, &levels.back());
+    }
+    while (levels.size() < path.num_steps()) {
+      std::vector<NodeId> next;
+      NextFrontier(levels.back(), path, levels.size(), &next);
+      levels.push_back(std::move(next));
+    }
+    targets[i] = levels.back();
+    std::sort(targets[i].begin(), targets[i].end());
+    last = &path;
+  }
+  return targets;
 }
 
 bool DataEvaluator::HasIncomingPath(NodeId node, const PathExpression& path,

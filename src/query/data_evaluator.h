@@ -2,6 +2,7 @@
 #define MRX_QUERY_DATA_EVALUATOR_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/data_graph.h"
@@ -30,6 +31,19 @@ class DataEvaluator {
   /// The target set of `path` in the data graph, sorted ascending.
   std::vector<NodeId> Evaluate(const PathExpression& path);
 
+  /// The target sets of `paths`, in input order: Evaluate of each, but a
+  /// prefix shared by several paths is evaluated once. The paths are
+  /// visited in PrefixOrder, keeping the frontier of every step of the
+  /// current path, so the next path resumes after the steps it shares.
+  std::vector<std::vector<NodeId>> EvaluateAll(
+      std::span<const PathExpression* const> paths);
+
+  /// Positions of `paths` sorted so that paths sharing a prefix are
+  /// adjacent: by anchoring, then step by step (label, axis), a prefix
+  /// before its extensions; ties keep input order.
+  static std::vector<uint32_t> PrefixOrder(
+      std::span<const PathExpression* const> paths);
+
   /// True iff `node` has `path` as an incoming label path (ending at
   /// `node`). For anchored paths the instance must start at the root.
   /// If `visited` is non-null, the number of data nodes visited by the
@@ -57,6 +71,15 @@ class DataEvaluator {
  private:
   bool HasIncomingPathImpl(NodeId node, const PathExpression& path,
                            uint64_t* visited);
+
+  /// The instances of step 0 of `path` (the root if anchored), into `out`.
+  void StartFrontier(const PathExpression& path, std::vector<NodeId>* out);
+
+  /// The instances of step `step` of `path` reached from `frontier`, the
+  /// instances of step `step` - 1, each once, into `out`.
+  void NextFrontier(const std::vector<NodeId>& frontier,
+                    const PathExpression& path, size_t step,
+                    std::vector<NodeId>* out);
 
   /// Marks `n` in the current epoch; returns true if newly marked.
   bool Mark(NodeId n) {

@@ -435,6 +435,7 @@ void ConcurrentSession::RefineLoop() {
     uint64_t publish_start = 0;
     uint64_t publish_ns = 0;
     std::shared_ptr<mutate::VersionSnapshot> published;
+    MStarIndex::PhysicalSize physical;
     // While a replay is owed, promotions wait for it: it refines by every
     // FUP, these included.
     if (replay || (!owed && promotions > 0)) {
@@ -457,7 +458,7 @@ void ConcurrentSession::RefineLoop() {
 
       publish_start = obs::MonotonicNowNs();
       published = PublishLocked(std::move(index), current->graph_ptr(),
-                                current->version());
+                                current->version(), &physical);
       publish_ns = obs::MonotonicNowNs() - publish_start;
       metrics_.publish_ns->Record(publish_ns);
       obs::FlightRecorder::Global().Record(
@@ -481,8 +482,7 @@ void ConcurrentSession::RefineLoop() {
         span.AddAttr("fup_promotions", promotions);
         span.AddAttr("fup_replay", replay ? fups_.fups().size() : 0);
         span.AddAttr("partition_splits", splits);
-        span.AddAttr("index_physical_nodes",
-                     published->index().PhysicalNodeCount());
+        span.AddAttr("index_physical_nodes", physical.nodes);
         span.EndManual(batch_start, obs::MonotonicNowNs() - batch_start);
       }
     }
@@ -498,7 +498,7 @@ void ConcurrentSession::RefineLoop() {
 
 std::shared_ptr<mutate::VersionSnapshot> ConcurrentSession::PublishLocked(
     MStarIndex index, std::shared_ptr<const DataGraph> graph,
-    uint64_t version) {
+    uint64_t version, MStarIndex::PhysicalSize* physical_out) {
   // Readers never refine, and the pool must outlive every index holding
   // it. Build the chooser before the handle swap: readers only ever wait
   // for the snapshot-pointer swap itself.
@@ -517,6 +517,7 @@ std::shared_ptr<mutate::VersionSnapshot> ConcurrentSession::PublishLocked(
       static_cast<int64_t>(fresh->num_components()));
   metrics_.index_physical_nodes->Set(static_cast<int64_t>(physical.nodes));
   metrics_.index_physical_edges->Set(static_cast<int64_t>(physical.edges));
+  if (physical_out != nullptr) *physical_out = physical;
   if (refine_pool_ != nullptr) {
     const ThreadPool::Stats stats = refine_pool_->stats();
     metrics_.pool_jobs->Set(static_cast<int64_t>(stats.jobs));

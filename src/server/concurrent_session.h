@@ -307,12 +307,13 @@ class ConcurrentSession {
   void RefineLoop();
 
   /// Publishes `index` over `graph` at graph version `version` as a fresh
-  /// snapshot and refreshes the index-size gauges. Leaves the answer cache
-  /// alone: a caller that publishes a new graph version invalidates it.
-  /// Caller holds refine_mu_.
+  /// snapshot and refreshes the index-size gauges, handing their physical
+  /// size to `physical_out` when non-null. Leaves the answer cache alone:
+  /// a caller that publishes a new graph version invalidates it. Caller
+  /// holds refine_mu_.
   std::shared_ptr<mutate::VersionSnapshot> PublishLocked(
       MStarIndex index, std::shared_ptr<const DataGraph> graph,
-      uint64_t version);
+      uint64_t version, MStarIndex::PhysicalSize* physical_out = nullptr);
 
   const DataGraph& graph_;
   const ConcurrentSessionOptions options_;

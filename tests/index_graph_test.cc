@@ -195,6 +195,52 @@ TEST(IndexGraphTest, BatchedRebuildMatchesPerSplitRebuild) {
   }
 }
 
+// Between rebuilds, a walk's children lists are derived on demand. After
+// every split, on random nodes and labels, ChildrenForWalk must list every
+// alive child with that label that a full rebuild finds, and no dead node
+// with it; the final rebuild must leave exact lists.
+TEST(IndexGraphTest, ChildrenForWalkMatchFullRebuild) {
+  DataGraph g = RandomGraph(57, 150, 4, 80);
+  IndexGraph lazy = IndexGraph::LabelPartition(g);
+  SplitScratch scratch;
+  Rng rng(29);
+  size_t checked = 0;
+  for (int step = 0; step < 80; ++step) {
+    std::vector<IndexNodeId> alive = lazy.AliveNodes();
+    const IndexNodeId v = alive[rng.Below(alive.size())];
+    std::vector<NodeId> left, right;
+    for (NodeId o : lazy.node(v).extent) {
+      (rng.Chance(0.5) ? left : right).push_back(o);
+    }
+    if (left.empty() || right.empty()) continue;
+    lazy.ReplaceNode(v, {{left, 1}, {right, 0}});
+    IndexGraph exact = lazy;
+    SplitScratch exact_scratch;
+    exact.RebuildAdjacency(&exact_scratch);
+    alive = lazy.AliveNodes();
+    for (int probe = 0; probe < 4; ++probe) {
+      const IndexNodeId u = alive[rng.Below(alive.size())];
+      const LabelId label = lazy.node(alive[rng.Below(alive.size())]).label;
+      std::vector<IndexNodeId> got;
+      for (IndexNodeId x : lazy.ChildrenForWalk(u, label, &scratch)) {
+        if (lazy.node(x).label != label) continue;
+        EXPECT_TRUE(lazy.alive(x)) << "step " << step << ", node " << u;
+        got.push_back(x);
+      }
+      std::sort(got.begin(), got.end());
+      std::vector<IndexNodeId> want;
+      for (IndexNodeId x : exact.node(u).children) {
+        if (exact.node(x).label == label) want.push_back(x);
+      }
+      EXPECT_EQ(got, want) << "step " << step << ", node " << u;
+      ++checked;
+    }
+  }
+  lazy.RebuildAdjacency(&scratch);
+  EXPECT_TRUE(lazy.CheckConsistency().ok()) << lazy.CheckConsistency();
+  EXPECT_GT(checked, 100u);
+}
+
 // The M*(k) cascade leaves per-id values in the shared scratch (its
 // touched-list slots) that a later rebuild's passes may equal; the rebuild
 // must not read them as dedupe stamps and drop a neighbour.

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "check/case_gen.h"
 #include "query/data_evaluator.h"
 #include "query/path_expression.h"
 #include "tests/test_util.h"
+#include "util/rng.h"
 
 namespace mrx {
 namespace {
@@ -222,6 +227,79 @@ TEST(DataEvaluatorTest, MismatchedLastLabelCostsNothing) {
   uint64_t visited = 0;
   EXPECT_FALSE(eval.HasIncomingPath(2, p, &visited));
   EXPECT_EQ(visited, 0u);
+}
+
+/// The first `steps` steps of `p`, keeping its anchor and axes.
+PathExpression Prefix(const PathExpression& p, size_t steps) {
+  std::vector<LabelId> labels(p.labels().begin(), p.labels().begin() + steps);
+  std::vector<uint8_t> descendant;
+  for (size_t i = 0; i < steps; ++i) descendant.push_back(p.DescendantStep(i));
+  return PathExpression(std::move(labels), std::move(descendant),
+                        p.anchored());
+}
+
+// EvaluateAll evaluates a prefix shared by several paths once; each target
+// set must still be exactly Evaluate's, in input order. The batches mix the
+// generated queries (wildcards, descendant steps, anchors, unknown labels)
+// with all their prefixes (down to one step) and repeats, shuffled.
+TEST(DataEvaluatorTest, EvaluateAllMatchesEvaluateOnGeneratedCases) {
+  struct {
+    size_t wildcard = 0;
+    size_t unknown = 0;
+    size_t anchored = 0;
+    size_t one_step = 0;
+  } seen;
+  Rng rng(25);
+  check::CaseGenOptions options;
+  for (int c = 0; c < 300; ++c) {
+    const check::GeneratedCase gen = check::GenerateCase(rng, options);
+    Result<DataGraph> built = gen.graph.Build();
+    ASSERT_TRUE(built.ok()) << built.status();
+    const DataGraph& g = *built;
+    std::vector<PathExpression> paths;
+    for (const check::QuerySpec& spec : gen.queries) {
+      Result<PathExpression> path = spec.Compile(g.symbols());
+      ASSERT_TRUE(path.ok()) << path.status();
+      for (size_t n = 1; n <= path->num_steps(); ++n) {
+        paths.push_back(Prefix(*path, n));
+      }
+    }
+    const size_t distinct = paths.size();
+    for (size_t i = 0; i < distinct; i += 3) paths.push_back(paths[i]);
+    for (size_t i = paths.size(); i > 1; --i) {
+      std::swap(paths[i - 1], paths[rng.Below(i)]);
+    }
+    std::vector<const PathExpression*> batch;
+    for (const PathExpression& p : paths) {
+      batch.push_back(&p);
+      seen.wildcard += p.HasWildcard();
+      seen.anchored += p.anchored();
+      seen.one_step += p.num_steps() == 1;
+      for (LabelId label : p.labels()) seen.unknown += label == kUnknownLabel;
+    }
+    DataEvaluator evaluator(g);
+    const std::vector<std::vector<NodeId>> all = evaluator.EvaluateAll(batch);
+    ASSERT_EQ(all.size(), paths.size());
+    for (size_t i = 0; i < paths.size(); ++i) {
+      ASSERT_EQ(all[i], evaluator.Evaluate(paths[i]))
+          << "case " << c << ", " << paths[i].ToString(g.symbols());
+    }
+  }
+  EXPECT_GT(seen.wildcard, 0u);
+  EXPECT_GT(seen.unknown, 0u);
+  EXPECT_GT(seen.anchored, 0u);
+  EXPECT_GT(seen.one_step, 0u);
+}
+
+TEST(DataEvaluatorTest, PrefixOrderPutsPrefixesFirstAndKeepsTies) {
+  DataGraph g = MakeFigure1Graph();
+  const PathExpression site = MustParse("//site", g.symbols());
+  const PathExpression people = MustParse("//site/people", g.symbols());
+  const PathExpression anchored = MustParse("/site/people", g.symbols());
+  const std::vector<const PathExpression*> batch = {&people, &anchored,
+                                                    &site, &people};
+  EXPECT_EQ(DataEvaluator::PrefixOrder(batch),
+            (std::vector<uint32_t>{2, 0, 3, 1}));
 }
 
 }  // namespace
