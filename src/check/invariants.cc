@@ -147,13 +147,7 @@ std::vector<std::string> AuditIndexGraph(const IndexGraph& ig,
     const IndexGraph::Node& node = ig.node(v);
     const int32_t k = std::min(node.k, k_cap);
     const size_t members = std::min(node.extent.size(), pair_cap + 1);
-    // Decode the capped prefix once (extents may be compressed).
-    std::vector<NodeId> sampled;
-    sampled.reserve(members);
-    for (NodeId o : node.extent) {
-      if (sampled.size() == members) break;
-      sampled.push_back(o);
-    }
+    const NodeId* sampled = node.extent.begin();
     for (size_t i = 1; i < members; ++i) {
       if (!oracle.Bisimilar(sampled[0], sampled[i], k)) {
         std::ostringstream out;

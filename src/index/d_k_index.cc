@@ -146,7 +146,7 @@ void DkIndex::PromoteExtent(const std::vector<NodeId>& extent, int32_t kv,
     graph_.RebuildAdjacency(scratch);
     std::vector<IndexGraph::Part> parts;
     for (auto& piece :
-         graph_.SplitByParents(graph_.node(v).extent.Materialize(),
+         graph_.SplitByParents(graph_.node(v).extent.ids(),
                                graph_.node(v).parents, scratch)) {
       parts.push_back(IndexGraph::Part{std::move(piece), kv});
     }

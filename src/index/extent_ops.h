@@ -22,21 +22,9 @@ namespace mrx {
 /// relevant nodes against a huge extent) that split relevance filtering
 /// hits constantly.
 ///
-/// Since the Extent redesign (ISSUE 9) the kernels come in three flavors:
-///   - vector × vector — the original kernels, unchanged; these are the
-///     oracle the representation-equivalence property test compares
-///     against, and the ground-truth path (DataGraph adjacency, the
-///     differential oracle) only ever uses these;
-///   - Extent × Extent — representation-pair dispatch with word-parallel
-///     bitmap∩bitmap and run-aware fast paths (extent_ops.cc);
-///   - Extent × vector (both orders) — the refinement hot path: an index
-///     node's extent against a plain relevant/successor set, with a
-///     Contains-probe fast path into hybrid chunks that plays the role
-///     galloping plays for vectors.
-///
-/// Every flavor charges the same QueryCostScope hooks with *logical*
-/// element counts (the §5 cost metric), never physical words or chunks —
-/// compressing an extent must not make a query look cheaper.
+/// The Extent flavors call the same kernels on the extents' member arrays.
+/// Every flavor charges the QueryCostScope hooks with *logical* element
+/// counts (the §5 cost metric).
 
 /// Size ratio beyond which Intersect/Difference switch from the linear
 /// merge to galloping (exponential search) through the larger input. At
@@ -94,8 +82,8 @@ inline void DifferenceGallop(const std::vector<NodeId>& a,
   }
 }
 
-/// Uncounted a ∩ b — the kernel body without the cost hook, so the Extent
-/// dispatch layer can delegate here after charging the hook exactly once.
+/// Uncounted a ∩ b: the kernel body without the cost hook, so a caller that
+/// charges the hook itself (the Extent flavors) charges it exactly once.
 inline std::vector<NodeId> IntersectVec(const std::vector<NodeId>& a,
                                         const std::vector<NodeId>& b) {
   std::vector<NodeId> out;
@@ -185,35 +173,61 @@ inline std::vector<NodeId> Difference(const std::vector<NodeId>& a,
   return extent_internal::DifferenceVec(a, b);
 }
 
-/// a ∩ b over compressed extents: representation-pair dispatch. Matching
-/// kSortedVector pair falls through to the adaptive vector kernel;
-/// kHybridBitmap pairs intersect chunk-by-chunk (SIMD word-parallel AND
-/// for bitmap×bitmap, run-aware probes otherwise); anything involving
-/// kDeltaPacked runs the native delta-stream kernels — a blockwise walk of
-/// the packed stream that skips non-overlapping blocks via the per-block
-/// maxima index and never materializes a scratch vector. The result is a
-/// normalized Extent. Charges CountIntersect with logical sizes.
-Extent Intersect(const Extent& a, const Extent& b);
-
-/// a \ b over compressed extents, same dispatch structure as Intersect.
-Extent Difference(const Extent& a, const Extent& b);
-
-/// True iff a ∩ b is non-empty. Replaces the `Intersect(a, b).empty()`
-/// idiom on validation paths: same representation dispatch, but returns at
-/// the FIRST common member and builds nothing. Charges CountIntersect with
-/// the same logical sizes the materializing call would (compression and
-/// early exit must not make a query look cheaper).
-bool Overlaps(const Extent& a, const Extent& b);
-bool Overlaps(const std::vector<NodeId>& a, const Extent& b);
-inline bool Overlaps(const Extent& a, const std::vector<NodeId>& b) {
-  return Overlaps(b, a);
+/// Extent flavors of the kernels above: thin calls into the vector
+/// kernels on the extents' member arrays, charging the same logical sizes.
+/// Extents holding the same allocation are equal, so their intersection is
+/// a refcount bump and their difference is empty (still fully charged).
+inline Extent Intersect(const Extent& a, const Extent& b) {
+  obs::CountIntersect(a.size() + b.size());
+  if (a.SharesIds(b)) return a;
+  return Extent::FromSorted(extent_internal::IntersectVec(a.ids(), b.ids()));
 }
 
-/// Vector flavor of Overlaps (same contract), inline for the query layer.
+inline Extent Difference(const Extent& a, const Extent& b) {
+  obs::CountDifference(a.size() + b.size());
+  if (a.SharesIds(b)) return Extent();
+  if (b.empty()) return a;
+  return Extent::FromSorted(extent_internal::DifferenceVec(a.ids(), b.ids()));
+}
+
+/// Mixed flavors for the refinement hot path: an index node's extent
+/// against a plain sorted vector (relevant sets, Succ results). Outputs
+/// are plain sorted vectors.
+inline std::vector<NodeId> Intersect(const Extent& a,
+                                     const std::vector<NodeId>& b) {
+  return Intersect(a.ids(), b);
+}
+inline std::vector<NodeId> Intersect(const std::vector<NodeId>& a,
+                                     const Extent& b) {
+  return Intersect(a, b.ids());
+}
+inline std::vector<NodeId> Difference(const Extent& a,
+                                      const std::vector<NodeId>& b) {
+  return Difference(a.ids(), b);
+}
+inline std::vector<NodeId> Difference(const std::vector<NodeId>& a,
+                                      const Extent& b) {
+  return Difference(a, b.ids());
+}
+
+/// True iff a ∩ b is non-empty. Replaces the `Intersect(a, b).empty()`
+/// idiom on validation paths: returns at the FIRST common member and
+/// builds nothing, but charges CountIntersect with the same logical sizes
+/// the materializing call would (an early exit must not make a query look
+/// cheaper).
 inline bool Overlaps(const std::vector<NodeId>& a,
                      const std::vector<NodeId>& b) {
   obs::CountIntersect(a.size() + b.size());
   return extent_internal::OverlapsVec(a, b);
+}
+inline bool Overlaps(const Extent& a, const Extent& b) {
+  return Overlaps(a.ids(), b.ids());
+}
+inline bool Overlaps(const std::vector<NodeId>& a, const Extent& b) {
+  return Overlaps(a, b.ids());
+}
+inline bool Overlaps(const Extent& a, const std::vector<NodeId>& b) {
+  return Overlaps(a.ids(), b);
 }
 
 /// k-way intersection folding in ascending size order (size is the kernel
@@ -222,23 +236,24 @@ inline bool Overlaps(const std::vector<NodeId>& a,
 /// against the next-cheapest operand, with an early exit the moment the
 /// running result is empty. Null entries are skipped. Replaces left-fold
 /// `Intersect` chains on the query hot path.
-Extent IntersectMany(std::vector<const Extent*> operands);
-
-/// Mixed kernels for the refinement hot path: an index node's (possibly
-/// compressed) extent against a plain sorted vector (relevant sets, Succ
-/// results). A hybrid extent is probed per element (the compressed
-/// analogue of galloping); a delta extent decodes and merges. Outputs are
-/// plain sorted vectors — refinement scratch data stays uncompressed.
-std::vector<NodeId> Intersect(const Extent& a, const std::vector<NodeId>& b);
-std::vector<NodeId> Intersect(const std::vector<NodeId>& a, const Extent& b);
-std::vector<NodeId> Difference(const Extent& a, const std::vector<NodeId>& b);
-std::vector<NodeId> Difference(const std::vector<NodeId>& a, const Extent& b);
+inline Extent IntersectMany(std::vector<const Extent*> operands) {
+  std::erase(operands, nullptr);
+  if (operands.empty()) return Extent();
+  std::sort(operands.begin(), operands.end(),
+            [](const Extent* x, const Extent* y) {
+              return x->size() < y->size();
+            });
+  Extent result = *operands.front();
+  for (size_t i = 1; i < operands.size() && !result.empty(); ++i) {
+    result = Intersect(result, *operands[i]);
+  }
+  return result;
+}
 
 /// Vector flavor of IntersectMany for hot paths that fold plain sorted
 /// vectors (twig match-set combination): same ascending-size ordering rule
-/// and empty-result early exit. Header-inline because mrx_query cannot
-/// link the compiled extent kernels. Null entries are skipped; an all-null
-/// or empty list yields the empty set.
+/// and empty-result early exit. Null entries are skipped; an all-null or
+/// empty list yields the empty set.
 inline std::vector<NodeId> IntersectMany(
     std::vector<const std::vector<NodeId>*> operands) {
   std::erase(operands, nullptr);

@@ -59,7 +59,7 @@ IndexGraph IndexGraph::FromPartition(const DataGraph& g,
   ig.num_alive_ = num_blocks;
 
   // Stage extents as plain vectors (NodeIds visited ascending, so they come
-  // out sorted), then seal each into its normalized representation.
+  // out sorted), then seal each into an extent.
   std::vector<std::vector<NodeId>> staged(num_blocks);
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
     IndexNodeId b = block_of[n];

@@ -94,8 +94,7 @@ class IndexGraph {
   struct Node {
     LabelId label = 0;
     int32_t k = 0;
-    /// The node's data-node set, normalized into a (possibly compressed)
-    /// representation on assignment — see index/extent.h.
+    /// The node's data-node set (index/extent.h).
     Extent extent;
     /// Sorted unique alive ids; exact once RebuildAdjacency has run after
     /// the last ReplaceNode.

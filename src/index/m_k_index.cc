@@ -46,10 +46,10 @@ void MkIndex::Refine(const PathExpression& fup) {
       graph_.RebuildAdjacency(&scratch);
       return;
     }
-    // Copy the extent: PromotePrime splits nodes, which can reallocate the
+    // Hold the extent: PromotePrime splits nodes, which can reallocate the
     // node array and invalidate references into it.
-    std::vector<NodeId> bad_extent = graph_.node(bad).extent.Materialize();
-    PromotePrime(bad_extent, len, fup, &scratch);
+    const Extent bad_extent = graph_.node(bad).extent;
+    PromotePrime(bad_extent.ids(), len, fup, &scratch);
   }
 }
 
@@ -115,8 +115,8 @@ void MkIndex::SplitCover(IndexNodeId v, int32_t k,
     graph_.RebuildAdjacency(scratch);
     qualifying = graph_.node(v).parents;
   }
-  std::vector<std::vector<NodeId>> pieces = graph_.SplitByParents(
-      graph_.node(v).extent.Materialize(), qualifying, scratch);
+  std::vector<std::vector<NodeId>> pieces =
+      graph_.SplitByParents(graph_.node(v).extent.ids(), qualifying, scratch);
 
   // Lines 19-26: merge pieces with no relevant member into one remainder
   // that keeps the old similarity (unless the ablation hook turned merging
@@ -213,7 +213,7 @@ bool MkIndex::PromotePrime(const std::vector<NodeId>& extent, int32_t kv,
     graph_.RebuildAdjacency(scratch);
     std::vector<IndexGraph::Part> parts;
     for (auto& piece :
-         graph_.SplitByParents(graph_.node(v).extent.Materialize(),
+         graph_.SplitByParents(graph_.node(v).extent.ids(),
                                graph_.node(v).parents, scratch)) {
       parts.push_back(IndexGraph::Part{std::move(piece), kv});
     }

@@ -238,11 +238,10 @@ void MStarIndex::RefineWithTarget(const PathExpression& fup,
   while (true) {
     const IndexNodeId bad = FirstFalseInstance(fup, scratch);
     if (bad == kInvalidIndexNode) return;
-    // Copy the extent: PromoteStar splits nodes, which can reallocate the
+    // Hold the extent: PromoteStar splits nodes, which can reallocate the
     // component's node array and invalidate references into it.
-    std::vector<NodeId> bad_extent =
-        components_[len].graph.node(bad).extent.Materialize();
-    PromoteStar(len, bad_extent, fup, scratch);
+    const Extent bad_extent = components_[len].graph.node(bad).extent;
+    PromoteStar(len, bad_extent.ids(), fup, scratch);
   }
 }
 
@@ -314,8 +313,7 @@ void MStarIndex::SplitNodeStar(int ci, IndexNodeId v,
       prev.ParentHolders(relevant_here);
 
   std::vector<std::vector<NodeId>> pieces =
-      prev.SplitByParents(comp.node(v).extent.Materialize(), qualifying,
-                          scratch);
+      prev.SplitByParents(comp.node(v).extent.ids(), qualifying, scratch);
 
   // Merge pieces with no relevant member into the remainder (SPLITNODE*
   // lines 11-19). As in MkIndex::SplitCover, an irrelevant member of a
@@ -363,12 +361,13 @@ void MStarIndex::SplitAndPropagate(int ci, IndexNodeId v,
                                    SplitScratch* scratch) {
   Component& comp = components_[ci];
   const IndexNodeId sup = comp.supernode[v];
-  const std::vector<NodeId> affected = comp.graph.node(v).extent.Materialize();
+  // Held by value: ReplaceNode drops v's node, but the members live on.
+  const Extent affected = comp.graph.node(v).extent;
   std::vector<IndexNodeId> ids = comp.graph.ReplaceNode(v, std::move(parts));
   comp.supernode.resize(comp.graph.capacity(), kInvalidIndexNode);
   for (IndexNodeId id : ids) comp.supernode[id] = sup;
   if (static_cast<size_t>(ci) + 1 < components_.size()) {
-    CascadeInto(ci + 1, affected, ids, scratch);
+    CascadeInto(ci + 1, affected.ids(), ids, scratch);
   }
 }
 
@@ -574,7 +573,7 @@ bool MStarIndex::PromoteStar(int k, const std::vector<NodeId>& extent,
       IndexNodeId sup = prev.index_of(ci_graph.node(p).extent.front());
       std::vector<IndexGraph::Part> parts;
       for (auto& piece :
-           prev.SplitByParents(ci_graph.node(p).extent.Materialize(),
+           prev.SplitByParents(ci_graph.node(p).extent.ids(),
                                prev.node(sup).parents, scratch)) {
         parts.push_back(IndexGraph::Part{std::move(piece), i});
       }

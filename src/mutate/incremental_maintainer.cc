@@ -739,7 +739,7 @@ std::vector<MStarComponentSpec> IncrementalMaintainer::ExportStaticSpecs()
     MStarComponentSpec& spec = specs[0];
     spec.extents.resize(l0.num_blocks);
     for (uint32_t b = 0; b < l0.num_blocks; ++b) {
-      // Seal the CSR slice into a (possibly compressed) extent.
+      // Seal the CSR slice into an extent.
       spec.extents[perm[b]] = Extent::FromSorted(std::vector<NodeId>(
           l0.extent_nodes.begin() + l0.extent_offsets[b],
           l0.extent_nodes.begin() + l0.extent_offsets[b + 1]));

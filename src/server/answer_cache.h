@@ -19,8 +19,7 @@ namespace mrx::server {
 /// \brief An immutable cached query answer, shared between the cache and
 /// every reader that hit it.
 ///
-/// The answer set is held as an Extent, so a large answer sits in the
-/// cache in its compressed representation and a hit hands out a handle
+/// The answer set is held as an Extent, so a hit hands out a handle
 /// (refcount bump) instead of deep-copying vectors under the shard lock.
 /// Query stats are deliberately absent: a cache hit visits no nodes, so
 /// the session rebuilds a zeroed QueryStats on every hit anyway.
@@ -79,7 +78,7 @@ class ShardedAnswerCache {
   /// Seals a result computed on the index of epoch `index_epoch` (0 for an
   /// owner that only ever has one index) into an immutable cache entry.
   /// `result.answer` must be sorted and duplicate-free (QueryResult's
-  /// contract); the Extent conversion may compress it.
+  /// contract).
   static CachedAnswerPtr Wrap(const QueryResult& result,
                               uint64_t index_epoch = 0);
 

@@ -33,11 +33,6 @@ class BinaryWriter {
     buffer_.append(s);
   }
 
-  void PutFixed16(uint16_t value) {
-    buffer_.push_back(static_cast<char>(value & 0xFF));
-    buffer_.push_back(static_cast<char>((value >> 8) & 0xFF));
-  }
-
   void PutFixed32(uint32_t value) {
     for (int i = 0; i < 4; ++i) {
       buffer_.push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
@@ -96,17 +91,6 @@ class BinaryReader {
     std::string out(data_.substr(pos_, size));
     pos_ += size;
     return out;
-  }
-
-  Result<uint16_t> GetFixed16() {
-    if (Remaining() < 2) {
-      return Status::ParseError("binary data truncated (fixed16)");
-    }
-    uint16_t value = static_cast<uint8_t>(data_[pos_++]);
-    value = static_cast<uint16_t>(
-        value | (static_cast<uint16_t>(static_cast<uint8_t>(data_[pos_++]))
-                 << 8));
-    return value;
   }
 
   Result<uint32_t> GetFixed32() {

@@ -1,7 +1,7 @@
 #include "storage/index_io.h"
 
-#include <bit>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <unordered_map>
 
@@ -12,6 +12,9 @@ namespace {
 
 constexpr std::string_view kMagic = "MRX*";
 
+/// A TOC entry is three fixed64 fields: offset, length, checksum.
+constexpr uint64_t kTocEntryBytes = 24;
+
 /// Node id → ordinal (position among alive nodes) for one component.
 std::unordered_map<IndexNodeId, uint32_t> OrdinalMap(const IndexGraph& g) {
   std::unordered_map<IndexNodeId, uint32_t> out;
@@ -20,9 +23,9 @@ std::unordered_map<IndexNodeId, uint32_t> OrdinalMap(const IndexGraph& g) {
   return out;
 }
 
-/// Body of a kSortedVector extent record: member count then ascending
-/// varint deltas.
-void EncodeSortedDeltas(const Extent& extent, BinaryWriter* blob) {
+/// Extent record: member count, then the members as ascending varint
+/// deltas (the first one from 0).
+void EncodeExtent(const Extent& extent, BinaryWriter* blob) {
   blob->PutVarint(extent.size());
   NodeId prev = 0;
   for (NodeId o : extent) {
@@ -31,155 +34,31 @@ void EncodeSortedDeltas(const Extent& extent, BinaryWriter* blob) {
   }
 }
 
-/// Version-2 extent record: one representation tag byte, then the payload
-/// of that representation verbatim — a compressed index round-trips to
-/// disk without decompressing.
-void EncodeExtentV2(const Extent& extent, BinaryWriter* blob) {
-  using extent_internal::BitmapChunk;
-  blob->PutVarint(static_cast<uint64_t>(extent.rep()));
-  switch (extent.rep()) {
-    case ExtentRep::kSortedVector:
-      EncodeSortedDeltas(extent, blob);
-      return;
-    case ExtentRep::kDeltaPacked: {
-      const auto* p = extent.payload();
-      blob->PutVarint(extent.size());
-      blob->PutVarint(p->base);
-      blob->PutVarint(p->delta_bits);
-      blob->PutVarint(p->packed.size());
-      for (uint64_t word : p->packed) blob->PutFixed64(word);
-      return;
-    }
-    case ExtentRep::kHybridBitmap: {
-      const auto* p = extent.payload();
-      blob->PutVarint(extent.size());
-      blob->PutVarint(p->chunks.size());
-      for (const BitmapChunk& chunk : p->chunks) {
-        blob->PutVarint(chunk.high);
-        blob->PutVarint(static_cast<uint64_t>(chunk.kind));
-        blob->PutVarint(chunk.count);
-        if (chunk.kind == BitmapChunk::Kind::kBitmap) {
-          for (uint64_t word : chunk.words) blob->PutFixed64(word);
-        } else {
-          blob->PutVarint(chunk.lows.size());
-          for (uint16_t low : chunk.lows) blob->PutFixed16(low);
-        }
-      }
-      return;
-    }
+/// Decodes an extent record. The blob checksum is FNV and a forger can
+/// recompute it, so every field is checked: the count against the bytes
+/// left (each delta takes at least one), strictly ascending members, and
+/// ids inside the 32-bit NodeId range.
+Result<Extent> DecodeExtent(BinaryReader* reader) {
+  MRX_ASSIGN_OR_RETURN(uint64_t count, reader->GetVarint());
+  if (count > reader->Remaining()) {
+    return Status::ParseError("extent member count " + std::to_string(count) +
+                              " exceeds the blob");
   }
-}
-
-Result<Extent> DecodeSortedDeltas(BinaryReader* reader) {
-  MRX_ASSIGN_OR_RETURN(uint64_t extent_size, reader->GetVarint());
-  std::vector<NodeId> extent;
-  extent.reserve(extent_size);
-  NodeId prev = 0;
-  for (uint64_t i = 0; i < extent_size; ++i) {
+  std::vector<NodeId> ids;
+  ids.reserve(count);
+  uint64_t id = 0;
+  for (uint64_t i = 0; i < count; ++i) {
     MRX_ASSIGN_OR_RETURN(uint64_t delta, reader->GetVarint());
-    prev += static_cast<NodeId>(delta);
-    extent.push_back(prev);
-  }
-  // Normalized under the current representation mode — loading a
-  // vector-rep extent upgrades it like a fresh build would.
-  return Extent::FromSorted(std::move(extent));
-}
-
-Result<Extent> DecodeExtentV2(BinaryReader* reader) {
-  using extent_internal::BitmapChunk;
-  using extent_internal::ExtentPayload;
-  MRX_ASSIGN_OR_RETURN(uint64_t rep_tag, reader->GetVarint());
-  switch (static_cast<ExtentRep>(rep_tag)) {
-    case ExtentRep::kSortedVector:
-      return DecodeSortedDeltas(reader);
-    case ExtentRep::kDeltaPacked: {
-      auto p = std::make_shared<ExtentPayload>();
-      p->rep = ExtentRep::kDeltaPacked;
-      MRX_ASSIGN_OR_RETURN(uint64_t size, reader->GetVarint());
-      p->size = static_cast<uint32_t>(size);
-      MRX_ASSIGN_OR_RETURN(uint64_t base, reader->GetVarint());
-      p->base = static_cast<NodeId>(base);
-      MRX_ASSIGN_OR_RETURN(uint64_t bits, reader->GetVarint());
-      if (bits > 32) return Status::ParseError("extent delta width > 32");
-      p->delta_bits = static_cast<uint8_t>(bits);
-      MRX_ASSIGN_OR_RETURN(uint64_t words, reader->GetVarint());
-      const uint64_t needed =
-          p->size <= 1 ? 0 : ((p->size - 1) * bits + 63) / 64;
-      if (words != needed) {
-        return Status::ParseError("extent packed-word count mismatch");
-      }
-      p->packed.reserve(words);
-      for (uint64_t w = 0; w < words; ++w) {
-        MRX_ASSIGN_OR_RETURN(uint64_t word, reader->GetFixed64());
-        p->packed.push_back(word);
-      }
-      // The block skip index is derived, not serialized.
-      extent_internal::FinalizeDeltaPayload(p.get());
-      return Extent::FromPayload(std::move(p));
+    if (i > 0 && delta == 0) {
+      return Status::ParseError("extent members are not strictly ascending");
     }
-    case ExtentRep::kHybridBitmap: {
-      auto p = std::make_shared<ExtentPayload>();
-      p->rep = ExtentRep::kHybridBitmap;
-      MRX_ASSIGN_OR_RETURN(uint64_t size, reader->GetVarint());
-      p->size = static_cast<uint32_t>(size);
-      MRX_ASSIGN_OR_RETURN(uint64_t num_chunks, reader->GetVarint());
-      uint64_t total = 0;
-      for (uint64_t c = 0; c < num_chunks; ++c) {
-        BitmapChunk chunk;
-        MRX_ASSIGN_OR_RETURN(uint64_t high, reader->GetVarint());
-        chunk.high = static_cast<uint16_t>(high);
-        MRX_ASSIGN_OR_RETURN(uint64_t kind, reader->GetVarint());
-        if (kind > 2) return Status::ParseError("bad extent chunk kind");
-        chunk.kind = static_cast<BitmapChunk::Kind>(kind);
-        MRX_ASSIGN_OR_RETURN(uint64_t count, reader->GetVarint());
-        chunk.count = static_cast<uint32_t>(count);
-        if (chunk.kind == BitmapChunk::Kind::kBitmap) {
-          chunk.words.reserve(1024);
-          uint64_t popcount = 0;
-          for (size_t w = 0; w < 1024; ++w) {
-            MRX_ASSIGN_OR_RETURN(uint64_t word, reader->GetFixed64());
-            popcount += static_cast<uint64_t>(std::popcount(word));
-            chunk.words.push_back(word);
-          }
-          if (popcount != chunk.count) {
-            return Status::ParseError("extent bitmap popcount mismatch");
-          }
-        } else {
-          MRX_ASSIGN_OR_RETURN(uint64_t lows, reader->GetVarint());
-          chunk.lows.reserve(lows);
-          for (uint64_t l = 0; l < lows; ++l) {
-            MRX_ASSIGN_OR_RETURN(uint16_t low, reader->GetFixed16());
-            chunk.lows.push_back(low);
-          }
-          if (chunk.kind == BitmapChunk::Kind::kArray) {
-            if (chunk.lows.size() != chunk.count) {
-              return Status::ParseError("extent array length mismatch");
-            }
-          } else {
-            if (chunk.lows.size() % 2 != 0) {
-              return Status::ParseError("extent run list has odd length");
-            }
-            uint64_t run_total = 0;
-            for (size_t r = 1; r < chunk.lows.size(); r += 2) {
-              run_total += static_cast<uint64_t>(chunk.lows[r]) + 1;
-            }
-            if (run_total != chunk.count) {
-              return Status::ParseError("extent run lengths mismatch");
-            }
-          }
-        }
-        total += chunk.count;
-        p->chunks.push_back(std::move(chunk));
-      }
-      if (total != p->size) {
-        return Status::ParseError("extent chunk counts mismatch");
-      }
-      return Extent::FromPayload(std::move(p));
+    if (delta > std::numeric_limits<NodeId>::max() - id) {
+      return Status::ParseError("extent member id out of range");
     }
-    default:
-      return Status::ParseError("unknown extent representation tag " +
-                                std::to_string(rep_tag));
+    id += delta;
+    ids.push_back(static_cast<NodeId>(id));
   }
+  return Extent::FromSorted(std::move(ids));
 }
 
 }  // namespace
@@ -200,7 +79,7 @@ std::string EncodeComponentBlob(const MStarIndex& index, size_t component) {
     if (component > 0) {
       blob.PutVarint(prev_ordinals.at(index.supernode(component, v)));
     }
-    EncodeExtentV2(node.extent, &blob);
+    EncodeExtent(node.extent, &blob);
   }
   return blob.TakeBuffer();
 }
@@ -215,6 +94,11 @@ Result<MStarComponentSpec> DecodeComponentBlob(std::string_view blob,
   BinaryReader reader(blob);
   MRX_ASSIGN_OR_RETURN(uint64_t component, reader.GetVarint());
   MRX_ASSIGN_OR_RETURN(uint64_t num_nodes, reader.GetVarint());
+  // Each node record takes at least two bytes (k and a member count).
+  if (num_nodes > reader.Remaining() / 2) {
+    return Status::ParseError("component node count " +
+                              std::to_string(num_nodes) + " exceeds the blob");
+  }
   MStarComponentSpec spec;
   spec.extents.reserve(num_nodes);
   spec.ks.reserve(num_nodes);
@@ -225,7 +109,7 @@ Result<MStarComponentSpec> DecodeComponentBlob(std::string_view blob,
       MRX_ASSIGN_OR_RETURN(uint64_t sup, reader.GetVarint());
       spec.supernodes.push_back(static_cast<uint32_t>(sup));
     }
-    MRX_ASSIGN_OR_RETURN(Extent extent, DecodeExtentV2(&reader));
+    MRX_ASSIGN_OR_RETURN(Extent extent, DecodeExtent(&reader));
     spec.extents.push_back(std::move(extent));
   }
   if (component == 0) {
@@ -247,7 +131,7 @@ std::string SerializeMStarIndex(const MStarIndex& index) {
   header.PutRaw(kMagic);
   header.PutFixed64(kMStarFormatVersion);
   header.PutFixed64(blobs.size());
-  uint64_t offset = header.size() + blobs.size() * 24;  // 3 fixed64 each
+  uint64_t offset = header.size() + blobs.size() * kTocEntryBytes;
   BinaryWriter toc;
   for (const std::string& blob : blobs) {
     toc.PutFixed64(offset);
@@ -275,6 +159,10 @@ Result<MStarFileToc> ReadMStarToc(std::string_view bytes,
                               std::to_string(version));
   }
   MRX_ASSIGN_OR_RETURN(uint64_t count, reader.GetFixed64());
+  if (count > reader.Remaining() / kTocEntryBytes) {
+    return Status::ParseError("index container TOC count " +
+                              std::to_string(count) + " exceeds the header");
+  }
   MStarFileToc toc;
   toc.version = version;
   toc.components.reserve(count);
@@ -283,7 +171,8 @@ Result<MStarFileToc> ReadMStarToc(std::string_view bytes,
     MRX_ASSIGN_OR_RETURN(entry.offset, reader.GetFixed64());
     MRX_ASSIGN_OR_RETURN(entry.length, reader.GetFixed64());
     MRX_ASSIGN_OR_RETURN(entry.checksum, reader.GetFixed64());
-    if (entry.offset + entry.length > total_size) {
+    if (entry.offset > total_size ||
+        entry.length > total_size - entry.offset) {
       return Status::ParseError("index container TOC out of bounds");
     }
     toc.components.push_back(entry);

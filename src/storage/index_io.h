@@ -29,14 +29,12 @@ Status SaveMStarIndexToFile(const MStarIndex& index,
 Result<MStarIndex> LoadMStarIndexFromFile(const DataGraph& graph,
                                           const std::string& path);
 
-/// Container format versions. Version 2 tags each extent with its physical
-/// representation and stores compressed payloads verbatim, so a
-/// hybrid-bitmap index round-trips without decompressing. Version 1 (every
-/// extent as varint deltas of a sorted vector) is no longer read: nothing
-/// writes it, and loading one is an "unsupported index container version"
-/// ParseError.
-inline constexpr uint64_t kMStarFormatVersion = 2;
-inline constexpr uint64_t kMStarOldestSupportedVersion = 2;
+/// Container format versions. Version 3 stores each extent as its member
+/// count and ascending varint deltas. Versions 1 and 2 are no longer read:
+/// nothing writes them, and loading one is an "unsupported index container
+/// version" ParseError.
+inline constexpr uint64_t kMStarFormatVersion = 3;
+inline constexpr uint64_t kMStarOldestSupportedVersion = 3;
 
 /// Decoded container header (exposed for DiskMStarIndex and tests).
 struct MStarFileToc {

@@ -21,8 +21,6 @@
 #include "obs/slow_query_log.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
-#include "index/extent.h"
-#include "util/cpu_features.h"
 #include "index/m_star_index.h"
 #include "index/strategy_chooser.h"
 #include "index/twig_eval.h"
@@ -109,8 +107,6 @@ commands:
         [--queries N] [--max-nodes N] [--out DIR] [--max-failures N]
         [--fault on] [--threads N] [--rounds N] [--refine-threads N]
         [--steps N] [--ops N] [--batches N]
-        [--extent-rep auto|vector|delta|hybrid]
-        [--simd scalar|sse42|avx2|native]
         [--replay file.mrxcase|file.mrxtrace]
                                         differential correctness harness
                                         (docs/TESTING.md); exit 1 on any
@@ -971,32 +967,6 @@ int CmdCheck(const Options& options, std::ostream& out, std::ostream& err) {
   const bool fault = options.Flag("fault") == "on" ||
                      options.Flag("fault") == "1" ||
                      options.Flag("fault") == "true";
-
-  // Pin the extent representation for the whole run: every index the
-  // harness builds (never the vector-based oracle) goes through the forced
-  // encoder, so a differential run exercises one representation end to end.
-  const std::string rep_name = options.Flag("extent-rep", "auto");
-  const std::optional<ExtentRepMode> rep_mode = ParseExtentRepMode(rep_name);
-  if (!rep_mode.has_value()) {
-    err << "unknown --extent-rep: " << rep_name
-        << " (expected auto|vector|delta|hybrid)\n";
-    return 2;
-  }
-  SetExtentRepMode(*rep_mode);
-
-  // Cap the SIMD dispatch level for the whole run (differential runs force
-  // scalar vs vectorized kernels against each other; levels above the
-  // detected hardware are clamped, "native" lifts any MRX_SIMD env cap).
-  const std::string simd_name = options.Flag("simd");
-  if (!simd_name.empty()) {
-    const std::optional<SimdLevel> simd = ParseSimdLevel(simd_name);
-    if (!simd.has_value()) {
-      err << "unknown --simd: " << simd_name
-          << " (expected scalar|sse42|avx2|native)\n";
-      return 2;
-    }
-    SetSimdLevel(*simd);
-  }
 
   const std::string replay_path = options.Flag("replay");
   if (EndsWith(replay_path, ".mrxtrace")) {

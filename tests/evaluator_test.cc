@@ -138,53 +138,47 @@ TEST(AnswerOnIndexTest, StatsAccumulateAcrossTargets) {
 // under a1 (k = 2, whole extents in the answer), a validated block under
 // a1 and a2 alternately (k = 0, only a1's children survive) or an empty
 // one under a2 (k = 0, a target with no survivor). A precise block also
-// owns a contiguous tail, so the delta representation meets a plain run.
+// owns a contiguous tail.
 TEST(AssembleAnswerTest, InterleavedTargetsMergeInEveryRep) {
-  for (ExtentRepMode mode :
-       {ExtentRepMode::kForceSortedVector, ExtentRepMode::kForceDeltaPacked,
-        ExtentRepMode::kForceHybridBitmap}) {
-    for (uint32_t precise : {1u, 2u, 5u}) {
-      const uint32_t groups = precise + 2;
-      std::vector<std::string> labels = {"r", "a", "x", "a"};
-      std::vector<std::pair<NodeId, NodeId>> edges = {{0, 1}, {0, 2}, {2, 3}};
-      // Blocks: 0 r, 1 x, 2 {a1, a2}, then the b blocks in group order.
-      std::vector<uint32_t> block_of = {0, 2, 1, 2};
-      const NodeId interleaved = 90 * groups;
-      for (NodeId i = 0; i < interleaved + 40; ++i) {
-        const uint32_t group = i < interleaved ? i % groups : 0;
-        const NodeId id = static_cast<NodeId>(labels.size());
-        const bool under_a1 = group < precise ||
-                              (group == precise && (i / groups) % 2 == 0);
-        labels.push_back("b");
-        edges.push_back({under_a1 ? 1 : 3, id});
-        block_of.push_back(3 + group);
-      }
-      const uint32_t num_blocks = 3 + groups;
-      std::vector<int32_t> ks(num_blocks, 0);
-      for (uint32_t b = 0; b < precise; ++b) ks[3 + b] = 2;
-
-      DataGraph g = MakeGraph(labels, edges);
-      SetExtentRepMode(mode);
-      const IndexGraph ig =
-          IndexGraph::FromPartition(g, block_of, num_blocks, ks);
-      SetExtentRepMode(ExtentRepMode::kAuto);
-      DataEvaluator eval(g);
-      const PathExpression q = Q(g, "//r/a/b");
-      const QueryResult r = AnswerOnIndex(ig, q, &eval);
-
-      ASSERT_EQ(r.target.size(), groups);
-      std::vector<NodeId> expected;
-      for (IndexNodeId v : r.target) {
-        for (NodeId o : ig.node(v).extent) {
-          if (ig.node(v).k >= 2 || g.parents(o)[0] == 1) expected.push_back(o);
-        }
-      }
-      std::sort(expected.begin(), expected.end());
-      EXPECT_EQ(r.answer, expected) << precise;
-      EXPECT_EQ(r.answer, eval.Evaluate(q)) << precise;
-      EXPECT_FALSE(r.precise);
-      EXPECT_GT(r.stats.data_nodes_validated, 0u);
+  for (uint32_t precise : {1u, 2u, 5u}) {
+    const uint32_t groups = precise + 2;
+    std::vector<std::string> labels = {"r", "a", "x", "a"};
+    std::vector<std::pair<NodeId, NodeId>> edges = {{0, 1}, {0, 2}, {2, 3}};
+    // Blocks: 0 r, 1 x, 2 {a1, a2}, then the b blocks in group order.
+    std::vector<uint32_t> block_of = {0, 2, 1, 2};
+    const NodeId interleaved = 90 * groups;
+    for (NodeId i = 0; i < interleaved + 40; ++i) {
+      const uint32_t group = i < interleaved ? i % groups : 0;
+      const NodeId id = static_cast<NodeId>(labels.size());
+      const bool under_a1 = group < precise ||
+                            (group == precise && (i / groups) % 2 == 0);
+      labels.push_back("b");
+      edges.push_back({under_a1 ? 1 : 3, id});
+      block_of.push_back(3 + group);
     }
+    const uint32_t num_blocks = 3 + groups;
+    std::vector<int32_t> ks(num_blocks, 0);
+    for (uint32_t b = 0; b < precise; ++b) ks[3 + b] = 2;
+
+    DataGraph g = MakeGraph(labels, edges);
+    const IndexGraph ig =
+        IndexGraph::FromPartition(g, block_of, num_blocks, ks);
+    DataEvaluator eval(g);
+    const PathExpression q = Q(g, "//r/a/b");
+    const QueryResult r = AnswerOnIndex(ig, q, &eval);
+
+    ASSERT_EQ(r.target.size(), groups);
+    std::vector<NodeId> expected;
+    for (IndexNodeId v : r.target) {
+      for (NodeId o : ig.node(v).extent) {
+        if (ig.node(v).k >= 2 || g.parents(o)[0] == 1) expected.push_back(o);
+      }
+    }
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(r.answer, expected) << precise;
+    EXPECT_EQ(r.answer, eval.Evaluate(q)) << precise;
+    EXPECT_FALSE(r.precise);
+    EXPECT_GT(r.stats.data_nodes_validated, 0u);
   }
 }
 

@@ -99,10 +99,6 @@ TEST(ExtentOpsTest, SubsetContainment) {
 
 // ---- k-way intersection ---------------------------------------------------
 
-constexpr ExtentRep kAllReps[] = {ExtentRep::kSortedVector,
-                                  ExtentRep::kDeltaPacked,
-                                  ExtentRep::kHybridBitmap};
-
 TEST(IntersectManyTest, MatchesPairwiseFoldAcrossReps) {
   Rng rng(0x4411);
   for (int trial = 0; trial < 40; ++trial) {
@@ -114,13 +110,8 @@ TEST(IntersectManyTest, MatchesPairwiseFoldAcrossReps) {
     const std::vector<NodeId> expected =
         OracleIntersect(OracleIntersect(a, b), c);
 
-    const Extent ea =
-        Extent::FromSortedAs(std::vector<NodeId>(a), kAllReps[trial % 3]);
-    const Extent eb =
-        Extent::FromSortedAs(std::vector<NodeId>(b), kAllReps[(trial + 1) % 3]);
-    const Extent ec =
-        Extent::FromSortedAs(std::vector<NodeId>(c), kAllReps[(trial + 2) % 3]);
-    EXPECT_EQ(IntersectMany({&ea, &eb, &ec}).Materialize(), expected);
+    const Extent ea(a), eb(b), ec(c);
+    EXPECT_EQ(IntersectMany({&ea, &eb, &ec}).ids(), expected);
 
     // Vector flavor (the twig-query path) must agree.
     EXPECT_EQ(IntersectMany(std::vector<const std::vector<NodeId>*>{&a, &b,
@@ -142,13 +133,13 @@ TEST(IntersectManyTest, EdgeCases) {
       IntersectMany(std::vector<const std::vector<NodeId>*>{}).empty());
 
   // Null operands are skipped, not treated as empty sets.
-  EXPECT_EQ(IntersectMany({&es, nullptr, &es}).Materialize(), some);
+  EXPECT_EQ(IntersectMany({&es, nullptr, &es}).ids(), some);
   EXPECT_EQ(IntersectMany(
                 std::vector<const std::vector<NodeId>*>{&some, nullptr}),
             some);
 
   // A single operand comes back unchanged; an empty operand wins outright.
-  EXPECT_EQ(IntersectMany({&es}).Materialize(), some);
+  EXPECT_EQ(IntersectMany({&es}).ids(), some);
   const Extent ee = Extent::FromSorted({});
   EXPECT_TRUE(IntersectMany({&es, &ee, &es}).empty());
   EXPECT_TRUE(IntersectMany(std::vector<const std::vector<NodeId>*>{
@@ -170,19 +161,12 @@ TEST(OverlapsTest, MatchesOracleAcrossRepPairs) {
       for (NodeId& x : b) x += a.back() + 1;
     }
     const bool expected = !OracleIntersect(a, b).empty();
-    EXPECT_EQ(Overlaps(a, b), expected);
-    for (ExtentRep ra : kAllReps) {
-      const Extent ea = Extent::FromSortedAs(std::vector<NodeId>(a), ra);
-      EXPECT_TRUE(Overlaps(a, ea));  // A non-empty set overlaps itself.
-      for (ExtentRep rb : kAllReps) {
-        const Extent eb = Extent::FromSortedAs(std::vector<NodeId>(b), rb);
-        EXPECT_EQ(Overlaps(ea, eb), expected)
-            << "trial " << trial << " " << ExtentRepName(ra) << "x"
-            << ExtentRepName(rb);
-        EXPECT_EQ(Overlaps(a, eb), expected) << "vec x " << ExtentRepName(rb);
-        EXPECT_EQ(Overlaps(ea, b), expected) << ExtentRepName(ra) << " x vec";
-      }
-    }
+    const Extent ea(a), eb(b);
+    EXPECT_EQ(Overlaps(a, b), expected) << "trial " << trial;
+    EXPECT_EQ(Overlaps(ea, eb), expected) << "trial " << trial;
+    EXPECT_EQ(Overlaps(a, eb), expected) << "trial " << trial;
+    EXPECT_EQ(Overlaps(ea, b), expected) << "trial " << trial;
+    EXPECT_TRUE(Overlaps(a, ea));  // A non-empty set overlaps itself.
   }
 }
 
@@ -191,73 +175,34 @@ TEST(OverlapsTest, RangePruneAndSharedPayload) {
   const Extent high = Extent::FromSorted({1000, 1001});
   EXPECT_FALSE(Overlaps(low, high));
   EXPECT_FALSE(Overlaps(high, low));
-  const Extent alias = low;  // Shares the payload: identity fast path.
-  EXPECT_TRUE(Overlaps(low, alias));
   EXPECT_FALSE(Overlaps(low, Extent::FromSorted({})));
-}
 
-// ---- Native delta-stream kernels ------------------------------------------
-
-/// Sets shaped to exercise the block-skip index: dense runs separated by
-/// gaps much larger than one 128-value delta block, so whole blocks are
-/// skipped undecoded during intersection.
-std::vector<NodeId> BlockySet(Rng* rng, size_t runs) {
-  std::vector<NodeId> v;
-  NodeId cursor = static_cast<NodeId>(rng->Below(1000));
-  for (size_t r = 0; r < runs; ++r) {
-    const size_t len = 200 + rng->Below(400);  // Spans several blocks.
-    for (size_t i = 0; i < len; ++i) v.push_back(cursor++);
-    cursor += 50000 + static_cast<NodeId>(rng->Below(100000));
+  // A copy shares the member array (one refcount), and Intersect and
+  // Difference take the identity shortcut on it: a ∩ a is a itself, a \ a
+  // is empty. The shortcut still charges the full logical sizes to the cost
+  // hooks.
+  const Extent alias = low;
+  EXPECT_TRUE(alias.SharesIds(low));
+  EXPECT_EQ(alias.begin(), low.begin());
+  EXPECT_FALSE(Extent::FromSorted({1, 2, 3}).SharesIds(low));
+  obs::QueryCostCounters shared, unshared;
+  {
+    obs::QueryCostScope scope(&shared);
+    EXPECT_TRUE(Overlaps(low, alias));
+    EXPECT_TRUE(Intersect(low, alias).SharesIds(low));
+    EXPECT_TRUE(Difference(low, alias).empty());
   }
-  return v;
-}
-
-TEST(DeltaNativeTest, BlockSkippingKernelsMatchOracle) {
-  Rng rng(0xde17a);
-  for (int trial = 0; trial < 25; ++trial) {
-    const std::vector<NodeId> a = BlockySet(&rng, 2 + rng.Below(6));
-    const std::vector<NodeId> b = BlockySet(&rng, 2 + rng.Below(6));
-    const Extent da =
-        Extent::FromSortedAs(std::vector<NodeId>(a), ExtentRep::kDeltaPacked);
-    const Extent db =
-        Extent::FromSortedAs(std::vector<NodeId>(b), ExtentRep::kDeltaPacked);
-    const std::vector<NodeId> and_expected = OracleIntersect(a, b);
-    const std::vector<NodeId> sub_expected = OracleDifference(a, b);
-
-    // delta x delta.
-    EXPECT_EQ(Intersect(da, db).Materialize(), and_expected) << trial;
-    EXPECT_EQ(Difference(da, db).Materialize(), sub_expected) << trial;
-    // delta x vector (both operand orders) and delta x hybrid.
-    const Extent vb =
-        Extent::FromSortedAs(std::vector<NodeId>(b), ExtentRep::kSortedVector);
-    const Extent hb =
-        Extent::FromSortedAs(std::vector<NodeId>(b), ExtentRep::kHybridBitmap);
-    EXPECT_EQ(Intersect(da, vb).Materialize(), and_expected) << trial;
-    EXPECT_EQ(Intersect(vb, da).Materialize(), and_expected) << trial;
-    EXPECT_EQ(Intersect(da, hb).Materialize(), and_expected) << trial;
-    EXPECT_EQ(Difference(da, vb).Materialize(), sub_expected) << trial;
-    EXPECT_EQ(Difference(da, hb).Materialize(), sub_expected) << trial;
-    EXPECT_EQ(Difference(vb, da).Materialize(), OracleDifference(b, a))
-        << trial;
-    EXPECT_EQ(Overlaps(da, db), !and_expected.empty()) << trial;
+  {
+    obs::QueryCostScope scope(&unshared);
+    const Extent copy = Extent::FromSorted({1, 2, 3});
+    EXPECT_TRUE(Overlaps(low, copy));
+    EXPECT_EQ(Intersect(low, copy), low);
+    EXPECT_TRUE(Difference(low, copy).empty());
   }
-}
-
-TEST(DeltaNativeTest, ContiguousRunDelta) {
-  // delta_bits == 0: the whole extent is one arithmetic run — the cursor's
-  // no-decode path.
-  std::vector<NodeId> run;
-  for (NodeId x = 500; x < 1500; ++x) run.push_back(x);
-  const Extent da =
-      Extent::FromSortedAs(std::vector<NodeId>(run), ExtentRep::kDeltaPacked);
-  std::vector<NodeId> probe = {100, 499, 500, 777, 1499, 1500, 40000};
-  const Extent db =
-      Extent::FromSortedAs(std::vector<NodeId>(probe), ExtentRep::kDeltaPacked);
-  EXPECT_EQ(Intersect(da, db).Materialize(),
-            (std::vector<NodeId>{500, 777, 1499}));
-  EXPECT_EQ(Difference(db, da).Materialize(),
-            (std::vector<NodeId>{100, 499, 1500, 40000}));
-  EXPECT_TRUE(Overlaps(da, db));
+  EXPECT_EQ(shared.extent_elems_scanned, 18u);
+  EXPECT_EQ(shared.extent_elems_scanned, unshared.extent_elems_scanned);
+  EXPECT_EQ(shared.extent_intersect_calls, unshared.extent_intersect_calls);
+  EXPECT_EQ(shared.extent_difference_calls, unshared.extent_difference_calls);
 }
 
 TEST(ExtentOpsTest, SortUniqueNormalizes) {

@@ -7,37 +7,15 @@
 #include <vector>
 
 #include "index/extent_ops.h"
-#include "mutate/incremental_maintainer.h"
-#include "mutate/mutation.h"
-#include "tests/test_util.h"
 #include "util/rng.h"
 
 namespace mrx {
 namespace {
 
-using ::mrx::testing::MakeFigure3Graph;
-
-/// Restores the process-wide representation mode on scope exit, so a
-/// failing assertion can't leak a forced mode into later tests.
-class ScopedRepMode {
- public:
-  explicit ScopedRepMode(ExtentRepMode mode) : saved_(GetExtentRepMode()) {
-    SetExtentRepMode(mode);
-  }
-  ~ScopedRepMode() { SetExtentRepMode(saved_); }
-
- private:
-  ExtentRepMode saved_;
-};
-
-constexpr ExtentRep kAllReps[] = {ExtentRep::kSortedVector,
-                                  ExtentRep::kDeltaPacked,
-                                  ExtentRep::kHybridBitmap};
-
 // ---------------------------------------------------------------------------
-// Satellite 3: GallopLowerBound bracket audit.
+// GallopLowerBound bracket audit.
 //
-// The suspicion from the issue: after the doubling loop overshoots, the
+// The suspicion: after the doubling loop overshoots, the
 // bracket [from + bound/2, from + bound + 1) is recomputed from `from`,
 // which could be off by one at the container edges. The fuzz below
 // cross-checks 10k random (v, from, key) triples — including from == 0,
@@ -91,21 +69,19 @@ TEST(GallopLowerBoundFuzzTest, EdgeBrackets) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 4: representation-equivalence property test.
+// Kernel property test.
 //
-// Every kernel, under every representation pair, must be byte-identical
-// to the sorted-vector oracle after materialization. Extents are drawn
-// from the density classes the heuristic distinguishes: sparse scatter
-// (array chunks), dense scatter (bitmap chunks), clustered runs (run
-// chunks / delta-packed), plus the degenerate empty / singleton /
-// all-nodes shapes.
+// Every kernel flavor (Extent × Extent, Extent × vector in both orders)
+// must equal the std::set_* oracle. Extents are drawn from four density
+// classes: sparse scatter, dense scatter, clustered runs and a mix, plus
+// the degenerate empty / singleton / all-nodes shapes.
 // ---------------------------------------------------------------------------
 
 /// A sorted duplicate-free set shaped by `cls`:
-///   0 sparse:  ids scattered over a wide universe (array chunks);
-///   1 dense:   >50% occupancy of a narrow range (bitmap chunks);
-///   2 runs:    a few contiguous intervals (run chunks, tiny deltas);
-///   3 mixed:   a run block plus a sparse tail crossing chunk borders.
+///   0 sparse:  ids scattered over a wide universe;
+///   1 dense:   >50% occupancy of a narrow range;
+///   2 runs:    a few contiguous intervals;
+///   3 mixed:   a run block plus a sparse tail on both sides of 2^16.
 std::vector<NodeId> RandomExtent(Rng* rng, int cls) {
   std::vector<NodeId> v;
   switch (cls) {
@@ -135,7 +111,7 @@ std::vector<NodeId> RandomExtent(Rng* rng, int cls) {
       break;
     }
     default: {
-      // A run straddling a 64k chunk border plus scatter on both sides.
+      // A run straddling 2^16 plus scatter on both sides.
       const NodeId border = 1u << 16;
       for (NodeId x = border - 100; x < border + 100; ++x) v.push_back(x);
       const size_t n = rng->Below(200);
@@ -165,37 +141,21 @@ std::vector<NodeId> OracleDifference(const std::vector<NodeId>& a,
   return out;
 }
 
-/// Checks every kernel flavor for (a, b) under every representation pair
-/// against the plain-vector oracles.
+/// Checks every kernel flavor for (a, b) against the plain-vector oracles.
 void ExpectKernelsMatchOracle(const std::vector<NodeId>& a,
                               const std::vector<NodeId>& b,
                               const std::string& context) {
   const std::vector<NodeId> want_and = OracleIntersect(a, b);
   const std::vector<NodeId> want_sub = OracleDifference(a, b);
-  for (ExtentRep ra : kAllReps) {
-    const Extent ea = Extent::FromSortedAs(std::vector<NodeId>(a), ra);
-    ASSERT_EQ(ea.Materialize(), a)
-        << context << " lossy " << ExtentRepName(ra);
-    // Extent × vector, both orders and both kernels.
-    EXPECT_EQ(Intersect(ea, b), want_and)
-        << context << " " << ExtentRepName(ra) << " ∩ vec";
-    EXPECT_EQ(Intersect(b, ea), want_and)
-        << context << " vec ∩ " << ExtentRepName(ra);
-    EXPECT_EQ(Difference(ea, b), want_sub)
-        << context << " " << ExtentRepName(ra) << " \\ vec";
-    EXPECT_EQ(Difference(a, Extent::FromSortedAs(std::vector<NodeId>(b), ra)),
-              want_sub)
-        << context << " vec \\ " << ExtentRepName(ra);
-    for (ExtentRep rb : kAllReps) {
-      const Extent eb = Extent::FromSortedAs(std::vector<NodeId>(b), rb);
-      EXPECT_EQ(Intersect(ea, eb).Materialize(), want_and)
-          << context << " " << ExtentRepName(ra) << " ∩ "
-          << ExtentRepName(rb);
-      EXPECT_EQ(Difference(ea, eb).Materialize(), want_sub)
-          << context << " " << ExtentRepName(ra) << " \\ "
-          << ExtentRepName(rb);
-    }
-  }
+  const Extent ea(a), eb(b);
+  ASSERT_EQ(ea.ids(), a) << context;
+  EXPECT_EQ(Intersect(ea, b), want_and) << context << " ext ∩ vec";
+  EXPECT_EQ(Intersect(a, eb), want_and) << context << " vec ∩ ext";
+  EXPECT_EQ(Difference(ea, b), want_sub) << context << " ext \\ vec";
+  EXPECT_EQ(Difference(a, eb), want_sub) << context << " vec \\ ext";
+  EXPECT_EQ(Intersect(ea, eb).ids(), want_and) << context << " ext ∩ ext";
+  EXPECT_EQ(Difference(ea, eb).ids(), want_sub) << context << " ext \\ ext";
+  EXPECT_EQ(Overlaps(ea, eb), !want_and.empty()) << context;
 }
 
 TEST(ExtentEquivalenceTest, KernelsMatchOracleAcrossDensityClasses) {
@@ -241,232 +201,34 @@ TEST(ExtentEquivalenceTest, AccessorsAgreeAcrossReps) {
   Rng rng(0x51c6e5);
   for (int cls = 0; cls < 4; ++cls) {
     const std::vector<NodeId> v = RandomExtent(&rng, cls);
-    for (ExtentRep rep : kAllReps) {
-      const Extent e = Extent::FromSortedAs(std::vector<NodeId>(v), rep);
-      ASSERT_EQ(e.size(), v.size());
-      ASSERT_EQ(e.front(), v.front());
-      ASSERT_EQ(e.back(), v.back());
-      // Iterator decode matches the bulk decode.
-      std::vector<NodeId> iterated;
-      for (NodeId x : e) iterated.push_back(x);
-      EXPECT_EQ(iterated, v);
-      std::vector<NodeId> appended;
-      e.AppendTo(&appended);
-      EXPECT_EQ(appended, v);
-      // Membership probes, both hits and near-misses.
-      for (size_t i = 0; i < v.size(); i += 1 + v.size() / 64) {
-        EXPECT_TRUE(e.Contains(v[i]));
-      }
-      EXPECT_FALSE(e.Contains(v.back() + 1));
-      if (v.front() > 0) EXPECT_FALSE(e.Contains(v.front() - 1));
-      // Logical equality is representation-independent.
-      EXPECT_EQ(e, Extent::FromSorted(std::vector<NodeId>(v)));
-      EXPECT_EQ(e, v);
+    const Extent e(v);
+    ASSERT_EQ(e.size(), v.size());
+    ASSERT_EQ(e.front(), v.front());
+    ASSERT_EQ(e.back(), v.back());
+    std::vector<NodeId> iterated;
+    for (NodeId x : e) iterated.push_back(x);
+    EXPECT_EQ(iterated, v);
+    std::vector<NodeId> appended;
+    e.AppendTo(&appended);
+    EXPECT_EQ(appended, v);
+    // Membership probes, both hits and near-misses.
+    for (size_t i = 0; i < v.size(); i += 1 + v.size() / 64) {
+      EXPECT_TRUE(e.Contains(v[i]));
     }
-  }
-}
-
-TEST(ExtentEquivalenceTest, ForcedModeGovernsConstruction) {
-  std::vector<NodeId> v;
-  for (NodeId i = 0; i < 2000; ++i) v.push_back(i * 3);
-  {
-    ScopedRepMode force(ExtentRepMode::kForceDeltaPacked);
-    EXPECT_EQ(Extent::FromSorted(std::vector<NodeId>(v)).rep(),
-              ExtentRep::kDeltaPacked);
-  }
-  {
-    ScopedRepMode force(ExtentRepMode::kForceHybridBitmap);
-    EXPECT_EQ(Extent::FromSorted(std::vector<NodeId>(v)).rep(),
-              ExtentRep::kHybridBitmap);
-  }
-  {
-    ScopedRepMode force(ExtentRepMode::kForceSortedVector);
-    EXPECT_EQ(Extent::FromSorted(std::vector<NodeId>(v)).rep(),
-              ExtentRep::kSortedVector);
-  }
-  EXPECT_EQ(GetExtentRepMode(), ExtentRepMode::kAuto);
-}
-
-TEST(ExtentEquivalenceTest, ParseRepModeSpellings) {
-  EXPECT_EQ(ParseExtentRepMode("auto"), ExtentRepMode::kAuto);
-  EXPECT_EQ(ParseExtentRepMode("vector"), ExtentRepMode::kForceSortedVector);
-  EXPECT_EQ(ParseExtentRepMode("delta"), ExtentRepMode::kForceDeltaPacked);
-  EXPECT_EQ(ParseExtentRepMode("hybrid"), ExtentRepMode::kForceHybridBitmap);
-  EXPECT_EQ(ParseExtentRepMode("bogus"), std::nullopt);
-}
-
-/// The maintainer's splice paths (CSR level rebuilds, static-spec export)
-/// must produce logically identical partitions whatever representation new
-/// extents are sealed into. Runs the same mutation trace under every
-/// forced mode and compares the exported specs against the vector-forced
-/// run — Extent equality is logical, so this catches any representation
-/// that decodes differently after a splice.
-// ---------------------------------------------------------------------------
-// Auto-representation heuristic (retuned for the vectorized kernels).
-// ---------------------------------------------------------------------------
-
-TEST(AutoRepHeuristicTest, SmallExtentsStayVector) {
-  ScopedRepMode mode(ExtentRepMode::kAuto);
-  std::vector<NodeId> v;
-  for (NodeId x = 0; x < 32; ++x) v.push_back(x * 3);
-  EXPECT_EQ(Extent::FromSorted(std::move(v)).rep(),
-            ExtentRep::kSortedVector);
-}
-
-TEST(AutoRepHeuristicTest, HotClusteredExtentsPickHybrid) {
-  // Regression for the 500k-tier inversion: large clustered extents used
-  // to auto-select delta because it is the smallest encoding, leaving the
-  // hot intersection path on the slow per-element decode. The retuned
-  // heuristic spends the extra space on hybrid once an extent is both hot
-  // (size >= 2048) and still a real compression win.
-  ScopedRepMode mode(ExtentRepMode::kAuto);
-  Rng rng(0x500137);
-  std::vector<NodeId> v;
-  for (NodeId x = 0; v.size() < 10000; ++x) {
-    if (rng.Below(10) < 7) v.push_back(x);
-  }
-  const Extent a = Extent::FromSorted(std::vector<NodeId>(v));
-  EXPECT_EQ(a.rep(), ExtentRep::kHybridBitmap);
-  // The inversion shape: delta genuinely is the smaller encoding here, so
-  // this choice is deliberately speed-over-space.
-  const Extent d =
-      Extent::FromSortedAs(std::vector<NodeId>(v), ExtentRep::kDeltaPacked);
-  EXPECT_LT(d.payload()->physical_bytes(), a.payload()->physical_bytes());
-}
-
-TEST(AutoRepHeuristicTest, MidSizeScatteredClustersPickDelta) {
-  // Below the hot threshold with chunk-unfriendly spacing (array chunks at
-  // 2 B/element beat nothing), delta remains the winner.
-  ScopedRepMode mode(ExtentRepMode::kAuto);
-  Rng rng(0xd317a);
-  std::vector<NodeId> v;
-  NodeId cursor = 0;
-  for (int i = 0; i < 500; ++i) {
-    cursor += 150 + static_cast<NodeId>(rng.Below(100));
-    v.push_back(cursor);
-  }
-  EXPECT_EQ(Extent::FromSorted(std::move(v)).rep(),
-            ExtentRep::kDeltaPacked);
-}
-
-TEST(AutoRepHeuristicTest, IncompressibleExtentsStayVector) {
-  // One huge gap forces wide delta fields for the whole stream, and one
-  // element per bitmap chunk makes hybrid pure overhead: neither beats the
-  // plain vector, so auto keeps it.
-  ScopedRepMode mode(ExtentRepMode::kAuto);
-  std::vector<NodeId> v;
-  for (NodeId i = 0; i < 99; ++i) v.push_back(i * 70000);
-  v.push_back(98u * 70000 + (1u << 31));
-  EXPECT_EQ(Extent::FromSorted(std::move(v)).rep(),
-            ExtentRep::kSortedVector);
-}
-
-// ---------------------------------------------------------------------------
-// The kDeltaPacked block skip index.
-// ---------------------------------------------------------------------------
-
-TEST(DeltaBlockIndexTest, BlockLastMatchesPerBlockMaxima) {
-  Rng rng(0xb10c);
-  for (int cls = 0; cls < 4; ++cls) {
-    for (int trial = 0; trial < 10; ++trial) {
-      const std::vector<NodeId> v = RandomExtent(&rng, cls);
-      if (v.empty()) continue;
-      const Extent e = Extent::FromSortedAs(std::vector<NodeId>(v),
-                                            ExtentRep::kDeltaPacked);
-      const auto& p = *e.payload();
-      if (p.delta_bits == 0) {
-        // Contiguous run: the index is arithmetic, not materialized.
-        EXPECT_TRUE(p.block_last.empty());
-        continue;
-      }
-      const size_t blocks =
-          (v.size() + extent_internal::kDeltaBlock - 1) /
-          extent_internal::kDeltaBlock;
-      ASSERT_EQ(p.block_last.size(), blocks);
-      for (size_t b = 0; b < blocks; ++b) {
-        const size_t end =
-            std::min(v.size(), (b + 1) * extent_internal::kDeltaBlock);
-        EXPECT_EQ(p.block_last[b], v[end - 1]) << "block " << b;
-      }
+    EXPECT_FALSE(e.Contains(v.back() + 1));
+    if (v.front() > 0) {
+      EXPECT_FALSE(e.Contains(v.front() - 1));
     }
+    // Equality is by members, not by allocation.
+    EXPECT_EQ(e, Extent::FromSorted(std::vector<NodeId>(v)));
+    EXPECT_EQ(e, v);
   }
-}
-
-TEST(DeltaBlockIndexTest, DecodeDeltaBlockMatchesMaterializeSlices) {
-  Rng rng(0xdecb);
-  for (int cls = 0; cls < 4; ++cls) {
-    const std::vector<NodeId> v = RandomExtent(&rng, cls);
-    const Extent e = Extent::FromSortedAs(std::vector<NodeId>(v),
-                                          ExtentRep::kDeltaPacked);
-    const auto& p = *e.payload();
-    if (p.delta_bits == 0) continue;
-    NodeId buf[extent_internal::kDeltaBlock];
-    const size_t blocks = p.block_last.size();
-    for (size_t b = 0; b < blocks; ++b) {
-      const uint32_t n = extent_internal::DecodeDeltaBlock(p, b, buf);
-      const size_t begin = b * extent_internal::kDeltaBlock;
-      ASSERT_EQ(n, std::min(v.size(), begin + extent_internal::kDeltaBlock) -
-                       begin);
-      for (uint32_t i = 0; i < n; ++i) {
-        ASSERT_EQ(buf[i], v[begin + i]) << "block " << b << " slot " << i;
-      }
-    }
-  }
-}
-
-TEST(DeltaBlockIndexTest, FinalizeRebuildsIndexFromPackedStream) {
-  // The storage decode path fills base/delta_bits/packed/size and derives
-  // block_last via FinalizeDeltaPayload; the rebuilt index must match the
-  // one built at encode time, and an Extent over the rebuilt payload must
-  // answer queries correctly.
-  Rng rng(0xf17a1);
-  const std::vector<NodeId> v = RandomExtent(&rng, 3);
-  const Extent e = Extent::FromSortedAs(std::vector<NodeId>(v),
-                                        ExtentRep::kDeltaPacked);
-  auto copy = std::make_shared<extent_internal::ExtentPayload>(*e.payload());
-  copy->block_last.clear();
-  extent_internal::FinalizeDeltaPayload(copy.get());
-  EXPECT_EQ(copy->block_last, e.payload()->block_last);
-
-  const Extent rebuilt = Extent::FromPayload(copy);
-  EXPECT_EQ(rebuilt.Materialize(), v);
-  EXPECT_EQ(rebuilt.back(), v.back());
-  for (size_t i = 0; i < v.size(); i += 7) {
-    EXPECT_TRUE(rebuilt.Contains(v[i]));
-  }
-  EXPECT_FALSE(rebuilt.Contains(v.back() + 1));
-}
-
-TEST(ExtentEquivalenceTest, MaintainerSplicePathsAgreeUnderForcedReps) {
-  const mutate::MutationBatch batch = {
-      mutate::Mutation::AppendLeaf(1, "b"),
-      mutate::Mutation::AppendLeaf(2, "c"),
-      mutate::Mutation::AddRef(3, 4),
-      mutate::Mutation::AppendLeaf(0, "a"),
-  };
-  auto run = [&](ExtentRepMode mode) {
-    ScopedRepMode force(mode);
-    const DataGraph g = MakeFigure3Graph();
-    mutate::MaintainerOptions options;
-    options.k_max = 3;
-    mutate::IncrementalMaintainer m(g, options);
-    auto receipt = m.Apply(batch);
-    EXPECT_TRUE(receipt.ok()) << receipt.status();
-    return m.ExportStaticSpecs();
-  };
-
-  const auto want = run(ExtentRepMode::kForceSortedVector);
-  for (ExtentRepMode mode :
-       {ExtentRepMode::kAuto, ExtentRepMode::kForceDeltaPacked,
-        ExtentRepMode::kForceHybridBitmap}) {
-    const auto got = run(mode);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].extents, want[i].extents) << "component " << i;
-      EXPECT_EQ(got[i].ks, want[i].ks) << "component " << i;
-      EXPECT_EQ(got[i].supernodes, want[i].supernodes) << "component " << i;
-    }
-  }
+  const Extent none;
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none.begin(), none.end());
+  EXPECT_TRUE(none.ids().empty());
+  EXPECT_FALSE(none.Contains(0));
+  EXPECT_EQ(none, Extent::FromSorted({}));
 }
 
 }  // namespace

@@ -203,24 +203,128 @@ TEST(IndexIoTest, WrongGraphIsRejected) {
   EXPECT_FALSE(DeserializeMStarIndex(other, bytes).ok());
 }
 
-TEST(IndexIoTest, Version1ContainerIsUnsupported) {
-  DataGraph g = MakeFigure3Graph();
+/// `container` with the header's version field (after the 4-byte magic)
+/// rewritten to `version`.
+std::string WithVersion(const std::string& container, uint64_t version) {
+  BinaryWriter header;
+  header.PutRaw(container.substr(0, 4));
+  header.PutFixed64(version);
+  return header.TakeBuffer() + container.substr(12);
+}
+
+void ExpectUnsupportedVersion(const DataGraph& g, uint64_t version) {
   MStarIndex index(g);
   index.Refine(Q(g, "//r/a/b"));
-  const std::string current = SerializeMStarIndex(index);
-  // Same container with the header's version field (after the 4-byte
-  // magic) rewritten to 1.
-  BinaryWriter header;
-  header.PutRaw(current.substr(0, 4));
-  header.PutFixed64(1);
-  const std::string v1 = header.TakeBuffer() + current.substr(12);
+  const std::string old = WithVersion(SerializeMStarIndex(index), version);
   for (const Status& status :
-       {DeserializeMStarIndex(g, v1).status(), ReadMStarToc(v1).status()}) {
+       {DeserializeMStarIndex(g, old).status(), ReadMStarToc(old).status()}) {
     EXPECT_EQ(status.code(), StatusCode::kParseError) << status;
-    EXPECT_NE(status.message().find("unsupported index container version 1"),
+    EXPECT_NE(status.message().find("unsupported index container version " +
+                                    std::to_string(version)),
               std::string::npos)
         << status;
   }
+}
+
+TEST(IndexIoTest, Version1ContainerIsUnsupported) {
+  ExpectUnsupportedVersion(MakeFigure3Graph(), 1);
+}
+
+TEST(IndexIoTest, Version2ContainerIsUnsupported) {
+  ExpectUnsupportedVersion(MakeFigure3Graph(), 2);
+}
+
+/// A current-version container around `blobs`, with a correct TOC and
+/// checksums (FNV, so anyone can forge them).
+std::string ContainerOf(const std::vector<std::string>& blobs) {
+  BinaryWriter out;
+  out.PutRaw("MRX*");
+  out.PutFixed64(kMStarFormatVersion);
+  out.PutFixed64(blobs.size());
+  uint64_t offset = 4 + 16 + 24 * blobs.size();
+  for (const std::string& blob : blobs) {
+    out.PutFixed64(offset);
+    out.PutFixed64(blob.size());
+    out.PutFixed64(Checksum(blob));
+    offset += blob.size();
+  }
+  std::string bytes = out.TakeBuffer();
+  for (const std::string& blob : blobs) bytes += blob;
+  return bytes;
+}
+
+/// A component-0 blob holding one node whose extent record is `count`
+/// followed by `deltas`.
+std::string OneExtentBlob(uint64_t count, const std::vector<uint64_t>& deltas) {
+  BinaryWriter blob;
+  blob.PutVarint(0);  // Component.
+  blob.PutVarint(1);  // Nodes.
+  blob.PutSignedVarint(0);  // k.
+  blob.PutVarint(count);
+  for (uint64_t d : deltas) blob.PutVarint(d);
+  return blob.TakeBuffer();
+}
+
+TEST(IndexIoTest, HostileContainersAreParseErrors) {
+  DataGraph g = MakeFigure3Graph();
+  MStarIndex index(g);
+  index.Refine(Q(g, "//r/a/b"));
+  const std::string good = SerializeMStarIndex(index);
+  ASSERT_TRUE(DeserializeMStarIndex(g, good).ok());
+
+  // A header component count of 2^60 (header and TOC carry no checksum).
+  std::string huge_count = good;
+  {
+    BinaryWriter count;
+    count.PutFixed64(uint64_t{1} << 60);
+    huge_count.replace(12, 8, count.buffer());
+  }
+  // A first TOC entry at offset 2^64 - 1, length 2: offset + length wraps.
+  std::string wrapping_toc = good;
+  {
+    BinaryWriter entry;
+    entry.PutFixed64(~uint64_t{0});
+    entry.PutFixed64(2);
+    wrapping_toc.replace(20, 16, entry.buffer());
+  }
+  // Blobs with valid checksums and hostile bodies.
+  BinaryWriter huge_nodes;
+  huge_nodes.PutVarint(0);
+  huge_nodes.PutVarint(uint64_t{1} << 60);
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"header count 2^60", huge_count},
+      {"wrapping TOC entry", wrapping_toc},
+      {"node count 2^60", ContainerOf({huge_nodes.buffer()})},
+      {"member count 2^60", ContainerOf({OneExtentBlob(uint64_t{1} << 60,
+                                                       {1, 1})})},
+      {"zero delta", ContainerOf({OneExtentBlob(3, {1, 0, 1})})},
+      {"delta past 2^32", ContainerOf({OneExtentBlob(2, {5, 0xfffffffbu})})},
+      {"delta wrapping 2^64", ContainerOf({OneExtentBlob(2, {5, ~0ull})})},
+  };
+  const std::string path = TempPath("mrx_hostile_index_test.mrxs");
+  for (const auto& [name, bytes] : cases) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    const Status in_memory = DeserializeMStarIndex(g, bytes).status();
+    EXPECT_EQ(in_memory.code(), StatusCode::kParseError)
+        << name << ": " << in_memory;
+    const Status from_file = LoadMStarIndexFromFile(g, path).status();
+    EXPECT_EQ(from_file.code(), StatusCode::kParseError)
+        << name << ": " << from_file;
+    // The lazy loader fails at Open (header, TOC) or at the first
+    // component it decodes.
+    auto disk = DiskMStarIndex::Open(g, path);
+    if (disk.ok()) {
+      const Status query = disk->QueryNaive(Q(g, "//r")).status();
+      EXPECT_EQ(query.code(), StatusCode::kParseError) << name << ": " << query;
+    } else {
+      EXPECT_EQ(disk.status().code(), StatusCode::kParseError)
+          << name << ": " << disk.status();
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(DiskMStarIndexTest, LoadsComponentsLazily) {

@@ -145,7 +145,7 @@ inline ::testing::AssertionResult ExtentsAreKBisimilar(
     if (!ig.alive(v)) continue;
     const auto& node = ig.node(v);
     int32_t k = std::min(node.k, k_cap);
-    const std::vector<NodeId> extent = node.extent.Materialize();
+    const std::vector<NodeId> extent = node.extent.ids();
     for (size_t i = 1; i < extent.size(); ++i) {
       if (!ref.Bisimilar(extent[0], extent[i], k)) {
         return ::testing::AssertionFailure()

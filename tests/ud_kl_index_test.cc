@@ -105,7 +105,7 @@ TEST(UdklIndexTest, ExtentsShareOutgoingPaths) {
   const int l = 2;
   UdklIndex ud(g, 1, l);
   for (IndexNodeId v : ud.graph().AliveNodes()) {
-    const std::vector<NodeId> extent = ud.graph().node(v).extent.Materialize();
+    const std::vector<NodeId> extent = ud.graph().node(v).extent.ids();
     for (size_t i = 1; i < extent.size(); ++i) {
       EXPECT_EQ(OutgoingPaths(g, extent[0], l),
                 OutgoingPaths(g, extent[i], l));
