@@ -457,6 +457,7 @@ MutationTrace GenerateMutationTrace(Rng& rng,
   // replay as skips, keeping generation and replay in lockstep).
   mutate::RandomBatchOptions gen;
   gen.num_ops = options.ops_per_batch;
+  // `live` reads every row no batch edits from *g, which outlives it.
   mutate::MutableDataGraph live(*g);
   auto mat = live.Materialize();
   for (size_t s = 0; s < options.num_steps && mat.ok(); ++s) {

@@ -78,17 +78,36 @@ IndexGraph IndexGraph::FromPartition(const DataGraph& g,
     same.ids.push_back(b);
     same.derived = static_cast<uint32_t>(same.ids.size());
   }
-  // Adjacency from data edges.
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    IndexNodeId bu = block_of[u];
-    for (NodeId v : g.children(u)) {
-      ig.nodes_[bu].children.push_back(block_of[v]);
-      ig.nodes_[block_of[v]].parents.push_back(bu);
+  // Adjacency one block at a time (Property 2): walk the members' children
+  // and stamp each target block with the block being walked, so a list
+  // holds only distinct blocks and is allocated at its exact size. Parents
+  // are the transpose; blocks are visited in order, so they come out
+  // ascending.
+  std::vector<IndexNodeId> stamp(num_blocks, kInvalidIndexNode);
+  std::vector<uint32_t> in_degree(num_blocks, 0);
+  std::vector<IndexNodeId> targets;
+  for (uint32_t b = 0; b < num_blocks; ++b) {
+    targets.clear();
+    for (NodeId o : ig.nodes_[b].extent) {
+      for (NodeId c : g.children(o)) {
+        const IndexNodeId t = block_of[c];
+        if (stamp[t] != b) {
+          stamp[t] = b;
+          targets.push_back(t);
+          ++in_degree[t];
+        }
+      }
     }
+    std::sort(targets.begin(), targets.end());
+    ig.nodes_[b].children.assign(targets.begin(), targets.end());
   }
-  for (Node& node : ig.nodes_) {
-    SortUnique(&node.children);
-    SortUnique(&node.parents);
+  for (uint32_t b = 0; b < num_blocks; ++b) {
+    ig.nodes_[b].parents.reserve(in_degree[b]);
+  }
+  for (uint32_t b = 0; b < num_blocks; ++b) {
+    for (IndexNodeId t : ig.nodes_[b].children) {
+      ig.nodes_[t].parents.push_back(b);
+    }
   }
   ig.full_horizon_ = num_blocks;
   return ig;

@@ -12,20 +12,24 @@ namespace mrx::mutate {
 namespace {
 
 /// Sorted-insert / erase helpers keeping the adjacency invariants (child
-/// lists ascending by target, parent lists ascending unique).
+/// rows ascending by target, parent rows ascending unique).
 
-std::vector<MutableDataGraph::AdjEntry>::iterator FindChild(
-    std::vector<MutableDataGraph::AdjEntry>& list, uint32_t to) {
-  auto it = std::lower_bound(
-      list.begin(), list.end(), to,
-      [](const MutableDataGraph::AdjEntry& e, uint32_t t) { return e.to < t; });
-  return it;
+size_t FindChild(std::span<const uint32_t> to, uint32_t t) {
+  return static_cast<size_t>(std::lower_bound(to.begin(), to.end(), t) -
+                             to.begin());
 }
 
-void InsertChild(std::vector<MutableDataGraph::AdjEntry>& list, uint32_t to,
-                 EdgeKind kind) {
-  auto it = FindChild(list, to);
-  list.insert(it, MutableDataGraph::AdjEntry{to, kind});
+void InsertChild(std::vector<uint32_t>& to, std::vector<EdgeKind>& kind,
+                 uint32_t t, EdgeKind k) {
+  const size_t at = FindChild(to, t);
+  to.insert(to.begin() + at, t);
+  kind.insert(kind.begin() + at, k);
+}
+
+void EraseChild(std::vector<uint32_t>& to, std::vector<EdgeKind>& kind,
+                size_t at) {
+  to.erase(to.begin() + at);
+  kind.erase(kind.begin() + at);
 }
 
 void InsertParent(std::vector<uint32_t>& list, uint32_t from) {
@@ -60,30 +64,70 @@ struct MutableDataGraph::UndoRecord {
 };
 
 MutableDataGraph::MutableDataGraph(const DataGraph& g)
-    : symbols_(g.symbols()),
-      labels_(g.num_nodes()),
+    : seed_(&g),
+      seed_nodes_(g.num_nodes()),
+      symbols_(g.symbols()),
       alive_(g.num_nodes(), 1),
-      children_(g.num_nodes()),
-      parents_(g.num_nodes()),
+      seed_row_(g.num_nodes(), kNoRow),
       root_(g.root()),
       num_alive_(g.num_nodes()),
-      num_edges_(g.num_edges()) {
-  for (NodeId n = 0; n < g.num_nodes(); ++n) {
-    labels_[n] = g.label(n);
-    const auto children = g.children(n);
-    const auto kinds = g.child_kinds(n);
-    children_[n].reserve(children.size());
-    for (size_t i = 0; i < children.size(); ++i) {
-      children_[n].push_back(AdjEntry{children[i], kinds[i]});
-    }
-    const auto parents = g.parents(n);
-    parents_[n].assign(parents.begin(), parents.end());
-    std::sort(parents_[n].begin(), parents_[n].end());
+      num_edges_(g.num_edges()) {}
+
+const MutableDataGraph::Row* MutableDataGraph::OverlayRow(uint32_t s) const {
+  if (s >= seed_nodes_) return &new_rows_[s - seed_nodes_];
+  const uint32_t slot = seed_row_[s];
+  return slot == kNoRow ? nullptr : &seed_rows_[slot];
+}
+
+MutableDataGraph::ChildRow MutableDataGraph::children(uint32_t s) const {
+  const Row* row = OverlayRow(s);
+  if (row != nullptr && row->own_children) {
+    return {row->child_to, row->child_kind};
   }
+  return {seed_->children(s), seed_->child_kinds(s)};
+}
+
+std::span<const uint32_t> MutableDataGraph::parents(uint32_t s) const {
+  const Row* row = OverlayRow(s);
+  if (row != nullptr && row->own_parents) return row->parents;
+  return seed_->parents(s);
+}
+
+MutableDataGraph::Row& MutableDataGraph::RowFor(uint32_t s) {
+  if (s >= seed_nodes_) return new_rows_[s - seed_nodes_];
+  uint32_t& slot = seed_row_[s];
+  if (slot == kNoRow) {
+    slot = static_cast<uint32_t>(seed_rows_.size());
+    seed_rows_.emplace_back();
+  }
+  return seed_rows_[slot];
+}
+
+MutableDataGraph::Row& MutableDataGraph::EditChildren(uint32_t s) {
+  Row& row = RowFor(s);
+  if (!row.own_children) {
+    const auto to = seed_->children(s);
+    const auto kind = seed_->child_kinds(s);
+    row.child_to.assign(to.begin(), to.end());
+    row.child_kind.assign(kind.begin(), kind.end());
+    row.own_children = true;
+  }
+  return row;
+}
+
+MutableDataGraph::Row& MutableDataGraph::EditParents(uint32_t s) {
+  Row& row = RowFor(s);
+  if (!row.own_parents) {
+    const auto from = seed_->parents(s);
+    row.parents.assign(from.begin(), from.end());
+    std::sort(row.parents.begin(), row.parents.end());
+    row.own_parents = true;
+  }
+  return row;
 }
 
 Status MutableDataGraph::CheckNode(uint32_t s) const {
-  if (s >= labels_.size()) {
+  if (s >= alive_.size()) {
     return Status::InvalidArgument("node id " + std::to_string(s) +
                                    " out of range");
   }
@@ -115,20 +159,23 @@ Result<std::vector<uint32_t>> MutableDataGraph::AppendSubtree(
     return Status::InvalidArgument("duplicate edge in subtree spec");
   }
 
-  const uint32_t base = static_cast<uint32_t>(labels_.size());
+  const uint32_t base = static_cast<uint32_t>(alive_.size());
   std::vector<uint32_t> ids(m);
   for (size_t i = 0; i < m; ++i) {
     ids[i] = base + static_cast<uint32_t>(i);
-    labels_.push_back(symbols_.Intern(spec.labels[i]));
+    new_labels_.push_back(symbols_.Intern(spec.labels[i]));
     alive_.push_back(1);
-    children_.emplace_back();
-    parents_.emplace_back();
+    Row& row = new_rows_.emplace_back();
+    row.own_children = true;
+    row.own_parents = true;
   }
-  InsertChild(children_[parent], base, EdgeKind::kRegular);
-  parents_[base].push_back(parent);
+  Row& attach = EditChildren(parent);
+  InsertChild(attach.child_to, attach.child_kind, base, EdgeKind::kRegular);
+  RowFor(base).parents.push_back(parent);
   for (const SubtreeSpec::Edge& e : spec.edges) {
-    InsertChild(children_[base + e.from], base + e.to, e.kind);
-    InsertParent(parents_[base + e.to], base + e.from);
+    Row& from = RowFor(base + e.from);
+    InsertChild(from.child_to, from.child_kind, base + e.to, e.kind);
+    InsertParent(RowFor(base + e.to).parents, base + e.from);
   }
   num_alive_ += m;
   num_edges_ += 1 + spec.edges.size();
@@ -144,17 +191,18 @@ Result<MutableDataGraph::DeleteReport> MutableDataGraph::DeleteSubtree(
   // (containment) edges — the XML subtree, plus anything a local reference
   // cycle ropes in only if containment also reaches it.
   std::vector<uint32_t> doomed;
-  std::vector<uint8_t> in_doomed(labels_.size(), 0);
+  std::vector<uint8_t> in_doomed(alive_.size(), 0);
   std::vector<uint32_t> frontier = {victim};
   in_doomed[victim] = 1;
   while (!frontier.empty()) {
     const uint32_t s = frontier.back();
     frontier.pop_back();
     doomed.push_back(s);
-    for (const AdjEntry& e : children_[s]) {
-      if (e.kind == EdgeKind::kRegular && !in_doomed[e.to]) {
-        in_doomed[e.to] = 1;
-        frontier.push_back(e.to);
+    const ChildRow row = children(s);
+    for (size_t i = 0; i < row.to.size(); ++i) {
+      if (row.kind[i] == EdgeKind::kRegular && !in_doomed[row.to[i]]) {
+        in_doomed[row.to[i]] = 1;
+        frontier.push_back(row.to[i]);
       }
     }
   }
@@ -166,29 +214,31 @@ Result<MutableDataGraph::DeleteReport> MutableDataGraph::DeleteSubtree(
   std::sort(doomed.begin(), doomed.end());
 
   // Detach the doomed set from the survivors. Doomed nodes keep their own
-  // adjacency (they are dead, Materialize skips them, and batch rollback
-  // revives them wholesale); only survivor lists are edited.
+  // rows (they are dead, Materialize skips them, and batch rollback
+  // revives them wholesale); only survivor rows are edited, and those are
+  // never the doomed rows being read.
   DeleteReport report;
   report.removed = doomed;
   for (uint32_t s : doomed) {
-    for (uint32_t p : parents_[s]) {
+    for (uint32_t p : parents(s)) {
       if (in_doomed[p]) continue;
-      auto it = FindChild(children_[p], s);
-      report.severed_children.emplace_back(p, s, it->kind);
-      children_[p].erase(it);
+      Row& row = EditChildren(p);
+      const size_t at = FindChild(row.child_to, s);
+      report.severed_children.emplace_back(p, s, row.child_kind[at]);
+      EraseChild(row.child_to, row.child_kind, at);
       ++report.edges_removed;
     }
-    for (const AdjEntry& e : children_[s]) {
-      if (in_doomed[e.to]) {
+    for (uint32_t c : children(s).to) {
+      if (in_doomed[c]) {
         ++report.edges_removed;  // Internal edge dies with the set.
         continue;
       }
       // A surviving regular child would itself be regular-reachable, so a
       // crossing edge to a survivor is necessarily a reference — the
       // stranded-IDREF case.
-      EraseParent(parents_[e.to], s);
-      report.severed_parents.emplace_back(e.to, s);
-      report.ref_orphaned.push_back(e.to);
+      EraseParent(EditParents(c).parents, s);
+      report.severed_parents.emplace_back(c, s);
+      report.ref_orphaned.push_back(c);
       ++report.edges_removed;
     }
     alive_[s] = 0;
@@ -204,14 +254,16 @@ Status MutableDataGraph::AddRefEdge(uint32_t from, uint32_t to) {
   if (!st.ok()) return st;
   st = CheckNode(to);
   if (!st.ok()) return st;
-  auto it = FindChild(children_[from], to);
-  if (it != children_[from].end() && it->to == to) {
+  const std::span<const uint32_t> row = children(from).to;
+  const size_t at = FindChild(row, to);
+  if (at != row.size() && row[at] == to) {
     return Status::FailedPrecondition(
         "edge (" + std::to_string(from) + ", " + std::to_string(to) +
         ") already exists");
   }
-  children_[from].insert(it, AdjEntry{to, EdgeKind::kReference});
-  InsertParent(parents_[to], from);
+  Row& edit = EditChildren(from);
+  InsertChild(edit.child_to, edit.child_kind, to, EdgeKind::kReference);
+  InsertParent(EditParents(to).parents, from);
   ++num_edges_;
   return Status::Ok();
 }
@@ -221,18 +273,20 @@ Status MutableDataGraph::RemoveRefEdge(uint32_t from, uint32_t to) {
   if (!st.ok()) return st;
   st = CheckNode(to);
   if (!st.ok()) return st;
-  auto it = FindChild(children_[from], to);
-  if (it == children_[from].end() || it->to != to) {
+  const ChildRow row = children(from);
+  const size_t at = FindChild(row.to, to);
+  if (at == row.to.size() || row.to[at] != to) {
     return Status::NotFound("no edge (" + std::to_string(from) + ", " +
                             std::to_string(to) + ")");
   }
-  if (it->kind != EdgeKind::kReference) {
+  if (row.kind[at] != EdgeKind::kReference) {
     return Status::FailedPrecondition(
         "edge (" + std::to_string(from) + ", " + std::to_string(to) +
         ") is a containment edge, not a reference");
   }
-  children_[from].erase(it);
-  EraseParent(parents_[to], from);
+  Row& edit = EditChildren(from);
+  EraseChild(edit.child_to, edit.child_kind, at);
+  EraseParent(EditParents(to).parents, from);
   --num_edges_;
   return Status::Ok();
 }
@@ -344,13 +398,13 @@ Result<MutableDataGraph::BatchTouch> MutableDataGraph::ApplyBatch(
       const UndoRecord& u = *it;
       switch (u.kind) {
         case Mutation::Kind::kAppendSubtree: {
-          const size_t old_size = labels_.size() - u.appended;
-          auto child = FindChild(children_[u.from], u.to);
-          children_[u.from].erase(child);
-          labels_.resize(old_size);
-          alive_.resize(old_size);
-          children_.resize(old_size);
-          parents_.resize(old_size);
+          Row& attach = EditChildren(u.from);
+          EraseChild(attach.child_to, attach.child_kind,
+                     FindChild(attach.child_to, u.to));
+          const size_t appended_before = new_rows_.size() - u.appended;
+          new_labels_.resize(appended_before);
+          new_rows_.resize(appended_before);
+          alive_.resize(seed_nodes_ + appended_before);
           num_alive_ -= u.appended;
           num_edges_ -= u.edges_added;
           break;
@@ -358,25 +412,28 @@ Result<MutableDataGraph::BatchTouch> MutableDataGraph::ApplyBatch(
         case Mutation::Kind::kDeleteSubtree: {
           for (uint32_t s : u.revived) alive_[s] = 1;
           for (const auto& [p, s, kind] : u.child_entries) {
-            InsertChild(children_[p], s, kind);
+            Row& row = EditChildren(p);
+            InsertChild(row.child_to, row.child_kind, s, kind);
           }
           for (const auto& [c, s] : u.parent_entries) {
-            InsertParent(parents_[c], s);
+            InsertParent(EditParents(c).parents, s);
           }
           num_alive_ += u.revived.size();
           num_edges_ += u.edges_removed;
           break;
         }
         case Mutation::Kind::kAddRefEdge: {
-          auto child = FindChild(children_[u.from], u.to);
-          children_[u.from].erase(child);
-          EraseParent(parents_[u.to], u.from);
+          Row& row = EditChildren(u.from);
+          EraseChild(row.child_to, row.child_kind,
+                     FindChild(row.child_to, u.to));
+          EraseParent(EditParents(u.to).parents, u.from);
           --num_edges_;
           break;
         }
         case Mutation::Kind::kRemoveRefEdge: {
-          InsertChild(children_[u.from], u.to, EdgeKind::kReference);
-          InsertParent(parents_[u.to], u.from);
+          Row& row = EditChildren(u.from);
+          InsertChild(row.child_to, row.child_kind, u.to, EdgeKind::kReference);
+          InsertParent(EditParents(u.to).parents, u.from);
           ++num_edges_;
           break;
         }
@@ -393,7 +450,7 @@ Result<MutableDataGraph::BatchTouch> MutableDataGraph::ApplyBatch(
   SortUnique(&touch.children_changed);
   // Appended nodes supersede "parent set changed" (they are wholly new).
   if (!touch.new_nodes.empty() && !touch.parent_set_changed.empty()) {
-    std::vector<uint8_t> is_new(labels_.size(), 0);
+    std::vector<uint8_t> is_new(alive_.size(), 0);
     for (uint32_t s : touch.new_nodes) is_new[s] = 1;
     std::erase_if(touch.parent_set_changed,
                   [&](uint32_t s) { return is_new[s] != 0; });
@@ -411,9 +468,9 @@ Result<MutableDataGraph::Materialized> MutableDataGraph::Materialize() const {
     return Status::FailedPrecondition("graph has no alive nodes");
   }
   Materialized out;
-  out.compact_of.assign(labels_.size(), kInvalidNode);
+  out.compact_of.assign(alive_.size(), kInvalidNode);
   out.stable_of.reserve(num_alive_);
-  for (uint32_t s = 0; s < labels_.size(); ++s) {
+  for (uint32_t s = 0; s < alive_.size(); ++s) {
     if (!alive_[s]) continue;
     out.compact_of[s] = static_cast<NodeId>(out.stable_of.size());
     out.stable_of.push_back(s);
@@ -426,11 +483,12 @@ Result<MutableDataGraph::Materialized> MutableDataGraph::Materialize() const {
   // stable → compact is monotone, so the emission below is already in
   // (from, to) order: let Build() skip its edge sort.
   builder.MarkEdgesSortedUnique();
-  for (uint32_t s : out.stable_of) builder.AddNodeWithLabelId(labels_[s]);
+  for (uint32_t s : out.stable_of) builder.AddNodeWithLabelId(label(s));
   for (uint32_t s : out.stable_of) {
     const NodeId from = out.compact_of[s];
-    for (const AdjEntry& e : children_[s]) {
-      builder.AddEdge(from, out.compact_of[e.to], e.kind);
+    const ChildRow row = children(s);
+    for (size_t i = 0; i < row.to.size(); ++i) {
+      builder.AddEdge(from, out.compact_of[row.to[i]], row.kind[i]);
     }
   }
   builder.SetRoot(out.compact_of[root_]);
@@ -450,7 +508,7 @@ Result<MutableDataGraph::Materialized> MutableDataGraph::MaterializeAfter(
   // relative order and slide down past the deleted (`remap`), appended
   // stable ids all sit above prev's largest alive id and take the tail.
   Materialized out;
-  out.compact_of.assign(labels_.size(), kInvalidNode);
+  out.compact_of.assign(alive_.size(), kInvalidNode);
   out.stable_of.resize(num_alive_);
   std::vector<NodeId> remap(old_n, kInvalidNode);
   std::vector<NodeId> doomed;  // Old compact ids the batch deleted.
@@ -468,7 +526,7 @@ Result<MutableDataGraph::Materialized> MutableDataGraph::MaterializeAfter(
   const size_t first_new = w;
   // Ids below prev's ceiling that were dead then are dead still (rollback,
   // which precedes the receipt, is the only revival).
-  for (uint32_t s = prev_stable_of.back() + 1; s < labels_.size(); ++s) {
+  for (uint32_t s = prev_stable_of.back() + 1; s < alive_.size(); ++s) {
     if (!alive_[s]) continue;
     if (w == num_alive_) {
       ++w;  // Overflow: bookkeeping drift, handled below.
@@ -506,11 +564,11 @@ Result<MutableDataGraph::Materialized> MutableDataGraph::MaterializeAfter(
   if (identity) {
     std::copy(prev_lbl.begin(), prev_lbl.end(), labels.begin());
     for (size_t c = old_n; c < num_alive_; ++c) {
-      labels[c] = labels_[out.stable_of[c]];
+      labels[c] = label(out.stable_of[c]);
     }
   } else {
     for (size_t c = 0; c < num_alive_; ++c) {
-      labels[c] = labels_[out.stable_of[c]];
+      labels[c] = label(out.stable_of[c]);
     }
   }
   std::vector<uint32_t> offsets(num_alive_ + 1);
@@ -526,6 +584,16 @@ Result<MutableDataGraph::Materialized> MutableDataGraph::MaterializeAfter(
       if (prev_knd[i] == EdgeKind::kReference) --refs;
     }
   };
+  // Rewrites stable id s's live row in compact ids.
+  auto emit_live_row = [&](uint32_t s) {
+    const ChildRow row = children(s);
+    for (size_t i = 0; i < row.to.size(); ++i) {
+      targets[at] = out.compact_of[row.to[i]];
+      kinds[at] = row.kind[i];
+      if (row.kind[i] == EdgeKind::kReference) ++refs;
+      ++at;
+    }
+  };
   // Maximal runs of consecutive unchanged survivors share one edge-shift
   // and one id-shift (no doomed node inside a run), so their offsets and
   // kinds move in bulk; targets move in bulk too when every old node
@@ -539,12 +607,7 @@ Result<MutableDataGraph::Materialized> MutableDataGraph::MaterializeAfter(
     }
     if (row_changed[c]) {
       drop_prev_row_refs(c);
-      for (const AdjEntry& e : children_[prev_stable_of[c]]) {
-        targets[at] = out.compact_of[e.to];
-        kinds[at] = e.kind;
-        if (e.kind == EdgeKind::kReference) ++refs;
-        ++at;
-      }
+      emit_live_row(prev_stable_of[c]);
       offsets[remap[c] + 1] = static_cast<uint32_t>(at);
       ++c;
       continue;
@@ -574,12 +637,7 @@ Result<MutableDataGraph::Materialized> MutableDataGraph::MaterializeAfter(
     c = run_end;
   }
   for (size_t c = first_new; c < out.stable_of.size(); ++c) {
-    for (const AdjEntry& e : children_[out.stable_of[c]]) {
-      targets[at] = out.compact_of[e.to];
-      kinds[at] = e.kind;
-      if (e.kind == EdgeKind::kReference) ++refs;
-      ++at;
-    }
+    emit_live_row(out.stable_of[c]);
     offsets[c + 1] = static_cast<uint32_t>(at);
   }
   if (at != num_edges_) return Materialize();  // Bookkeeping drift: re-walk.
@@ -615,7 +673,7 @@ Result<MutableDataGraph::Materialized> MutableDataGraph::MaterializeAfter(
       continue;
     }
     if (prow_changed[c]) {
-      for (uint32_t p : parents_[prev_stable_of[c]]) {
+      for (uint32_t p : parents(prev_stable_of[c])) {
         inv.parent_targets[pat++] = out.compact_of[p];
       }
       inv.parent_offsets[remap[c] + 1] = static_cast<uint32_t>(pat);
@@ -647,7 +705,7 @@ Result<MutableDataGraph::Materialized> MutableDataGraph::MaterializeAfter(
     c = run_end;
   }
   for (size_t c = first_new; c < out.stable_of.size(); ++c) {
-    for (uint32_t p : parents_[out.stable_of[c]]) {
+    for (uint32_t p : parents(out.stable_of[c])) {
       inv.parent_targets[pat++] = out.compact_of[p];
     }
     inv.parent_offsets[c + 1] = static_cast<uint32_t>(pat);
@@ -706,7 +764,8 @@ Result<MutableDataGraph::Materialized> MutableDataGraph::MaterializeAfter(
 }
 
 LiveGraph::LiveGraph(std::shared_ptr<const DataGraph> g)
-    : live_(*g), graph_(std::move(g)), stable_of_(graph_->num_nodes()) {
+    : seed_(g), live_(*seed_), graph_(std::move(g)),
+      stable_of_(graph_->num_nodes()) {
   for (NodeId n = 0; n < stable_of_.size(); ++n) stable_of_[n] = n;
 }
 

@@ -2,7 +2,9 @@
 #define MRX_MUTATE_MUTABLE_GRAPH_H_
 
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "graph/data_graph.h"
@@ -15,41 +17,50 @@ namespace mrx::mutate {
 /// \brief The live, updatable twin of DataGraph.
 ///
 /// DataGraph is frozen CSR — ideal for querying, useless for updates. A
-/// MutableDataGraph holds the same graph in adjacency-list form under
-/// *stable* node ids: ids are assigned once and never reused, so deletions
-/// leave holes instead of shifting everyone else. Materialize() compacts
-/// the alive nodes back into a fresh DataGraph plus the id maps the
-/// incremental maintainer needs to carry partitions across versions.
+/// MutableDataGraph holds the same graph under *stable* node ids: ids are
+/// assigned once and never reused, so deletions leave holes instead of
+/// shifting everyone else. Materialize() compacts the alive nodes back into
+/// a fresh DataGraph plus the id maps the incremental maintainer needs to
+/// carry partitions across versions.
+///
+/// Seeding copies no adjacency: a row (one node's children, or its
+/// parents) is read from the seed DataGraph's CSR until an op first edits
+/// it, and that edit copies the row into an overlay. Appended nodes' rows
+/// live in the overlay from the start. A write therefore costs the rows it
+/// edits, not the graph.
 ///
 /// Invariants mirrored from DataGraphBuilder::Build: at most one edge per
-/// (from, to) pair (the builder deduplicates parallel edges), child lists
-/// sorted ascending by target, parent lists sorted unique. Because stable
+/// (from, to) pair (the builder deduplicates parallel edges), child rows
+/// sorted ascending by target, parent rows sorted unique. Because stable
 /// ids grow monotonically and compaction preserves ascending order, the
 /// materialized CSR is byte-identical to what DataGraphBuilder would
 /// produce from the same node/edge set (same symbol interning order).
 class MutableDataGraph {
  public:
-  struct AdjEntry {
-    uint32_t to = 0;
-    EdgeKind kind = EdgeKind::kRegular;
+  /// One node's child row: targets ascending, kinds parallel.
+  struct ChildRow {
+    std::span<const uint32_t> to;
+    std::span<const EdgeKind> kind;
   };
 
-  /// Seeds the live graph from `g`; stable id i is g's node i.
+  /// Seeds the live graph from `g`; stable id i is g's node i. Rows are
+  /// read from `g` until edited, so `g` must outlive this object: LiveGraph
+  /// holds its seed's shared_ptr, and a caller that seeds from a reference
+  /// keeps the graph in scope for as long as it applies batches.
   explicit MutableDataGraph(const DataGraph& g);
 
   size_t num_alive() const { return num_alive_; }
-  size_t num_stable_ids() const { return labels_.size(); }
+  size_t num_stable_ids() const { return alive_.size(); }
   size_t num_edges() const { return num_edges_; }
   bool alive(uint32_t s) const { return alive_[s] != 0; }
-  LabelId label(uint32_t s) const { return labels_[s]; }
+  LabelId label(uint32_t s) const {
+    return s < seed_nodes_ ? seed_->label(s) : new_labels_[s - seed_nodes_];
+  }
   uint32_t root() const { return root_; }
   const SymbolTable& symbols() const { return symbols_; }
-  const std::vector<AdjEntry>& children(uint32_t s) const {
-    return children_[s];
-  }
-  const std::vector<uint32_t>& parents(uint32_t s) const {
-    return parents_[s];
-  }
+  /// The one accessor for a row, edited or not.
+  ChildRow children(uint32_t s) const;
+  std::span<const uint32_t> parents(uint32_t s) const;
 
   /// What one applied batch touched, in stable ids — the seed of the
   /// maintainer's dirty set.
@@ -89,8 +100,8 @@ class MutableDataGraph {
     std::vector<uint32_t> ref_orphaned;  ///< Survivors that lost a ref
                                          ///< parent, sorted unique.
     /// Survivor-side adjacency entries the detach erased, recorded so a
-    /// failing batch can roll the delete back exactly: children_[p] lost
-    /// (s, kind); parents_[c] lost s.
+    /// failing batch can roll the delete back exactly: p's child row lost
+    /// (s, kind); c's parent row lost s.
     std::vector<std::tuple<uint32_t, uint32_t, EdgeKind>> severed_children;
     std::vector<std::pair<uint32_t, uint32_t>> severed_parents;
     size_t edges_removed = 0;
@@ -130,13 +141,36 @@ class MutableDataGraph {
  private:
   struct UndoRecord;
 
-  Status CheckNode(uint32_t s) const;
+  /// The overlay copy of a node's rows. A seed node's halves are copied on
+  /// their first edit (`own_*` says which are); an appended node owns both.
+  struct Row {
+    std::vector<uint32_t> child_to;    ///< Ascending.
+    std::vector<EdgeKind> child_kind;  ///< Parallel to child_to.
+    std::vector<uint32_t> parents;     ///< Ascending.
+    bool own_children = false;
+    bool own_parents = false;
+  };
 
+  Status CheckNode(uint32_t s) const;
+  /// `s`'s overlay row, or null if neither half has been edited.
+  const Row* OverlayRow(uint32_t s) const;
+  /// `s`'s overlay row with the named half copied in from the seed if this
+  /// is its first edit. References stay valid across later calls.
+  Row& EditChildren(uint32_t s);
+  Row& EditParents(uint32_t s);
+  /// `s`'s overlay row as is; a seed id's is created empty on first use.
+  Row& RowFor(uint32_t s);
+
+  static constexpr uint32_t kNoRow = static_cast<uint32_t>(-1);
+
+  const DataGraph* seed_;
+  size_t seed_nodes_;
   SymbolTable symbols_;
-  std::vector<LabelId> labels_;            // per stable id
-  std::vector<uint8_t> alive_;             // per stable id
-  std::vector<std::vector<AdjEntry>> children_;
-  std::vector<std::vector<uint32_t>> parents_;
+  std::vector<LabelId> new_labels_;  ///< Per appended id (seed_nodes_ + i).
+  std::vector<uint8_t> alive_;       ///< Per stable id.
+  std::vector<uint32_t> seed_row_;   ///< Per seed id: its seed_rows_ slot.
+  std::deque<Row> seed_rows_;        ///< Edited seed rows, in edit order.
+  std::deque<Row> new_rows_;         ///< Per appended id.
   uint32_t root_ = 0;
   size_t num_alive_ = 0;
   size_t num_edges_ = 0;  ///< Edges between alive nodes.
@@ -166,6 +200,8 @@ class LiveGraph {
 
   /// Version 0 is `g` itself, shared rather than materialized again: a
   /// built DataGraph already is what Materialize() would produce from it.
+  /// The LiveGraph keeps `g` alive for its whole life: the live graph reads
+  /// every row no batch has edited from it.
   explicit LiveGraph(std::shared_ptr<const DataGraph> g);
 
   /// Applies `batch` atomically and materializes the next version. On
@@ -178,6 +214,7 @@ class LiveGraph {
   uint64_t version() const { return version_; }
 
  private:
+  std::shared_ptr<const DataGraph> seed_;  ///< Backs live_'s unedited rows.
   MutableDataGraph live_;
   std::shared_ptr<const DataGraph> graph_;
   std::vector<uint32_t> stable_of_;  ///< compact → stable, current version.

@@ -339,6 +339,7 @@ Result<ConcurrentSession::MutationReceipt> ConcurrentSession::ApplyMutations(
   // Publish first: the coarse index over the new version is exact, since
   // validation covers every under-refined node (§4.1); refinement only
   // makes it faster, so the FUP replay runs on the refiner afterwards.
+  const uint64_t build_start = obs::MonotonicNowNs();
   MStarIndex coarse(live_->graph());
   const uint64_t publish_start = obs::MonotonicNowNs();
   const std::shared_ptr<mutate::VersionSnapshot> snapshot =
@@ -348,10 +349,35 @@ Result<ConcurrentSession::MutationReceipt> ConcurrentSession::ApplyMutations(
   // Until the wipe lands, readers already on the new snapshot miss the old
   // entries because Get checks their version — so no pre-mutation answer
   // is served to a post-mutation reader.
+  const uint64_t invalidate_start = obs::MonotonicNowNs();
   cache_.Invalidate(step.version);
   obs::FlightRecorder::Global().Record(
       obs::FlightEventType::kCacheEvictionSweep, step.version);
-  metrics_.publish_ns->Record(obs::MonotonicNowNs() - publish_start);
+  const uint64_t end = obs::MonotonicNowNs();
+  metrics_.publish_ns->Record(end - publish_start);
+
+  // Mutations are rare and high-signal, like refinement batches, so they
+  // bypass the per-query sampler. The four steps share their boundary
+  // stamps, so they add up to the parent exactly.
+  if (options_.tracer != nullptr) {
+    obs::Span span =
+        options_.tracer->StartTrace("mutation", /*always_sample=*/true);
+    if (span.enabled()) {
+      auto child = [&](std::string_view name, uint64_t from, uint64_t to) {
+        span.Child(name).EndManual(from, to - from);
+      };
+      child("apply", apply_start, build_start);
+      child("coarse_build", build_start, publish_start);
+      child("publish", publish_start, invalidate_start);
+      child("invalidate", invalidate_start, end);
+      span.AddAttr("graph_version", step.version);
+      span.AddAttr("batch_ops", batch.size());
+      span.AddAttr("nodes_added", step.new_nodes.size());
+      span.AddAttr("nodes_deleted", step.nodes_deleted);
+      span.EndManual(apply_start, end - apply_start);
+    }
+  }
+
   if (!fups_.fups().empty()) {
     {
       std::lock_guard<std::mutex> inbox_lock(inbox_mu_);

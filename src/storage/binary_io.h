@@ -126,10 +126,11 @@ class BinaryReader {
   size_t pos_ = 0;
 };
 
-/// FNV-1a checksum of a byte range (stored with every blob so corrupted
-/// files fail loudly at load time).
+/// 64-bit FNV-1a checksum of a byte range (stored with every blob so
+/// corrupted files fail loudly at load time). Standard offset basis and
+/// prime, so any FNV-1a tool reproduces it.
 inline uint64_t Checksum(std::string_view bytes) {
-  uint64_t h = 1469598103934665603ULL;
+  uint64_t h = 14695981039346656037ULL;
   for (char c : bytes) {
     h ^= static_cast<uint8_t>(c);
     h *= 1099511628211ULL;

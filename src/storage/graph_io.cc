@@ -9,7 +9,9 @@ namespace mrx::storage {
 namespace {
 
 constexpr std::string_view kMagic = "MRXG";
-constexpr uint64_t kVersion = 1;
+/// Version 2 checksums with the standard FNV-1a offset basis; version 1
+/// used a basis one digit short and is no longer read.
+constexpr uint64_t kVersion = 2;
 
 }  // namespace
 
@@ -63,15 +65,16 @@ Result<DataGraph> DeserializeDataGraph(std::string_view bytes) {
   if (body_bytes.size() != body_size) {
     return Status::ParseError("data-graph blob truncated");
   }
-  if (Checksum(body_bytes) != checksum) {
-    return Status::ParseError("data-graph blob checksum mismatch");
-  }
-
+  // The version is read before the checksum is checked: an older version
+  // checksums differently, and is reported as what it is.
   BinaryReader body(body_bytes);
   MRX_ASSIGN_OR_RETURN(uint64_t version, body.GetVarint());
   if (version != kVersion) {
     return Status::ParseError("unsupported data-graph version " +
                               std::to_string(version));
+  }
+  if (Checksum(body_bytes) != checksum) {
+    return Status::ParseError("data-graph blob checksum mismatch");
   }
 
   DataGraphBuilder builder;

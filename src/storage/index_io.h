@@ -29,12 +29,13 @@ Status SaveMStarIndexToFile(const MStarIndex& index,
 Result<MStarIndex> LoadMStarIndexFromFile(const DataGraph& graph,
                                           const std::string& path);
 
-/// Container format versions. Version 3 stores each extent as its member
-/// count and ascending varint deltas. Versions 1 and 2 are no longer read:
-/// nothing writes them, and loading one is an "unsupported index container
-/// version" ParseError.
-inline constexpr uint64_t kMStarFormatVersion = 3;
-inline constexpr uint64_t kMStarOldestSupportedVersion = 3;
+/// Container format versions. Version 4 stores each extent as its member
+/// count and ascending varint deltas, and checksums blobs with the standard
+/// FNV-1a offset basis (version 3 had the same records under a basis one
+/// digit short). Versions 1 to 3 are no longer read: nothing writes them,
+/// and loading one is an "unsupported index container version" ParseError.
+inline constexpr uint64_t kMStarFormatVersion = 4;
+inline constexpr uint64_t kMStarOldestSupportedVersion = 4;
 
 /// Decoded container header (exposed for DiskMStarIndex and tests).
 struct MStarFileToc {

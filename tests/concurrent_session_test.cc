@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/mrx.h"
+#include "obs/trace.h"
 #include "server/concurrent_session.h"
 #include "tests/test_util.h"
 
@@ -184,6 +185,51 @@ TEST(ConcurrentSessionTest, RefinementChurnsWhileReadersRun) {
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_GE(session.index_publications(), 1u);
   EXPECT_EQ(session.index_epoch(), session.index_publications());
+}
+
+TEST(ConcurrentSessionTest, MutationEmitsAForcedSpanWhoseStepsAddUp) {
+  DataGraph g = MakeFigure1Graph();
+  // sample_every huge: only always-sampled traces make it through.
+  obs::TraceRecorder tracer({.sample_every = 1000000});
+  ConcurrentSessionOptions options;
+  options.tracer = &tracer;
+  ConcurrentSession session(g, options);
+  ASSERT_TRUE(
+      session.ApplyMutations({mutate::Mutation::AppendLeaf(g.root(), "x")})
+          .ok());
+  // A rejected batch publishes nothing and traces nothing.
+  ASSERT_FALSE(session.ApplyMutations({mutate::Mutation::Delete(g.root())})
+                   .ok());
+
+  const std::vector<obs::SpanEvent> events = tracer.Events();
+  const obs::SpanEvent* root = nullptr;
+  for (const obs::SpanEvent& e : events) {
+    if (e.name != "mutation") continue;
+    EXPECT_EQ(root, nullptr) << "one mutation trace per applied batch";
+    root = &e;
+  }
+  ASSERT_NE(root, nullptr);
+  EXPECT_EQ(root->parent_id, 0u);
+  std::vector<std::pair<std::string, uint64_t>> expected_attrs = {
+      {"graph_version", 1}, {"batch_ops", 1}, {"nodes_added", 1},
+      {"nodes_deleted", 0}};
+  EXPECT_EQ(root->attrs, expected_attrs);
+
+  std::vector<const obs::SpanEvent*> steps;
+  for (const obs::SpanEvent& e : events) {
+    if (e.parent_id == root->span_id) steps.push_back(&e);
+  }
+  ASSERT_EQ(steps.size(), 4u);
+  const std::vector<std::string> names = {"apply", "coarse_build", "publish",
+                                          "invalidate"};
+  uint64_t at = root->start_ns;
+  for (size_t i = 0; i < steps.size(); ++i) {
+    EXPECT_EQ(steps[i]->name, names[i]);
+    EXPECT_EQ(steps[i]->trace_id, root->trace_id);
+    EXPECT_EQ(steps[i]->start_ns, at) << names[i];
+    at += steps[i]->duration_ns;
+  }
+  EXPECT_EQ(at, root->start_ns + root->duration_ns);
 }
 
 }  // namespace

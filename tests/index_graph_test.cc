@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include "index/bisimulation.h"
 #include "index/index_graph.h"
@@ -156,6 +159,58 @@ TEST(IndexGraphTest, RandomSplitsKeepConsistency) {
     ig.ReplaceNode(v, {{left, 1}, {right, 0}});
     ig.RebuildAdjacency(&scratch);
     ASSERT_TRUE(ig.CheckConsistency().ok()) << ig.CheckConsistency();
+  }
+}
+
+// FromPartition's lists are Property 2 exactly, computed here naively from
+// every data edge, and each is allocated at its size.
+TEST(IndexGraphTest, FromPartitionAdjacencyIsPropertyTwoSizedExactly) {
+  for (uint64_t seed : {3, 17, 29, 41}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    DataGraph g = RandomGraph(seed, 150, 5, 90);
+    Rng rng(seed);
+    // Random label-uniform partition: each label's nodes scatter over up to
+    // three blocks, and the blocks are numbered in a random order.
+    std::vector<uint32_t> raw(g.num_nodes());
+    for (NodeId n = 0; n < g.num_nodes(); ++n) {
+      raw[n] = g.label(n) * 3 + static_cast<uint32_t>(rng.Below(3));
+    }
+    std::vector<uint32_t> order(g.symbols().size() * 3);
+    std::iota(order.begin(), order.end(), 0);
+    std::shuffle(order.begin(), order.end(), rng);
+    std::vector<uint32_t> used(order.size(), 0);
+    for (uint32_t r : raw) used[r] = 1;
+    std::vector<uint32_t> id_of(order.size(), 0);
+    uint32_t num_blocks = 0;
+    for (uint32_t r : order) {
+      if (used[r]) id_of[r] = num_blocks++;
+    }
+    std::vector<uint32_t> block_of(g.num_nodes());
+    for (NodeId n = 0; n < g.num_nodes(); ++n) block_of[n] = id_of[raw[n]];
+
+    IndexGraph ig = IndexGraph::FromPartition(
+        g, block_of, num_blocks, std::vector<int32_t>(num_blocks, 0));
+    ASSERT_TRUE(ig.CheckConsistency().ok()) << ig.CheckConsistency();
+    ASSERT_EQ(ig.num_nodes(), num_blocks);
+    std::vector<std::vector<IndexNodeId>> children(num_blocks);
+    std::vector<std::vector<IndexNodeId>> parents(num_blocks);
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      for (NodeId v : g.children(u)) {
+        children[block_of[u]].push_back(block_of[v]);
+        parents[block_of[v]].push_back(block_of[u]);
+      }
+    }
+    for (uint32_t b = 0; b < num_blocks; ++b) {
+      for (auto* list : {&children[b], &parents[b]}) {
+        std::sort(list->begin(), list->end());
+        list->erase(std::unique(list->begin(), list->end()), list->end());
+      }
+      const IndexGraph::Node& node = ig.node(b);
+      EXPECT_EQ(node.children, children[b]) << b;
+      EXPECT_EQ(node.parents, parents[b]) << b;
+      EXPECT_EQ(node.children.capacity(), node.children.size()) << b;
+      EXPECT_EQ(node.parents.capacity(), node.parents.size()) << b;
+    }
   }
 }
 

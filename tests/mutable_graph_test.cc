@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "mutate/mutation.h"
 #include "tests/test_util.h"
+#include "util/rng.h"
 
 namespace mrx::mutate {
 namespace {
@@ -238,6 +243,234 @@ TEST(MutableGraphTest, StableIdsNeverReused) {
   ASSERT_TRUE(touch2.ok());
   EXPECT_GT(touch2->new_nodes[0], first);  // The dead slot is not recycled.
   EXPECT_FALSE(live.alive(first));
+}
+
+/// An independent model of the live graph for the differential test below:
+/// labels, liveness and an edge map in stable ids, with the Mutation
+/// contract applied from scratch (no MutableDataGraph code).
+struct GraphModel {
+  std::vector<std::string> labels;
+  std::vector<uint8_t> alive;
+  std::map<std::pair<uint32_t, uint32_t>, EdgeKind> edges;
+  uint32_t root = 0;
+
+  explicit GraphModel(const DataGraph& g) : alive(g.num_nodes(), 1) {
+    root = g.root();
+    for (NodeId n = 0; n < g.num_nodes(); ++n) {
+      labels.push_back(g.label_name(n));
+      const auto kids = g.children(n);
+      const auto kinds = g.child_kinds(n);
+      for (size_t i = 0; i < kids.size(); ++i) edges[{n, kids[i]}] = kinds[i];
+    }
+  }
+
+  std::vector<uint32_t> StableOf() const {
+    std::vector<uint32_t> out;
+    for (uint32_t s = 0; s < alive.size(); ++s) {
+      if (alive[s]) out.push_back(s);
+    }
+    return out;
+  }
+
+  /// Applies `op` (compact ids of the version `stable_of` describes);
+  /// false if the contract rejects it.
+  bool Apply(const Mutation& op, const std::vector<uint32_t>& stable_of) {
+    auto live = [&](NodeId c, uint32_t* s) {
+      if (c >= stable_of.size()) return false;
+      *s = stable_of[c];
+      return alive[*s] != 0;
+    };
+    uint32_t from = 0, to = 0;
+    if (!live(op.target, &from)) return false;
+    switch (op.kind) {
+      case Mutation::Kind::kAppendSubtree: {
+        const uint32_t base = static_cast<uint32_t>(labels.size());
+        for (const std::string& l : op.subtree.labels) {
+          labels.push_back(l);
+          alive.push_back(1);
+        }
+        edges[{from, base}] = EdgeKind::kRegular;
+        for (const SubtreeSpec::Edge& e : op.subtree.edges) {
+          edges[{base + e.from, base + e.to}] = e.kind;
+        }
+        return true;
+      }
+      case Mutation::Kind::kDeleteSubtree: {
+        std::vector<uint8_t> doomed(alive.size(), 0);
+        std::vector<uint32_t> stack = {from};
+        doomed[from] = 1;
+        while (!stack.empty()) {
+          const uint32_t s = stack.back();
+          stack.pop_back();
+          for (auto it = edges.lower_bound({s, 0});
+               it != edges.end() && it->first.first == s; ++it) {
+            const uint32_t c = it->first.second;
+            if (it->second == EdgeKind::kRegular && !doomed[c]) {
+              doomed[c] = 1;
+              stack.push_back(c);
+            }
+          }
+        }
+        if (doomed[root]) return false;
+        std::erase_if(edges, [&](const auto& e) {
+          return doomed[e.first.first] || doomed[e.first.second];
+        });
+        for (uint32_t s = 0; s < alive.size(); ++s) {
+          if (doomed[s]) alive[s] = 0;
+        }
+        return true;
+      }
+      case Mutation::Kind::kAddRefEdge:
+        if (!live(op.ref_target, &to) || edges.contains({from, to})) {
+          return false;
+        }
+        edges[{from, to}] = EdgeKind::kReference;
+        return true;
+      case Mutation::Kind::kRemoveRefEdge: {
+        if (!live(op.ref_target, &to)) return false;
+        auto it = edges.find({from, to});
+        if (it == edges.end() || it->second != EdgeKind::kReference) {
+          return false;
+        }
+        edges.erase(it);
+        return true;
+      }
+    }
+    return false;
+  }
+
+  DataGraph Build() const {
+    std::vector<NodeId> compact(alive.size(), kInvalidNode);
+    DataGraphBuilder b;
+    for (uint32_t s = 0; s < alive.size(); ++s) {
+      if (!alive[s]) continue;
+      compact[s] = static_cast<NodeId>(b.AddNode(labels[s]));
+    }
+    for (const auto& [e, kind] : edges) {
+      b.AddEdge(compact[e.first], compact[e.second], kind);
+    }
+    b.SetRoot(compact[root]);
+    return std::move(std::move(b).Build()).value();
+  }
+};
+
+/// Every array of the two graphs' CSR, parents and label buckets agrees.
+void ExpectSameCsr(const DataGraph& a, const DataGraph& b) {
+  auto eq = [](auto x, auto y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end());
+  };
+  EXPECT_EQ(a.root(), b.root());
+  EXPECT_EQ(a.num_reference_edges(), b.num_reference_edges());
+  EXPECT_TRUE(eq(a.node_labels(), b.node_labels()));
+  EXPECT_TRUE(eq(a.child_row_offsets(), b.child_row_offsets()));
+  EXPECT_TRUE(eq(a.child_row_targets(), b.child_row_targets()));
+  EXPECT_TRUE(eq(a.child_row_kinds(), b.child_row_kinds()));
+  EXPECT_TRUE(eq(a.parent_row_offsets(), b.parent_row_offsets()));
+  EXPECT_TRUE(eq(a.parent_row_targets(), b.parent_row_targets()));
+  EXPECT_TRUE(eq(a.label_bucket_offsets(), b.label_bucket_offsets()));
+  EXPECT_TRUE(eq(a.label_bucket_nodes(), b.label_bucket_nodes()));
+}
+
+/// One random batch against `g`'s compact ids, mostly on seed rows: leaf
+/// and small-subtree appends, subtree deletes, ref adds and removes; a
+/// fifth of the batches end in a delete of the root, so everything before
+/// it rolls back.
+MutationBatch RandomOverlayBatch(Rng& rng, const DataGraph& g) {
+  const auto pick = [&] { return static_cast<NodeId>(rng.Below(g.num_nodes())); };
+  MutationBatch batch;
+  const size_t ops = 1 + rng.Below(4);
+  for (size_t i = 0; i < ops; ++i) {
+    const uint64_t roll = rng.Below(100);
+    if (roll < 35) {
+      SubtreeSpec spec;
+      spec.labels.push_back("l" + std::to_string(rng.Below(4)));
+      if (rng.Chance(0.5)) {
+        spec.labels.push_back("new");
+        spec.labels.push_back("l0");
+        spec.edges = {{0, 1, EdgeKind::kRegular}, {0, 2, EdgeKind::kRegular}};
+        if (rng.Chance(0.5)) spec.edges.push_back({2, 1, EdgeKind::kReference});
+      }
+      batch.push_back(Mutation::Append(pick(), std::move(spec)));
+    } else if (roll < 50) {
+      batch.push_back(Mutation::Delete(pick()));
+    } else if (roll < 75) {
+      batch.push_back(Mutation::AddRef(pick(), pick()));
+    } else {
+      // Prefer an existing reference edge, so removals mostly succeed.
+      NodeId from = pick(), to = pick();
+      for (int tries = 0; tries < 20; ++tries) {
+        const NodeId u = pick();
+        const auto kinds = g.child_kinds(u);
+        const auto ref =
+            std::find(kinds.begin(), kinds.end(), EdgeKind::kReference);
+        if (ref != kinds.end()) {
+          from = u;
+          to = g.children(u)[ref - kinds.begin()];
+          break;
+        }
+      }
+      batch.push_back(Mutation::RemoveRef(from, to));
+    }
+  }
+  if (rng.Chance(0.2)) batch.push_back(Mutation::Delete(g.root()));
+  return batch;
+}
+
+TEST(MutableGraphTest, OverlayMatchesAnIndependentModel) {
+  for (uint64_t seed : {1, 2, 3, 4}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    auto g0 = std::make_shared<const DataGraph>(
+        mrx::testing::RandomGraph(seed, 120, 4, 40));
+    LiveGraph graph(g0);
+    // A second, hand-driven twin checks MaterializeAfter against a full
+    // Materialize() of the same state.
+    MutableDataGraph twin(*g0);
+    MutableDataGraph::Materialized prev{*g0, Identity(g0->num_nodes()), {}};
+    GraphModel model(*g0);
+    size_t applied = 0, rejected = 0;
+    for (int step = 0; step < 80; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const MutationBatch batch = RandomOverlayBatch(rng, graph.graph());
+      GraphModel next = model;
+      const std::vector<uint32_t> stable_of = model.StableOf();
+      bool accepted = true;
+      for (const Mutation& op : batch) {
+        accepted = accepted && next.Apply(op, stable_of);
+      }
+      const auto live_step = graph.Apply(batch);
+      const auto touch = twin.ApplyBatch(batch, prev.stable_of);
+      ASSERT_EQ(live_step.ok(), accepted);
+      ASSERT_EQ(touch.ok(), accepted);
+      if (!accepted) {
+        ++rejected;
+        // Rolled back exactly (labels the batch interned stay interned,
+        // so the symbol tables may differ by unused entries).
+        auto full = twin.Materialize();
+        ASSERT_TRUE(full.ok());
+        EXPECT_EQ(SigOf(full->graph), SigOf(prev.graph));
+        EXPECT_EQ(full->stable_of, prev.stable_of);
+        continue;
+      }
+      ++applied;
+      model = std::move(next);
+      const DataGraph expected = model.Build();
+      ASSERT_EQ(SigOf(graph.graph()), SigOf(expected));
+
+      auto after = twin.MaterializeAfter(prev.graph, prev.stable_of, *touch);
+      auto full = twin.Materialize();
+      ASSERT_TRUE(after.ok());
+      ASSERT_TRUE(full.ok());
+      ExpectSameCsr(after->graph, full->graph);
+      ExpectSameCsr(after->graph, graph.graph());
+      EXPECT_EQ(after->stable_of, full->stable_of);
+      EXPECT_EQ(after->compact_of, full->compact_of);
+      prev = *std::move(after);
+    }
+    // Both outcomes were exercised.
+    EXPECT_GT(applied, 20u);
+    EXPECT_GT(rejected, 5u);
+  }
 }
 
 }  // namespace

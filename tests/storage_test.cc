@@ -85,6 +85,13 @@ TEST(BinaryIoTest, ChecksumDetectsFlips) {
   EXPECT_NE(Checksum(data), sum);
 }
 
+// The standard 64-bit FNV-1a test vectors: any FNV-1a tool reproduces the
+// checksums stored in .mrxg and .mrxs files.
+TEST(BinaryIoTest, ChecksumIsStandardFnv1a) {
+  EXPECT_EQ(Checksum(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(Checksum("a"), 0xaf63dc4c8601ec8cULL);
+}
+
 TEST(GraphIoTest, RoundTripPreservesEverything) {
   DataGraph original = MakeFigure1Graph();
   std::string blob = SerializeDataGraph(original);
@@ -126,6 +133,34 @@ TEST(GraphIoTest, CorruptionIsDetected) {
   auto r = DeserializeDataGraph(flipped);
   EXPECT_FALSE(r.ok());
   EXPECT_FALSE(DeserializeDataGraph(blob.substr(0, blob.size() - 3)).ok());
+}
+
+// A version-1 blob as the old writer made it: the same layout, checksummed
+// from an offset basis one digit short of FNV-1a's. The loader names the
+// version instead of reporting a checksum mismatch.
+TEST(GraphIoTest, Version1GraphIsUnsupported) {
+  const std::string blob = SerializeDataGraph(MakeFigure3Graph());
+  BinaryReader header(std::string_view(blob).substr(4));
+  ASSERT_TRUE(header.GetVarint().ok());
+  ASSERT_TRUE(header.GetFixed64().ok());
+  std::string body = blob.substr(4 + header.pos());
+  ASSERT_EQ(body[0], 2);  // The version varint leads the body.
+  body[0] = 1;
+  uint64_t old_checksum = 1469598103934665603ULL;
+  for (char c : body) {
+    old_checksum ^= static_cast<uint8_t>(c);
+    old_checksum *= 1099511628211ULL;
+  }
+  BinaryWriter v1;
+  v1.PutRaw("MRXG");
+  v1.PutVarint(body.size());
+  v1.PutFixed64(old_checksum);
+  v1.PutRaw(body);
+  const Status status = DeserializeDataGraph(v1.TakeBuffer()).status();
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status;
+  EXPECT_NE(status.message().find("unsupported data-graph version 1"),
+            std::string::npos)
+      << status;
 }
 
 TEST(IndexIoTest, RoundTripPreservesComponents) {
@@ -232,6 +267,10 @@ TEST(IndexIoTest, Version1ContainerIsUnsupported) {
 
 TEST(IndexIoTest, Version2ContainerIsUnsupported) {
   ExpectUnsupportedVersion(MakeFigure3Graph(), 2);
+}
+
+TEST(IndexIoTest, Version3ContainerIsUnsupported) {
+  ExpectUnsupportedVersion(MakeFigure3Graph(), 3);
 }
 
 /// A current-version container around `blobs`, with a correct TOC and
