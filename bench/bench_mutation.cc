@@ -155,10 +155,10 @@ FractionResult RunFraction(const DataGraph& g, double fraction, int k_max,
 
 int main() {
   const double scale = harness::BenchScaleFromEnv(0.5);
-  // Same chain depth as bench_parallel_build: the A(0..8) hierarchy is the
-  // repo's canonical full-resolution build, and chain depth is exactly what
-  // incremental maintenance amortizes (each extra level costs a full
-  // refinement round in the rebuild but only a cascade-local round here).
+  // Chain depth 8: the A(0..8) hierarchy is the repo's canonical
+  // full-resolution build, and chain depth is exactly what incremental
+  // maintenance amortizes (each extra level costs a full refinement round
+  // in the rebuild but only a cascade-local round here).
   const int k_max = 8;
   const int reps = 7;
   const std::vector<double> fractions = {0.001, 0.01, 0.05};

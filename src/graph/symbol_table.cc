@@ -18,4 +18,11 @@ std::optional<LabelId> SymbolTable::Lookup(std::string_view name) const {
   return it->second;
 }
 
+void SymbolTable::Truncate(size_t n) {
+  while (names_.size() > n) {
+    ids_.erase(names_.back());
+    names_.pop_back();
+  }
+}
+
 }  // namespace mrx

@@ -34,6 +34,10 @@ class SymbolTable {
   /// Number of distinct labels interned so far.
   size_t size() const { return names_.size(); }
 
+  /// Forgets every label interned after the first `n` (a rolled-back
+  /// batch's labels); ids below `n` are unchanged.
+  void Truncate(size_t n);
+
  private:
   std::vector<std::string> names_;
   // Keyed by owned strings (not views into names_) so the table is freely

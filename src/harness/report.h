@@ -31,11 +31,12 @@ void PrintDatasetSummary(std::ostream& os, const std::string& name,
                          const DataGraph& graph);
 
 /// \brief Writes one machine-readable bench-trajectory record:
-///   {"bench":"server","metrics":{"xmark_4w_qps":12345.6,...}}
-/// `mrx serve-bench --metrics-out` and bench_server_throughput emit this as
-/// BENCH_server.json so the perf trajectory is diffable across PRs (CI
-/// uploads it as an artifact). Non-finite values are serialized as 0 to
-/// keep the record valid JSON. Metrics appear in the given order.
+///   {"bench":"scale_build","metrics":{"xmark_500k_serial_ms":294.8,...}}
+/// bench_scale_build emits this as BENCH_scale_build.json (and
+/// bench_mutation as BENCH_mutation.json) so the perf trajectory is
+/// diffable across changes (CI uploads it as an artifact). Non-finite
+/// values are serialized as 0 to keep the record valid JSON. Metrics appear
+/// in the given order.
 void WriteBenchJson(
     std::ostream& os, const std::string& bench_name,
     const std::vector<std::pair<std::string, double>>& metrics);

@@ -297,6 +297,7 @@ Result<MutableDataGraph::BatchTouch> MutableDataGraph::ApplyBatch(
   BatchTouch touch;
   std::vector<UndoRecord> undo;
   undo.reserve(batch.size());
+  const size_t labels_before = symbols_.size();
 
   auto resolve = [&](NodeId id, uint32_t* stable) -> Status {
     if (id >= compact_to_stable.size()) {
@@ -439,6 +440,9 @@ Result<MutableDataGraph::BatchTouch> MutableDataGraph::ApplyBatch(
         }
       }
     }
+    // Appends intern their labels before a later op can fail; a rejected
+    // batch leaves the table as it found it.
+    symbols_.Truncate(labels_before);
     return Status::FailedPrecondition(
         "mutation " + std::to_string(failed_at + 1) + " of " +
         std::to_string(batch.size()) + " failed (batch rolled back): " +

@@ -22,7 +22,7 @@ void WritePrometheusText(const MetricsSnapshot& snapshot, std::ostream& os);
 
 /// \brief JSONL exposition: one self-describing JSON object per line, e.g.
 ///   {"kind":"counter","name":"mrx_queries_total","value":42}
-///   {"kind":"gauge","name":"mrx_server_queue_depth","value":3}
+///   {"kind":"gauge","name":"mrx_server_workers","value":4}
 ///   {"kind":"histogram","name":"...","count":9,"sum":123,"max":45,
 ///    "p50":10,"p95":30,"p99":44,"mean":13.67}
 /// Line-oriented so snapshots can be appended to one file across a run and

@@ -77,8 +77,8 @@ class FlightRecorder {
   void Record(FlightEventType type, uint64_t a = 0, uint64_t b = 0,
               uint16_t code = 0);
 
-  /// Turns recording off/on (`mrx serve-bench --diag off` for overhead
-  /// A/B runs). Events recorded while disabled are simply not written.
+  /// Turns recording off/on (`mrx diag --flight off` for overhead A/B
+  /// runs). Events recorded while disabled are simply not written.
   void set_enabled(bool enabled) {
     enabled_.store(enabled, std::memory_order_relaxed);
   }

@@ -46,7 +46,7 @@ class SlowQueryLog {
   }
 
   /// Trace id of the most recent slow query (0 if none was traced) — the
-  /// exemplar ServerStats carries.
+  /// exemplar linking the log to the span trace.
   uint64_t last_trace_id() const {
     return last_trace_id_.load(std::memory_order_relaxed);
   }

@@ -214,14 +214,14 @@ class ConcurrentSession {
   }
 
   /// Trace id of the most recent slow-query capture (0 if none, or if the
-  /// session has no tracer). Serves as the exemplar in ServerStats.
+  /// session has no tracer): the exemplar `mrx diag` reports in diag.json.
   uint64_t last_slow_trace_id() const {
     return last_slow_trace_id_.load(std::memory_order_relaxed);
   }
 
   /// Cumulative chooser-estimated cost (index-node-visit units) across all
-  /// evaluated (non-cache-hit) queries — the denominator-side of the
-  /// est-vs-actual cost ratio the bench reports.
+  /// evaluated (non-cache-hit) queries — the estimate side of the
+  /// est-vs-actual cost ratio (`est_cost_units` in `mrx diag`'s diag.json).
   uint64_t estimated_cost_units() const {
     return est_cost_units_.load(std::memory_order_relaxed);
   }

@@ -1,15 +1,13 @@
 #ifndef MRX_SERVER_QUERY_SERVER_H_
 #define MRX_SERVER_QUERY_SERVER_H_
 
-#include <chrono>
+#include <atomic>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "server/bounded_queue.h"
 #include "server/concurrent_session.h"
-#include "server/server_stats.h"
 #include "util/result.h"
 
 namespace mrx::server {
@@ -35,9 +33,9 @@ struct QueryServerOptions {
 /// (Execute blocks). Shutdown() stops intake, finishes every accepted
 /// request, and joins the workers; the destructor calls it.
 ///
-/// Each worker keeps private latency/cost counters (merged into a
-/// ServerStats by Snapshot()), so the hot path never touches a shared
-/// stats lock.
+/// The server's own telemetry is registry metrics (`mrx_server_workers`,
+/// `mrx_server_rejected_total`, `mrx_server_worker_busy_ns_total`); query
+/// counts, cache hits, epochs and cost live on session().
 class QueryServer {
  public:
   /// Receives the answer as an rvalue: a callback may move it on (Execute
@@ -62,45 +60,24 @@ class QueryServer {
   /// Stops intake, completes accepted requests, joins workers. Idempotent.
   void Shutdown();
 
-  /// Aggregates per-worker counters and session/queue gauges. Safe to call
-  /// at any time, including while the server is under load.
-  ServerStats Snapshot() const;
-
   ConcurrentSession& session() { return session_; }
   const QueryServerOptions& options() const { return options_; }
 
  private:
-  using Clock = std::chrono::steady_clock;
-
   struct Request {
     PathExpression query;
     Callback done;
-    Clock::time_point enqueued_at;
   };
 
-  /// One worker's counters. Guarded by its own (uncontended) mutex so
-  /// Snapshot can read while the worker runs; latency covers submit to
-  /// completion, so queueing delay shows up in the percentiles. busy_ns
-  /// covers dequeue to completion only — the utilization numerator.
-  struct WorkerStats {
-    mutable std::mutex mu;
-    uint64_t queries = 0;
-    uint64_t busy_ns = 0;
-    LatencyHistogram latency_ns;
-  };
-
-  void WorkerLoop(WorkerStats* stats);
+  void WorkerLoop();
 
   const QueryServerOptions options_;
   ConcurrentSession session_;
   BoundedQueue<Request> queue_;
-  const Clock::time_point started_at_ = Clock::now();
-  std::atomic<uint64_t> rejected_{0};
   /// Monotonic time of the last worker dequeue; with a non-empty queue its
   /// age is the watchdog's queue-stall signal.
   std::atomic<uint64_t> last_dequeue_ns_{0};
   uint64_t queue_probe_id_ = 0;  ///< Watchdog probe handle; 0 = none.
-  std::vector<std::unique_ptr<WorkerStats>> worker_stats_;
   std::vector<std::thread> workers_;
   std::atomic<bool> shutdown_{false};
 };

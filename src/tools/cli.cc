@@ -1,5 +1,6 @@
 #include "tools/cli.h"
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -12,7 +13,6 @@
 #include "datagen/xmark.h"
 #include "graph/statistics.h"
 #include "harness/datasets.h"
-#include "harness/report.h"
 #include "obs/exposition.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -29,7 +29,7 @@
 #include "query/data_evaluator.h"
 #include "query/twig.h"
 #include "server/concurrent_session.h"
-#include "server/load_driver.h"
+#include "server/query_server.h"
 #include "storage/disk_m_star_index.h"
 #include "storage/graph_io.h"
 #include "storage/index_io.h"
@@ -68,35 +68,25 @@ commands:
                                       report estimated vs actual cost per
                                       strategy (docs/OBSERVABILITY.md)
   diag <graph> [--queries N] [--count N] [--seed N] [--slow-query-ms X]
-       [--watchdog-ms N] [--out DIR] [--last N]
+       [--watchdog-ms N] [--flight on|off] [--out DIR] [--last N]
                                       drive a seeded mini-workload through
-                                      a concurrent session and write a
-                                      diagnostics bundle (flight.jsonl,
+                                      a query server from one closed-loop
+                                      client and write a diagnostics
+                                      bundle (flight.jsonl,
                                       slow_queries.jsonl, trace.jsonl,
                                       metrics.prom/.jsonl, diag.json) to
-                                      DIR; --last N bounds the flight dump
+                                      DIR; --slow-query-ms X captures
+                                      queries slower than X ms (fractional
+                                      ok); --flight off disables the
+                                      always-on flight recorder (overhead
+                                      A/B runs); --last N bounds the
+                                      flight dump
   generate <xmark|nasa|dtd-random> <out.xml|out.mrxg> [--scale S]
            [--nodes N] [--seed N]      .mrxg outputs stream the generator
                                       straight into the graph (no document
                                       in memory; scale-tier sizes OK);
                                       --nodes targets a node count directly
   workload <graph> [--count N] [--max-length L] [--seed N]
-  serve-bench <graph> [--workers N] [--clients N] [--queries N]
-              [--count N] [--max-length L] [--seed N] [--csv out.csv]
-              [--metrics-out DIR] [--trace-sample N] [--threads N]
-              [--mutation-rate R] [--mutation-ops N]
-              [--slow-query-ms X] [--watchdog-ms N] [--diag on|off]
-                                      --threads N gives the background
-                                      refiner an N-thread pool;
-                                      --mutation-rate R applies R random
-                                      mutation batches per 1000 timed
-                                      queries from a mutator thread;
-                                      --slow-query-ms X captures queries
-                                      slower than X ms (fractional ok) into
-                                      slow_queries.jsonl with forced
-                                      traces; --diag off disables the
-                                      always-on flight recorder (overhead
-                                      A/B runs)
   mutate <graph> [--steps N] [--ops N] [--seed N] [--k N] [--verify on]
          [--out out.mrxg]             apply N seeded random mutation
                                       batches with incremental A(k)/D(k)/
@@ -118,9 +108,6 @@ commands:
                                         readers + mutations
 
 graphs are detected by suffix: .xml (parsed) or .mrxg (binary).
---metrics-out writes metrics.prom, metrics.jsonl, trace.jsonl and
-BENCH_server.json into DIR; --trace-sample N samples every Nth query's
-span tree into the trace (default 16).
 )";
 
 Result<std::string> ReadFile(const std::string& path) {
@@ -490,7 +477,14 @@ int CmdExplain(const Options& options, std::ostream& out,
 int CmdDiag(const Options& options, std::ostream& out, std::ostream& err) {
   if (options.positional.size() != 1) {
     err << "usage: mrx diag <graph> [--queries N] [--count N] [--seed N] "
-           "[--slow-query-ms X] [--watchdog-ms N] [--out DIR] [--last N]\n";
+           "[--slow-query-ms X] [--watchdog-ms N] [--flight on|off] "
+           "[--out DIR] [--last N]\n";
+    return 2;
+  }
+  const std::string flight_mode = options.Flag("flight", "on");
+  if (flight_mode != "on" && flight_mode != "off") {
+    err << "unknown --flight value: " << flight_mode
+        << " (expected on or off)\n";
     return 2;
   }
   Result<DataGraph> g = LoadGraph(options.positional[0]);
@@ -526,19 +520,36 @@ int CmdDiag(const Options& options, std::ostream& out, std::ostream& err) {
   wd.deadline_ms = watchdog_ms;
   obs::StallWatchdog watchdog(wd);
 
-  // The session is declared after (destroyed before) the watchdog and the
-  // log it writes into.
-  server::ConcurrentSessionOptions so;
-  so.strategy = SessionOptions::Strategy::kAuto;
-  so.tracer = &tracer;
-  so.slow_query_log = &slow_log;
-  so.watchdog = &watchdog;
-  so.slow_query_ns = static_cast<uint64_t>(slow_ms * 1e6);
-  server::ConcurrentSession session(*g, so);
+  // The flight recorder is process-wide: --flight off (the overhead A/B
+  // switch) holds for the served phase only, and flight_events counts
+  // what this run recorded.
+  obs::FlightRecorder& flight = obs::FlightRecorder::Global();
+  const bool flight_was_enabled = flight.enabled();
+  flight.set_enabled(flight_mode == "on");
+  const uint64_t flight_before = flight.total_recorded();
+
+  // The server is declared after (destroyed before) the watchdog and the
+  // log its session writes into. One closed-loop client: each Execute
+  // passes queue admit, a worker and the session before the next starts.
+  server::QueryServerOptions so;
+  so.session.strategy = SessionOptions::Strategy::kAuto;
+  so.session.tracer = &tracer;
+  so.session.slow_query_log = &slow_log;
+  so.session.watchdog = &watchdog;
+  so.session.slow_query_ns = static_cast<uint64_t>(slow_ms * 1e6);
+  server::QueryServer server(*g, so);
+  const auto served_start = std::chrono::steady_clock::now();
   for (size_t i = 0; i < total_queries; ++i) {
-    session.Query(workload[i % workload.size()]);
+    Result<QueryResult> r = server.Execute(workload[i % workload.size()]);
+    if (!r.ok()) return Fail(err, r.status());
   }
+  const double served_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - served_start)
+                              .count();
+  server::ConcurrentSession& session = server.session();
   session.DrainRefinements();
+  const uint64_t flight_events = flight.total_recorded() - flight_before;
+  flight.set_enabled(flight_was_enabled);
 
   const std::filesystem::path dir(out_dir);
   std::error_code ec;
@@ -547,7 +558,6 @@ int CmdDiag(const Options& options, std::ostream& out, std::ostream& err) {
     return Fail(err, Status::Internal("cannot create " + out_dir + ": " +
                                       ec.message()));
   }
-  obs::FlightRecorder& flight = obs::FlightRecorder::Global();
   const obs::MetricsSnapshot snapshot =
       obs::MetricsRegistry::Global().Snapshot();
   {
@@ -589,7 +599,11 @@ int CmdDiag(const Options& options, std::ostream& out, std::ostream& err) {
       << ",\"refinements\":" << session.refinements_applied()
       << ",\"publications\":" << session.index_publications()
       << ",\"index_epoch\":" << session.index_epoch()
-      << ",\"flight_events\":" << flight.total_recorded()
+      << ",\"qps\":" << (served_s > 0 ? total_queries / served_s : 0.0)
+      << ",\"est_cost_units\":" << session.estimated_cost_units()
+      << ",\"cost_index_nodes_visited\":"
+      << session.cumulative_stats().index_nodes_visited
+      << ",\"flight_events\":" << flight_events
       << ",\"flight_threads\":" << flight.num_threads()
       << ",\"watchdog_stalls\":" << watchdog.stalls()
       << ",\"trace_spans\":" << tracer.size()
@@ -597,7 +611,7 @@ int CmdDiag(const Options& options, std::ostream& out, std::ostream& err) {
     if (!f) return Fail(err, Status::Internal("write failed: diag.json"));
   }
   out << "diag: " << session.queries_answered() << " queries, "
-      << session.slow_queries() << " slow, " << flight.total_recorded()
+      << session.slow_queries() << " slow, " << flight_events
       << " flight events across " << flight.num_threads() << " threads, "
       << watchdog.stalls() << " stalls\n";
   out << "wrote " << (dir / "flight.jsonl").string() << ", "
@@ -692,201 +706,6 @@ int CmdWorkload(const Options& options, std::ostream& out,
       static_cast<uint64_t>(std::atoll(options.Flag("seed", "1").c_str()));
   for (const PathExpression& q : GenerateWorkload(paths, wo)) {
     out << q.ToString(g->symbols()) << "\n";
-  }
-  return 0;
-}
-
-int CmdServeBench(const Options& options, std::ostream& out,
-                  std::ostream& err) {
-  if (options.positional.size() != 1) {
-    err << "usage: mrx serve-bench <graph> [--workers N] [--clients N] "
-           "[--queries N] [--count N] [--max-length L] [--seed N] "
-           "[--csv out.csv] [--metrics-out DIR] [--trace-sample N]\n";
-    return 2;
-  }
-  Result<DataGraph> g = LoadGraph(options.positional[0]);
-  if (!g.ok()) return Fail(err, g.status());
-
-  LabelPathEnumerationOptions eo;
-  eo.max_length = 9;
-  LabelPathSet paths = EnumerateLabelPaths(*g, eo);
-  WorkloadOptions wo;
-  wo.num_queries =
-      static_cast<size_t>(std::atoll(options.Flag("count", "500").c_str()));
-  wo.max_query_length = static_cast<size_t>(
-      std::atoll(options.Flag("max-length", "9").c_str()));
-  wo.seed =
-      static_cast<uint64_t>(std::atoll(options.Flag("seed", "1").c_str()));
-  std::vector<PathExpression> workload = GenerateWorkload(paths, wo);
-  if (workload.empty()) {
-    err << "error: graph yields an empty workload\n";
-    return 1;
-  }
-
-  server::LoadDriverOptions lo;
-  lo.num_workers =
-      static_cast<size_t>(std::atoll(options.Flag("workers", "4").c_str()));
-  lo.num_clients =
-      static_cast<size_t>(std::atoll(options.Flag("clients", "0").c_str()));
-  lo.total_queries =
-      static_cast<size_t>(std::atoll(options.Flag("queries", "10000").c_str()));
-  lo.session.refine_threads =
-      static_cast<size_t>(std::atoll(options.Flag("threads", "1").c_str()));
-  lo.mutation_rate = std::atof(options.Flag("mutation-rate", "0").c_str());
-  lo.mutation_ops = static_cast<size_t>(
-      std::atoll(options.Flag("mutation-ops", "2").c_str()));
-  lo.mutation_seed = wo.seed;
-
-  // Diagnostics: the flight recorder is always on unless --diag off (the
-  // overhead A/B switch); --slow-query-ms X captures slow queries into
-  // slow_queries.jsonl; --watchdog-ms N monitors writer progress.
-  obs::FlightRecorder::Global().set_enabled(options.Flag("diag", "on") !=
-                                            "off");
-  const double slow_ms = std::atof(options.Flag("slow-query-ms", "0").c_str());
-  lo.session.slow_query_ns = static_cast<uint64_t>(slow_ms * 1e6);
-  obs::SlowQueryLog slow_log;
-  if (lo.session.slow_query_ns > 0) lo.session.slow_query_log = &slow_log;
-  const uint64_t watchdog_ms = static_cast<uint64_t>(
-      std::atoll(options.Flag("watchdog-ms", "0").c_str()));
-  std::unique_ptr<obs::StallWatchdog> watchdog;
-  if (watchdog_ms > 0) {
-    obs::StallWatchdogOptions wd;
-    wd.deadline_ms = watchdog_ms;
-    watchdog = std::make_unique<obs::StallWatchdog>(wd);
-    lo.session.watchdog = watchdog.get();
-  }
-
-  // Observability: with --metrics-out, the run's session samples span
-  // trees into `tracer` and the exposition files are written below.
-  const std::string metrics_dir = options.Flag("metrics-out");
-  obs::TraceRecorder::Options to;
-  to.sample_every = static_cast<size_t>(
-      std::atoll(options.Flag("trace-sample", "16").c_str()));
-  obs::TraceRecorder tracer(to);
-  if (!metrics_dir.empty() || lo.session.slow_query_ns > 0) {
-    lo.session.tracer = &tracer;
-  }
-  if (!metrics_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(metrics_dir, ec);
-    if (ec) {
-      return Fail(err, Status::Internal("cannot create " + metrics_dir +
-                                        ": " + ec.message()));
-    }
-  }
-
-  server::LoadReport report = server::RunLoadDriver(*g, workload, lo);
-
-  TableWriter table(server::ServerStatsHeaders());
-  server::AppendServerStatsRow(
-      report.stats, std::to_string(lo.num_workers) + " workers",
-      report.Qps(), &table);
-  table.RenderText(out);
-  if (lo.mutation_rate > 0) {
-    out << "mutations: " << report.mutations_applied << " applied, "
-        << report.mutations_rejected << " rejected (rate "
-        << lo.mutation_rate << "/1000 queries)\n";
-  }
-
-  const std::string csv_path = options.Flag("csv");
-  if (!csv_path.empty()) {
-    std::ofstream csv(csv_path, std::ios::trunc);
-    if (!csv) return Fail(err, Status::NotFound("cannot open: " + csv_path));
-    table.RenderCsv(csv);
-    out << "wrote " << csv_path << "\n";
-  }
-
-  if (!metrics_dir.empty()) {
-    const std::filesystem::path dir(metrics_dir);
-    const obs::MetricsSnapshot snapshot =
-        obs::MetricsRegistry::Global().Snapshot();
-    {
-      std::ofstream prom(dir / "metrics.prom", std::ios::trunc);
-      obs::WritePrometheusText(snapshot, prom);
-      if (!prom) {
-        return Fail(err, Status::Internal("write failed: metrics.prom"));
-      }
-    }
-    {
-      std::ofstream jsonl(dir / "metrics.jsonl", std::ios::trunc);
-      obs::WriteJsonlSnapshot(snapshot, jsonl);
-      if (!jsonl) {
-        return Fail(err, Status::Internal("write failed: metrics.jsonl"));
-      }
-    }
-    {
-      std::ofstream trace(dir / "trace.jsonl", std::ios::trunc);
-      tracer.WriteJsonl(trace);
-      if (!trace) {
-        return Fail(err, Status::Internal("write failed: trace.jsonl"));
-      }
-    }
-    if (lo.session.slow_query_ns > 0) {
-      std::ofstream slow(dir / "slow_queries.jsonl", std::ios::trunc);
-      slow_log.WriteJsonl(slow);
-      if (!slow) {
-        return Fail(err,
-                    Status::Internal("write failed: slow_queries.jsonl"));
-      }
-    }
-    {
-      const server::ServerStats& stats = report.stats;
-      // Estimated-vs-actual cost ratio: chooser units over measured index
-      // node visits — the chooser's calibration across the whole run.
-      const double est_actual_ratio =
-          static_cast<double>(stats.estimated_cost_units) /
-          static_cast<double>(
-              std::max<uint64_t>(1, stats.cumulative_cost.index_nodes_visited));
-      std::ofstream bench(dir / "BENCH_server.json", std::ios::trunc);
-      harness::WriteBenchJson(
-          bench, "serve-bench",
-          {{"workers", static_cast<double>(lo.num_workers)},
-           {"queries", static_cast<double>(report.timed_queries)},
-           {"qps", report.Qps()},
-           {"p50_us", stats.LatencyUs(50)},
-           {"p95_us", stats.LatencyUs(95)},
-           {"p99_us", stats.LatencyUs(99)},
-           {"cache_hit_rate", stats.CacheHitRate()},
-           {"utilization", stats.AvgWorkerUtilization()},
-           {"refinements", static_cast<double>(stats.refinements_applied)},
-           {"publications", static_cast<double>(stats.index_publications)},
-           {"rejected", static_cast<double>(stats.rejected)},
-           {"mutations", static_cast<double>(report.mutations_applied)},
-           {"graph_version", static_cast<double>(stats.graph_version)},
-           {"index_physical_nodes",
-            static_cast<double>(
-                snapshot.GaugeValue("mrx_index_physical_nodes"))},
-           {"trace_spans", static_cast<double>(tracer.size())},
-           {"trace_dropped", static_cast<double>(tracer.dropped())},
-           {"cost_index_nodes_visited",
-            static_cast<double>(stats.cumulative_cost.index_nodes_visited)},
-           {"cost_data_nodes_validated",
-            static_cast<double>(stats.cumulative_cost.data_nodes_validated)},
-           {"cost_extent_elems_scanned",
-            static_cast<double>(snapshot.CounterValue(
-                "mrx_cost_extent_elems_scanned_total"))},
-           {"est_cost_units",
-            static_cast<double>(stats.estimated_cost_units)},
-           {"est_actual_cost_ratio", est_actual_ratio},
-           {"slow_queries", static_cast<double>(stats.slow_queries)},
-           {"watchdog_stalls",
-            static_cast<double>(
-                snapshot.CounterValue("mrx_watchdog_stalls_total"))},
-           {"flight_events",
-            static_cast<double>(
-                obs::FlightRecorder::Global().total_recorded())}});
-      if (!bench) {
-        return Fail(err, Status::Internal("write failed: BENCH_server.json"));
-      }
-    }
-    out << "wrote " << (dir / "metrics.prom").string() << ", "
-        << (dir / "metrics.jsonl").string() << ", "
-        << (dir / "trace.jsonl").string() << ", "
-        << (dir / "BENCH_server.json").string();
-    if (lo.session.slow_query_ns > 0) {
-      out << ", " << (dir / "slow_queries.jsonl").string();
-    }
-    out << "\n";
   }
   return 0;
 }
@@ -1153,7 +972,6 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
   if (command == "diag") return CmdDiag(*options, out, err);
   if (command == "generate") return CmdGenerate(*options, out, err);
   if (command == "workload") return CmdWorkload(*options, out, err);
-  if (command == "serve-bench") return CmdServeBench(*options, out, err);
   if (command == "mutate") return CmdMutate(*options, out, err);
   if (command == "check") return CmdCheck(*options, out, err);
 

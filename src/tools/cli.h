@@ -23,15 +23,16 @@ namespace mrx::tools {
 ///   generate xmark|nasa <out.xml> [--scale S] [--seed N]
 ///   workload <graph> [--count N] [--max-length L] [--seed N]
 ///                                           print a synthetic workload
-///   serve-bench <graph> [--workers N] [--clients N] [--queries N]
-///               [--count N] [--max-length L] [--seed N] [--csv out.csv]
-///               [--metrics-out DIR] [--trace-sample N]
-///                                           closed-loop load test against
-///                                           the concurrent query server;
-///                                           --metrics-out writes the
+///   diag <graph> [--queries N] [--count N] [--seed N] [--slow-query-ms X]
+///        [--watchdog-ms N] [--flight on|off] [--out DIR] [--last N]
+///                                           serve a seeded workload through
+///                                           the concurrent query server
+///                                           from one closed-loop client
+///                                           and write the diagnostics
+///                                           bundle (flight recorder, slow
+///                                           queries, span trace,
 ///                                           Prometheus/JSONL expositions,
-///                                           the span trace, and
-///                                           BENCH_server.json into DIR
+///                                           diag.json) into DIR
 ///   check [--mode diff|stress] [--seed N] [--cases M] [--out DIR]
 ///         [--fault on] [--threads N] [--rounds N] [--replay f.mrxcase]
 ///                                           differential correctness

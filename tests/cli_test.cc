@@ -6,6 +6,7 @@
 #include <set>
 #include <sstream>
 
+#include "obs/flight_recorder.h"
 #include "tests/json_check.h"
 #include "tools/cli.h"
 
@@ -196,29 +197,6 @@ TEST(CliTest, WorkloadPrintsQueries) {
   std::remove(path.c_str());
 }
 
-TEST(CliTest, ServeBenchReportsAndWritesCsv) {
-  std::string path = TempPath("mrx_cli_serve.xml");
-  std::string csv_path = TempPath("mrx_cli_serve.csv");
-  WriteTempXml(path);
-  CliRun r = RunTool({"serve-bench", path, "--workers", "2", "--queries",
-                      "200", "--count", "8", "--max-length", "3", "--csv",
-                      csv_path});
-  ASSERT_EQ(r.code, 0) << r.err;
-  EXPECT_NE(r.out.find("qps"), std::string::npos);
-  EXPECT_NE(r.out.find("2 workers"), std::string::npos);
-  EXPECT_NE(r.out.find("wrote"), std::string::npos);
-
-  std::ifstream csv(csv_path);
-  ASSERT_TRUE(csv.good());
-  std::string header;
-  std::getline(csv, header);
-  EXPECT_EQ(header.substr(0, 6), "config");
-  std::string row;
-  EXPECT_TRUE(static_cast<bool>(std::getline(csv, row)));
-  std::remove(path.c_str());
-  std::remove(csv_path.c_str());
-}
-
 TEST(CliTest, StatsMetricsExposition) {
   std::string path = TempPath("mrx_cli_stats_metrics.xml");
   WriteTempXml(path);
@@ -246,105 +224,6 @@ TEST(CliTest, StatsMetricsExposition) {
 
   EXPECT_EQ(RunTool({"stats", path, "--metrics", "xml"}).code, 2);
   std::remove(path.c_str());
-}
-
-// The CI observability smoke check: serve-bench --metrics-out must produce
-// all four artifacts, each of which must survive a strict parse, and the
-// trace must contain the three per-query phases plus refinement metrics.
-TEST(CliTest, ServeBenchMetricsOutArtifactsParse) {
-  std::string path = TempPath("mrx_cli_serve_obs.xml");
-  std::string out_dir = TempPath("mrx_cli_serve_obs_out");
-  WriteTempXml(path);
-  CliRun r = RunTool({"serve-bench", path, "--workers", "2", "--queries",
-                      "300", "--count", "8", "--max-length", "3",
-                      "--metrics-out", out_dir, "--trace-sample", "1"});
-  ASSERT_EQ(r.code, 0) << r.err;
-  namespace fs = std::filesystem;
-
-  // metrics.prom: Prometheus text, every sample line named mrx_*.
-  std::ifstream prom(fs::path(out_dir) / "metrics.prom");
-  ASSERT_TRUE(prom.good());
-  std::string prom_text((std::istreambuf_iterator<char>(prom)),
-                        std::istreambuf_iterator<char>());
-  EXPECT_NE(prom_text.find("mrx_queries_total"), std::string::npos);
-  EXPECT_NE(prom_text.find("# TYPE mrx_query_phase_cache_lookup_ns summary"),
-            std::string::npos);
-  {
-    std::istringstream lines(prom_text);
-    std::string line;
-    while (std::getline(lines, line)) {
-      if (line.empty() || line[0] == '#') continue;
-      EXPECT_EQ(line.rfind("mrx_", 0), 0u) << line;
-    }
-  }
-
-  // metrics.jsonl: every line parses; the phase histograms and refinement
-  // metrics are present (registered even when the run was too small to
-  // refine).
-  std::ifstream jsonl(fs::path(out_dir) / "metrics.jsonl");
-  ASSERT_TRUE(jsonl.good());
-  std::set<std::string> metric_names;
-  std::string line;
-  while (std::getline(jsonl, line)) {
-    auto doc = mrx::testing::ParseJson(line);
-    ASSERT_TRUE(doc.has_value()) << line;
-    const auto* name = doc->Find("name");
-    ASSERT_NE(name, nullptr);
-    metric_names.insert(name->string_value);
-  }
-  for (const char* required :
-       {"mrx_queries_total", "mrx_query_phase_cache_lookup_ns",
-        "mrx_query_phase_index_probe_ns", "mrx_query_phase_data_validation_ns",
-        "mrx_refine_fup_promotions_total", "mrx_refine_partition_splits_total",
-        "mrx_refine_publish_ns", "mrx_answer_cache_hits_total",
-        "mrx_server_queue_depth"}) {
-    EXPECT_TRUE(metric_names.count(required)) << required;
-  }
-
-  // trace.jsonl: every line parses; all three query phases were traced.
-  std::ifstream trace(fs::path(out_dir) / "trace.jsonl");
-  ASSERT_TRUE(trace.good());
-  std::set<std::string> span_names;
-  while (std::getline(trace, line)) {
-    auto doc = mrx::testing::ParseJson(line);
-    ASSERT_TRUE(doc.has_value()) << line;
-    const auto* name = doc->Find("name");
-    ASSERT_NE(name, nullptr);
-    span_names.insert(name->string_value);
-  }
-  for (const char* phase :
-       {"query", "cache_lookup", "index_probe", "data_validation"}) {
-    EXPECT_TRUE(span_names.count(phase)) << phase;
-  }
-
-  // BENCH_server.json: the machine-readable trajectory record.
-  std::ifstream bench(fs::path(out_dir) / "BENCH_server.json");
-  ASSERT_TRUE(bench.good());
-  std::string bench_text((std::istreambuf_iterator<char>(bench)),
-                         std::istreambuf_iterator<char>());
-  auto doc = mrx::testing::ParseJson(bench_text);
-  ASSERT_TRUE(doc.has_value()) << bench_text;
-  const auto* bench_name = doc->Find("bench");
-  ASSERT_NE(bench_name, nullptr);
-  EXPECT_EQ(bench_name->string_value, "serve-bench");
-  const auto* metrics = doc->Find("metrics");
-  ASSERT_NE(metrics, nullptr);
-  for (const char* key : {"workers", "queries", "qps", "p99_us",
-                          "cache_hit_rate", "utilization", "trace_spans"}) {
-    const auto* field = metrics->Find(key);
-    ASSERT_NE(field, nullptr) << key;
-    EXPECT_TRUE(field->is_number());
-  }
-  EXPECT_EQ(metrics->Find("queries")->number_value, 300);
-
-  std::remove(path.c_str());
-  fs::remove_all(out_dir);
-}
-
-TEST(CliTest, ServeBenchRejectsMissingGraph) {
-  CliRun r = RunTool({"serve-bench"});
-  EXPECT_EQ(r.code, 2);
-  EXPECT_NE(r.err.find("usage"), std::string::npos);
 }
 
 TEST(CliTest, GenerateRejectsUnknownDataset) {
@@ -473,57 +352,124 @@ TEST(CliTest, DiagBundleWritesArtifactsThatParse) {
   fs::remove_all(out_dir);
 }
 
-TEST(CliTest, ServeBenchSlowQueryCaptureJoinsTraces) {
-  std::string path = TempPath("mrx_cli_serve_slow.xml");
-  std::string out_dir = TempPath("mrx_cli_serve_slow_out");
+// The CI observability smoke check: the diag bundle's expositions must carry
+// the query-phase, refinement, cache and server metrics under mrx_* names,
+// and the trace must hold the per-query phase spans.
+TEST(CliTest, DiagMetricsAndTraceCoverTheServingStack) {
+  std::string path = TempPath("mrx_cli_diag_metrics.xml");
+  std::string out_dir = TempPath("mrx_cli_diag_metrics_out");
   WriteTempXml(path);
-  CliRun r = RunTool({"serve-bench", path, "--workers", "2", "--queries",
-                      "200", "--count", "8", "--max-length", "3",
-                      "--slow-query-ms", "0.0001", "--metrics-out", out_dir});
+  CliRun r = RunTool({"diag", path, "--queries", "40", "--count", "8",
+                      "--out", out_dir});
   ASSERT_EQ(r.code, 0) << r.err;
   namespace fs = std::filesystem;
-  std::set<uint64_t> trace_ids;
+
+  // metrics.prom: Prometheus text, every sample line named mrx_*.
+  std::ifstream prom(fs::path(out_dir) / "metrics.prom");
+  ASSERT_TRUE(prom.good());
+  std::string prom_text((std::istreambuf_iterator<char>(prom)),
+                        std::istreambuf_iterator<char>());
+  EXPECT_NE(prom_text.find("mrx_queries_total"), std::string::npos);
+  EXPECT_NE(prom_text.find("# TYPE mrx_query_phase_cache_lookup_ns summary"),
+            std::string::npos);
+  std::istringstream prom_lines(prom_text);
+  std::string line;
+  while (std::getline(prom_lines, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    EXPECT_EQ(line.rfind("mrx_", 0), 0u) << line;
+  }
+
+  // metrics.jsonl: every line parses; the phase histograms, refinement,
+  // cache and server metrics are present (registered even when the run
+  // was too small to refine).
+  std::ifstream jsonl(fs::path(out_dir) / "metrics.jsonl");
+  ASSERT_TRUE(jsonl.good());
+  std::set<std::string> metric_names;
+  while (std::getline(jsonl, line)) {
+    auto metric = mrx::testing::ParseJson(line);
+    ASSERT_TRUE(metric.has_value()) << line;
+    const auto* name = metric->Find("name");
+    ASSERT_NE(name, nullptr);
+    metric_names.insert(name->string_value);
+  }
+  for (const char* required :
+       {"mrx_queries_total", "mrx_query_phase_cache_lookup_ns",
+        "mrx_query_phase_index_probe_ns", "mrx_query_phase_data_validation_ns",
+        "mrx_refine_fup_promotions_total", "mrx_refine_partition_splits_total",
+        "mrx_refine_publish_ns", "mrx_answer_cache_hits_total",
+        "mrx_server_workers"}) {
+    EXPECT_TRUE(metric_names.count(required)) << required;
+  }
+
+  // trace.jsonl: every line parses, and the query phases were traced.
   std::ifstream trace(fs::path(out_dir) / "trace.jsonl");
   ASSERT_TRUE(trace.good());
-  std::string line;
+  std::set<std::string> span_names;
   while (std::getline(trace, line)) {
     auto span = mrx::testing::ParseJson(line);
     ASSERT_TRUE(span.has_value()) << line;
-    trace_ids.insert(static_cast<uint64_t>(span->Find("trace")->number_value));
+    const auto* name = span->Find("name");
+    ASSERT_NE(name, nullptr);
+    span_names.insert(name->string_value);
   }
-  std::ifstream slow(fs::path(out_dir) / "slow_queries.jsonl");
-  ASSERT_TRUE(slow.good());
-  int slow_records = 0;
-  while (std::getline(slow, line)) {
-    auto record = mrx::testing::ParseJson(line);
-    ASSERT_TRUE(record.has_value()) << line;
-    const uint64_t id =
-        static_cast<uint64_t>(record->Find("trace_id")->number_value);
-    if (id != 0) {
-      EXPECT_TRUE(trace_ids.count(id)) << id;
-    }
-    ++slow_records;
+  for (const char* phase :
+       {"query", "cache_lookup", "index_probe", "data_validation"}) {
+    EXPECT_TRUE(span_names.count(phase)) << phase;
   }
-  EXPECT_GT(slow_records, 0);  // The tiny threshold catches everything.
 
-  // BENCH_server.json carries the est-vs-actual calibration numbers.
-  std::ifstream bench(fs::path(out_dir) / "BENCH_server.json");
-  std::string bench_text((std::istreambuf_iterator<char>(bench)),
-                         std::istreambuf_iterator<char>());
-  auto doc = mrx::testing::ParseJson(bench_text);
-  ASSERT_TRUE(doc.has_value()) << bench_text;
-  const auto* metrics = doc->Find("metrics");
-  ASSERT_NE(metrics, nullptr);
-  for (const char* key :
-       {"cost_index_nodes_visited", "cost_extent_elems_scanned",
-        "est_cost_units", "est_actual_cost_ratio", "slow_queries",
-        "flight_events"}) {
-    const auto* field = metrics->Find(key);
+  std::remove(path.c_str());
+  fs::remove_all(out_dir);
+}
+
+// diag.json reports the served rate and the chooser's estimated-vs-actual
+// cost totals next to the slow-query count.
+TEST(CliTest, DiagSummaryCarriesRateAndCostFields) {
+  std::string path = TempPath("mrx_cli_diag_cost.xml");
+  std::string out_dir = TempPath("mrx_cli_diag_cost_out");
+  WriteTempXml(path);
+  CliRun r = RunTool({"diag", path, "--queries", "40", "--count", "8",
+                      "--slow-query-ms", "0.0001", "--out", out_dir});
+  ASSERT_EQ(r.code, 0) << r.err;
+  namespace fs = std::filesystem;
+  std::ifstream summary(fs::path(out_dir) / "diag.json");
+  std::string text((std::istreambuf_iterator<char>(summary)),
+                   std::istreambuf_iterator<char>());
+  auto doc = mrx::testing::ParseJson(text);
+  ASSERT_TRUE(doc.has_value()) << text;
+  for (const char* key : {"queries", "qps", "est_cost_units",
+                          "cost_index_nodes_visited", "slow_queries",
+                          "flight_events"}) {
+    const auto* field = doc->Find(key);
     ASSERT_NE(field, nullptr) << key;
-    EXPECT_TRUE(field->is_number());
+    EXPECT_TRUE(field->is_number()) << key;
   }
-  EXPECT_GT(metrics->Find("slow_queries")->number_value, 0);
+  EXPECT_GT(doc->Find("qps")->number_value, 0);
+  EXPECT_GT(doc->Find("est_cost_units")->number_value, 0);
+  EXPECT_GT(doc->Find("cost_index_nodes_visited")->number_value, 0);
+  EXPECT_GT(doc->Find("slow_queries")->number_value, 0);
 
+  std::remove(path.c_str());
+  fs::remove_all(out_dir);
+}
+
+TEST(CliTest, DiagFlightOffRecordsNoFlightEvents) {
+  std::string path = TempPath("mrx_cli_diag_flight_off.xml");
+  std::string out_dir = TempPath("mrx_cli_diag_flight_off_out");
+  WriteTempXml(path);
+  CliRun r = RunTool({"diag", path, "--queries", "40", "--count", "8",
+                      "--flight", "off", "--out", out_dir});
+  ASSERT_EQ(r.code, 0) << r.err;
+  namespace fs = std::filesystem;
+  std::ifstream summary(fs::path(out_dir) / "diag.json");
+  std::string text((std::istreambuf_iterator<char>(summary)),
+                   std::istreambuf_iterator<char>());
+  auto doc = mrx::testing::ParseJson(text);
+  ASSERT_TRUE(doc.has_value()) << text;
+  EXPECT_EQ(doc->Find("queries")->number_value, 40);
+  EXPECT_EQ(doc->Find("flight_events")->number_value, 0);
+  EXPECT_TRUE(obs::FlightRecorder::Global().enabled());  // Restored.
+
+  EXPECT_EQ(RunTool({"diag", path, "--flight", "maybe"}).code, 2);
   std::remove(path.c_str());
   fs::remove_all(out_dir);
 }

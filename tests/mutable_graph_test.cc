@@ -444,11 +444,12 @@ TEST(MutableGraphTest, OverlayMatchesAnIndependentModel) {
       ASSERT_EQ(touch.ok(), accepted);
       if (!accepted) {
         ++rejected;
-        // Rolled back exactly (labels the batch interned stay interned,
-        // so the symbol tables may differ by unused entries).
+        // Rolled back exactly, down to the label buckets and the symbol
+        // table.
         auto full = twin.Materialize();
         ASSERT_TRUE(full.ok());
-        EXPECT_EQ(SigOf(full->graph), SigOf(prev.graph));
+        ExpectSameCsr(full->graph, prev.graph);
+        EXPECT_EQ(full->graph.symbols().size(), prev.graph.symbols().size());
         EXPECT_EQ(full->stable_of, prev.stable_of);
         continue;
       }
@@ -471,6 +472,23 @@ TEST(MutableGraphTest, OverlayMatchesAnIndependentModel) {
     EXPECT_GT(applied, 20u);
     EXPECT_GT(rejected, 5u);
   }
+}
+
+TEST(MutableGraphTest, RejectedAppendsLeaveNoLabelsBehind) {
+  const DataGraph g = MakeFigure3Graph();
+  MutableDataGraph live(g);
+  const size_t labels = live.symbols().size();
+  for (int i = 0; i < 50; ++i) {
+    // The append interns a fresh label; the root delete then fails.
+    const MutationBatch batch{
+        Mutation::AppendLeaf(1, "fresh" + std::to_string(i)),
+        Mutation::Delete(0)};
+    ASSERT_FALSE(live.ApplyBatch(batch, Identity(g.num_nodes())).ok());
+  }
+  EXPECT_EQ(live.symbols().size(), labels);
+  auto mat = live.Materialize();
+  ASSERT_TRUE(mat.ok());
+  ExpectSameCsr(mat->graph, g);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Tests for the query-serving layer (src/server/): the bounded MPMC
 // request queue and its backpressure contract, the epoch-tagged sharded
-// answer cache, and QueryServer's submit/execute/shutdown/snapshot
-// behavior. Blocking scenarios synchronize on promises/futures rather
+// answer cache, and QueryServer's submit/execute/shutdown behavior. Blocking scenarios synchronize on promises/futures rather
 // than sleeps, so they are deterministic under ThreadSanitizer.
 
 #include <gtest/gtest.h>
@@ -10,18 +9,16 @@
 #include <atomic>
 #include <future>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/mrx.h"
+#include "obs/metrics.h"
 #include "server/answer_cache.h"
 #include "server/bounded_queue.h"
 #include "server/query_server.h"
-#include "server/server_stats.h"
 #include "tests/test_util.h"
-#include "util/table_writer.h"
 
 namespace mrx::server {
 namespace {
@@ -155,11 +152,8 @@ TEST(QueryServerTest, ExecuteAnswersExactly) {
     EXPECT_EQ(r->answer, eval.Evaluate(q));
   }
 
-  ServerStats stats = server.Snapshot();
-  EXPECT_EQ(stats.queries_answered, queries.size());
-  EXPECT_EQ(stats.latency.count(), queries.size());
-  EXPECT_EQ(stats.num_workers, 2u);
-  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(server.session().queries_answered(), queries.size());
+  EXPECT_EQ(server.session().graph_version(), 0u);
 }
 
 TEST(QueryServerTest, SubmitInvokesCallbackWithAnswer) {
@@ -184,6 +178,9 @@ TEST(QueryServerTest, SubmitRejectsWhenQueueFull) {
   options.queue_capacity = 1;
   QueryServer server(g, options);
   PathExpression p = Q(g, "//person");
+  obs::Counter* rejected = obs::MetricsRegistry::Global().GetCounter(
+      "mrx_server_rejected_total");
+  const uint64_t rejected_before = rejected->Value();
 
   // Block the only worker inside the first request's callback, so the
   // second request parks in the queue and the third finds it full.
@@ -210,7 +207,7 @@ TEST(QueryServerTest, SubmitRejectsWhenQueueFull) {
   release.set_value();
   server.Shutdown();  // Completes the two accepted requests.
   EXPECT_EQ(completed.load(), 2);
-  EXPECT_EQ(server.Snapshot().rejected, 1u);
+  EXPECT_EQ(rejected->Value() - rejected_before, 1u);
 }
 
 TEST(QueryServerTest, ShutdownCompletesAcceptedThenRejects) {
@@ -234,27 +231,6 @@ TEST(QueryServerTest, ShutdownCompletesAcceptedThenRejects) {
             StatusCode::kUnavailable);
   EXPECT_FALSE(server.Execute(p).ok());
   server.Shutdown();  // Idempotent.
-}
-
-TEST(ServerStatsTest, TableRowMatchesHeaders) {
-  ServerStats stats;
-  stats.queries_answered = 100;
-  stats.cache_hits = 40;
-  stats.rejected = 2;
-  stats.num_workers = 4;
-  stats.refinements_applied = 3;
-  for (uint64_t ns : {1000u, 2000u, 4000u}) stats.latency.Record(ns);
-
-  EXPECT_DOUBLE_EQ(stats.CacheHitRate(), 0.4);
-  TableWriter table(ServerStatsHeaders());
-  AppendServerStatsRow(stats, "xmark/4w", /*qps=*/1234.5, &table);
-  EXPECT_EQ(table.num_rows(), 1u);
-
-  std::ostringstream csv;
-  table.RenderCsv(csv);
-  std::string text = csv.str();
-  EXPECT_NE(text.find("xmark/4w"), std::string::npos);
-  EXPECT_NE(text.find("p95_us"), std::string::npos);
 }
 
 }  // namespace
