@@ -230,12 +230,8 @@ void AssembleAnswer(const IndexGraph& ig, const PathExpression& path,
       node.extent.AppendTo(&answer);
     } else {
       result->precise = false;
-      for (NodeId o : node.extent) {
-        if (validator->HasIncomingPath(o, path,
-                                       &result->stats.data_nodes_validated)) {
-          answer.push_back(o);
-        }
-      }
+      validator->Validate(node.extent.ids(), path, &answer,
+                          &result->stats.data_nodes_validated);
     }
     if (answer.size() > bounds.back()) bounds.push_back(answer.size());
   }

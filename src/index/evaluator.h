@@ -94,8 +94,8 @@ void KeepCommon(const IndexGraph& ig, const std::vector<IndexNodeId>& keep,
 /// \brief The answer collector every index query ends in (§3.1 step 2,
 /// QUERYTOPDOWN lines 5-12). `result->target` must be sorted. Appends the
 /// extent of each target node with k ≥ the query length, and the
-/// validated survivors (through `validator`, charging
-/// `data_nodes_validated`) of each other target node, each as one
+/// validated survivors of each other target node (one `validator->Validate`
+/// call per node, charging `data_nodes_validated`), each as one
 /// ascending run into one allocation sized to the targets' extents; the
 /// runs are disjoint, so a bottom-up merge of them sorts the answer in
 /// O(n log runs), and one run, or runs already in order, cost no merge.

@@ -1,6 +1,8 @@
 #include "index/twig_eval.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <deque>
 
 namespace mrx {
 namespace {
@@ -20,50 +22,101 @@ std::vector<const TwigNode*> TrunkChain(const TwigQuery& twig) {
   return chain;
 }
 
+/// \brief The visited sets and queues of the descendant-axis searches of
+/// one twig evaluation. Searches nest (a trunk step's search validates the
+/// previous trunk position, whose predicates may search again), so each
+/// nesting depth keeps its own stamped array, sized to the graph on first
+/// use and reused by every later search at that depth.
+class SearchScratch {
+  struct Level {
+    std::vector<uint32_t> stamp;  ///< == epoch: visited by the open search.
+    uint32_t epoch = 0;
+    std::vector<NodeId> work;
+  };
+
+ public:
+  explicit SearchScratch(size_t num_nodes) : num_nodes_(num_nodes) {}
+
+  /// RAII: one open search, nested below the ones already open, with an
+  /// empty visited set and queue.
+  class Search {
+   public:
+    explicit Search(SearchScratch* scratch)
+        : scratch_(scratch), level_(scratch->Enter()) {}
+    ~Search() { --scratch_->depth_; }
+    Search(const Search&) = delete;
+    Search& operator=(const Search&) = delete;
+
+    /// Queues `n` unless this search has visited it already.
+    void Visit(NodeId n) {
+      if (level_.stamp[n] == level_.epoch) return;
+      level_.stamp[n] = level_.epoch;
+      level_.work.push_back(n);
+    }
+    /// The nodes visited so far, in visit order (grows while read).
+    const std::vector<NodeId>& queue() const { return level_.work; }
+
+   private:
+    SearchScratch* scratch_;
+    Level& level_;
+  };
+
+ private:
+  Level& Enter() {
+    if (depth_ == levels_.size()) {
+      levels_.emplace_back().stamp.assign(num_nodes_, 0);
+    }
+    Level& level = levels_[depth_++];
+    if (++level.epoch == 0) {  // Wrapped: forget every earlier search.
+      std::fill(level.stamp.begin(), level.stamp.end(), 0);
+      level.epoch = 1;
+    }
+    level.work.clear();
+    return level;
+  }
+
+  const size_t num_nodes_;
+  size_t depth_ = 0;
+  std::deque<Level> levels_;  // Stable addresses while deeper ones open.
+};
+
 /// Existential forward match of predicate `pattern` below `node`
 /// (pattern.descendant selects child vs descendant axis). Counts visited
 /// data nodes.
 bool MatchesPredicate(const DataGraph& g, NodeId node,
-                      const TwigNode& pattern, uint64_t* visited);
+                      const TwigNode& pattern, SearchScratch* scratch,
+                      uint64_t* visited);
 
 bool MatchesHere(const DataGraph& g, NodeId node, const TwigNode& pattern,
-                 uint64_t* visited) {
+                 SearchScratch* scratch, uint64_t* visited) {
   if (pattern.label != kWildcardLabel && pattern.label != g.label(node)) {
     return false;
   }
   for (const TwigNode& c : pattern.children) {
-    if (!MatchesPredicate(g, node, c, visited)) return false;
+    if (!MatchesPredicate(g, node, c, scratch, visited)) return false;
   }
   return true;
 }
 
 bool MatchesPredicate(const DataGraph& g, NodeId node,
-                      const TwigNode& pattern, uint64_t* visited) {
+                      const TwigNode& pattern, SearchScratch* scratch,
+                      uint64_t* visited) {
   if (!pattern.descendant) {
     for (NodeId c : g.children(node)) {
       ++*visited;
-      if (MatchesHere(g, c, pattern, visited)) return true;
+      if (MatchesHere(g, c, pattern, scratch, visited)) return true;
     }
     return false;
   }
   // Descendant axis: bounded BFS over the closure.
-  std::vector<char> seen(g.num_nodes(), 0);
-  std::vector<NodeId> work;
-  for (NodeId c : g.children(node)) {
-    if (!seen[c]) {
-      seen[c] = 1;
-      work.push_back(c);
-    }
-  }
+  SearchScratch::Search search(scratch);
+  for (NodeId c : g.children(node)) search.Visit(c);
+  const std::vector<NodeId>& work = search.queue();
   for (size_t i = 0; i < work.size(); ++i) {
+    const NodeId at = work[i];
     ++*visited;
-    if (MatchesHere(g, work[i], pattern, visited)) return true;
-    for (NodeId c : g.children(work[i])) {
-      if (!seen[c]) {
-        seen[c] = 1;
-        work.push_back(c);
-      }
-    }
+    if (MatchesHere(g, at, pattern, scratch, visited)) return true;
+    for (NodeId c : g.children(at)) search.Visit(c);
   }
   return false;
 }
@@ -72,39 +125,31 @@ bool MatchesPredicate(const DataGraph& g, NodeId node,
 /// satisfy every trunk position's predicates (and anchoring)?
 bool ValidateTrunkAt(const DataGraph& g, NodeId node,
                      const std::vector<const TwigNode*>& chain, size_t pos,
-                     bool anchored, uint64_t* visited) {
+                     bool anchored, SearchScratch* scratch,
+                     uint64_t* visited) {
   ++*visited;
-  if (!MatchesHere(g, node, *chain[pos], visited)) return false;
+  if (!MatchesHere(g, node, *chain[pos], scratch, visited)) return false;
   if (pos == 0) return !anchored || node == g.root();
 
   const bool via_descendant = chain[pos]->descendant;
   if (!via_descendant) {
     for (NodeId p : g.parents(node)) {
-      if (ValidateTrunkAt(g, p, chain, pos - 1, anchored, visited)) {
+      if (ValidateTrunkAt(g, p, chain, pos - 1, anchored, scratch, visited)) {
         return true;
       }
     }
     return false;
   }
   // Descendant axis: any proper ancestor may carry the previous step.
-  std::vector<char> seen(g.num_nodes(), 0);
-  std::vector<NodeId> work;
-  for (NodeId p : g.parents(node)) {
-    if (!seen[p]) {
-      seen[p] = 1;
-      work.push_back(p);
-    }
-  }
+  SearchScratch::Search search(scratch);
+  for (NodeId p : g.parents(node)) search.Visit(p);
+  const std::vector<NodeId>& work = search.queue();
   for (size_t i = 0; i < work.size(); ++i) {
-    if (ValidateTrunkAt(g, work[i], chain, pos - 1, anchored, visited)) {
+    const NodeId at = work[i];
+    if (ValidateTrunkAt(g, at, chain, pos - 1, anchored, scratch, visited)) {
       return true;
     }
-    for (NodeId p : g.parents(work[i])) {
-      if (!seen[p]) {
-        seen[p] = 1;
-        work.push_back(p);
-      }
-    }
+    for (NodeId p : g.parents(at)) search.Visit(p);
   }
   return false;
 }
@@ -123,10 +168,11 @@ QueryResult EvaluateTwigWithIndex(const MStarIndex& index,
   // instance walk.
   const DataGraph& g = index.component(0).data();
   std::vector<const TwigNode*> chain = TrunkChain(twig);
+  SearchScratch scratch(g.num_nodes());
   std::vector<NodeId> answer;
   for (NodeId n : result.answer) {
     if (ValidateTrunkAt(g, n, chain, chain.size() - 1, twig.anchored(),
-                        &result.stats.data_nodes_validated)) {
+                        &scratch, &result.stats.data_nodes_validated)) {
       answer.push_back(n);
     }
   }

@@ -84,25 +84,52 @@ FlightRecorder::Ring* FlightRecorder::ThisThreadRing() {
   // Per-thread cache keyed by the recorder's process-unique id (not its
   // address, which a later recorder could reuse). Threads touch a handful
   // of recorders at most (the global one plus test-local ones), so the
-  // linear scan is fine.
+  // linear scan is fine. On thread exit each ring goes back to its
+  // recorder's free list.
   struct CacheEntry {
     uint64_t recorder_id;
     Ring* ring;
+    std::shared_ptr<FreeRings> free;
   };
-  thread_local std::vector<CacheEntry> cache;
-  for (const CacheEntry& e : cache) {
+  struct Cache {
+    std::vector<CacheEntry> entries;
+    ~Cache() {
+      for (const CacheEntry& e : entries) {
+        std::lock_guard<std::mutex> lock(e.free->mu);
+        e.free->rings.push_back(e.ring);
+      }
+    }
+  };
+  thread_local Cache cache;
+  for (const CacheEntry& e : cache.entries) {
     if (e.recorder_id == recorder_id_) return e.ring;
   }
   std::lock_guard<std::mutex> lock(registry_mu_);
-  rings_.push_back(std::make_unique<Ring>(
-      options_.events_per_thread, static_cast<uint32_t>(rings_.size())));
-  Ring* ring = rings_.back().get();
-  const size_t flat = flat_count_.load(std::memory_order_relaxed);
-  if (flat < kMaxRings) {
-    flat_[flat] = ring;
-    flat_count_.store(flat + 1, std::memory_order_release);
+  const uint32_t thread = next_thread_++;
+  Ring* ring = nullptr;
+  {
+    std::lock_guard<std::mutex> free_lock(free_rings_->mu);
+    if (!free_rings_->rings.empty()) {
+      ring = free_rings_->rings.back();
+      free_rings_->rings.pop_back();
+    }
   }
-  cache.push_back(CacheEntry{recorder_id_, ring});
+  if (ring != nullptr) {
+    // The exited thread's events stay, under its ordinal, until this
+    // thread's overwrite them.
+    std::lock_guard<std::mutex> ring_lock(ring->mu);
+    ring->thread = thread;
+  } else {
+    rings_.push_back(
+        std::make_unique<Ring>(options_.events_per_thread, thread));
+    ring = rings_.back().get();
+    const size_t flat = flat_count_.load(std::memory_order_relaxed);
+    if (flat < kMaxRings) {
+      flat_[flat] = ring;
+      flat_count_.store(flat + 1, std::memory_order_release);
+    }
+  }
+  cache.entries.push_back(CacheEntry{recorder_id_, ring, free_rings_});
   return ring;
 }
 

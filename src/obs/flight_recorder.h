@@ -97,7 +97,10 @@ class FlightRecorder {
     return total_.load(std::memory_order_relaxed);
   }
 
-  /// Rings registered so far (== threads that have recorded).
+  /// Rings allocated so far: the most threads that were recording at
+  /// once. A thread that exits hands its ring, with the events in it, to
+  /// the next thread that starts recording, so a process that keeps
+  /// starting threads keeps a bounded set of rings.
   size_t num_threads() const;
 
   static const char* TypeName(uint16_t type);
@@ -118,9 +121,16 @@ class FlightRecorder {
     Ring(size_t capacity, uint32_t thread)
         : thread(thread), events(capacity) {}
     mutable std::mutex mu;
-    const uint32_t thread;
+    uint32_t thread;  ///< The recording thread's ordinal (guarded by mu).
     uint64_t next = 0;  ///< Events ever written to this ring.
     std::vector<FlightEvent> events;  ///< Fixed size, ring-indexed.
+  };
+
+  /// Rings of exited threads. Shared with the threads' caches, which
+  /// return their rings here on exit and may outlive the recorder.
+  struct FreeRings {
+    std::mutex mu;
+    std::vector<Ring*> rings;
   };
 
   Ring* ThisThreadRing();
@@ -132,6 +142,9 @@ class FlightRecorder {
 
   mutable std::mutex registry_mu_;
   std::vector<std::unique_ptr<Ring>> rings_;
+  uint32_t next_thread_ = 0;  ///< Guarded by registry_mu_.
+  const std::shared_ptr<FreeRings> free_rings_ =
+      std::make_shared<FreeRings>();
 
   /// Lock-free view of the rings for the signal handler: a fixed array
   /// filled left to right with release stores; the handler reads count

@@ -23,8 +23,8 @@ struct QueryCostCounters {
   uint64_t extent_intersect_calls = 0;
   uint64_t extent_difference_calls = 0;
 
-  /// DataEvaluator::HasIncomingPath invocations (one per candidate data
-  /// node whose membership needed validation).
+  /// Validation-oracle calls: one DataEvaluator::Validate per target
+  /// index node whose extent needed validation, or one HasIncomingPath.
   uint64_t validation_checks = 0;
 
   /// Bit i set = M*(k) component min(i, 31) was touched by the evaluation
@@ -95,7 +95,8 @@ inline void CountDifference(uint64_t scanned) {
   }
 }
 
-/// One validation-oracle call (DataEvaluator::HasIncomingPath).
+/// One validation-oracle call (DataEvaluator::Validate or
+/// HasIncomingPath).
 inline void CountValidationCheck() {
   if (QueryCostCounters* c = cost_internal::active) ++c->validation_checks;
 }

@@ -36,6 +36,22 @@ void DataEvaluator::StartFrontier(const PathExpression& path,
   }
 }
 
+template <bool kDown, typename Fn>
+void DataEvaluator::Closure(const std::vector<NodeId>& frontier,
+                            Fn&& reached) {
+  work_.clear();
+  const auto expand = [&](NodeId v) {
+    for (NodeId u : kDown ? graph_.children(v) : graph_.parents(v)) {
+      if (Mark(u)) {
+        work_.push_back(u);
+        reached(u);
+      }
+    }
+  };
+  for (NodeId v : frontier) expand(v);
+  for (size_t i = 0; i < work_.size(); ++i) expand(work_[i]);
+}
+
 void DataEvaluator::NextFrontier(const std::vector<NodeId>& frontier,
                                  const PathExpression& path, size_t step,
                                  std::vector<NodeId>* out) {
@@ -43,18 +59,11 @@ void DataEvaluator::NextFrontier(const std::vector<NodeId>& frontier,
   NextEpoch();
   if (path.DescendantStep(step)) {
     // Descendant axis: everything reachable through one or more edges;
-    // collect the label matches. `work` doubles as the BFS queue.
-    std::vector<NodeId> work = frontier;
-    // The frontier nodes themselves are *not* marked: a node may match
-    // through a cycle back to itself (one-or-more edges).
-    for (size_t i = 0; i < work.size(); ++i) {
-      for (NodeId c : graph_.children(work[i])) {
-        if (Mark(c)) {
-          work.push_back(c);
-          if (path.StepMatches(step, graph_.label(c))) out->push_back(c);
-        }
-      }
-    }
+    // collect the label matches. The frontier nodes themselves are *not*
+    // marked: a node may match through a cycle back to itself.
+    Closure<true>(frontier, [&](NodeId c) {
+      if (path.StepMatches(step, graph_.label(c))) out->push_back(c);
+    });
   } else {
     for (NodeId u : frontier) {
       for (NodeId v : graph_.children(u)) {
@@ -140,69 +149,75 @@ std::vector<std::vector<NodeId>> DataEvaluator::EvaluateAll(
   return targets;
 }
 
-bool DataEvaluator::HasIncomingPath(NodeId node, const PathExpression& path,
-                                    uint64_t* visited) {
+void DataEvaluator::Validate(std::span<const NodeId> candidates,
+                             const PathExpression& path,
+                             std::vector<NodeId>* survivors,
+                             uint64_t* visited) {
   const uint64_t start_ns = timing_enabled_ ? NowNs() : 0;
   obs::CountValidationCheck();
-  const bool matched = HasIncomingPathImpl(node, path, visited);
+  uint64_t visit_count = 0;
+  for (NodeId node : candidates) {
+    if (Survives(node, path, &visit_count)) survivors->push_back(node);
+  }
+  if (visited != nullptr) *visited += visit_count;
   if (timing_enabled_) validation_ns_ += NowNs() - start_ns;
-  return matched;
 }
 
-bool DataEvaluator::HasIncomingPathImpl(NodeId node,
-                                        const PathExpression& path,
-                                        uint64_t* visited) {
-  if (!path.StepMatches(path.num_steps() - 1, graph_.label(node))) {
-    return false;
-  }
-  // Backward, level by level, from `node` toward the first step.
-  frontier_.clear();
-  NextEpoch();
-  frontier_.push_back(node);
-  Mark(node);
-  uint64_t visit_count = 1;  // `node` itself is visited.
+bool DataEvaluator::HasIncomingPath(NodeId node, const PathExpression& path,
+                                    uint64_t* visited) {
+  std::vector<NodeId> survivor;
+  Validate(std::span<const NodeId>(&node, 1), path, &survivor, visited);
+  return !survivor.empty();
+}
 
-  for (size_t step = path.num_steps() - 1; step > 0 && !frontier_.empty();
-       --step) {
+bool DataEvaluator::Survives(NodeId node, const PathExpression& path,
+                             uint64_t* visited) {
+  size_t step = path.num_steps() - 1;
+  if (!path.StepMatches(step, graph_.label(node))) return false;
+  ++*visited;  // `node` itself is visited.
+
+  // Backward, toward the first step. On a single-parent chain the level
+  // search's frontier is that one parent, so it is walked directly.
+  NodeId at = node;
+  for (; step > 0 && !path.DescendantStep(step); --step) {
+    const std::span<const NodeId> parents = graph_.parents(at);
+    if (parents.size() != 1) break;
+    if (!path.StepMatches(step - 1, graph_.label(parents[0]))) return false;
+    at = parents[0];
+    ++*visited;
+  }
+  if (step == 0) return !path.anchored() || at == graph_.root();
+
+  // Level by level from `at`: frontier_ holds the distinct instances of
+  // step `step`.
+  frontier_.assign(1, at);
+  for (; step > 0 && !frontier_.empty(); --step) {
     next_.clear();
     NextEpoch();
     if (path.DescendantStep(step)) {
       // Ancestors through one or more edges, filtered to the previous
       // step's label.
-      std::vector<NodeId> work = frontier_;
-      for (size_t i = 0; i < work.size(); ++i) {
-        for (NodeId u : graph_.parents(work[i])) {
-          if (Mark(u)) {
-            work.push_back(u);
-            ++visit_count;
-            if (path.StepMatches(step - 1, graph_.label(u))) {
-              next_.push_back(u);
-            }
-          }
-        }
-      }
+      Closure<false>(frontier_, [&](NodeId u) {
+        ++*visited;
+        if (path.StepMatches(step - 1, graph_.label(u))) next_.push_back(u);
+      });
     } else {
       for (NodeId v : frontier_) {
         for (NodeId u : graph_.parents(v)) {
           if (path.StepMatches(step - 1, graph_.label(u)) && Mark(u)) {
             next_.push_back(u);
-            ++visit_count;
+            ++*visited;
           }
         }
       }
     }
     frontier_.swap(next_);
   }
-
-  bool found;
   if (path.anchored()) {
-    found = std::find(frontier_.begin(), frontier_.end(), graph_.root()) !=
-            frontier_.end();
-  } else {
-    found = !frontier_.empty();
+    return std::find(frontier_.begin(), frontier_.end(), graph_.root()) !=
+           frontier_.end();
   }
-  if (visited != nullptr) *visited += visit_count;
-  return found;
+  return !frontier_.empty();
 }
 
 }  // namespace mrx

@@ -44,19 +44,28 @@ class DataEvaluator {
   static std::vector<uint32_t> PrefixOrder(
       std::span<const PathExpression* const> paths);
 
-  /// True iff `node` has `path` as an incoming label path (ending at
-  /// `node`). For anchored paths the instance must start at the root.
-  /// If `visited` is non-null, the number of data nodes visited by the
-  /// backward search (including `node` itself) is added to it — this is the
-  /// validation cost of the paper's metric.
+  /// Validates a candidate set — in AssembleAnswer, the extent of one
+  /// under-refined index node: appends to `survivors`, in input order,
+  /// each candidate that has `path` as an incoming label path (ending at
+  /// it; for anchored paths the instance must start at the root). If
+  /// `visited` is non-null, the data nodes each candidate's backward
+  /// search visits (including the candidate itself) are added to it — the
+  /// validation cost of the paper's metric. The call counts as one
+  /// validation check and, with timing enabled, is timed as one bracket.
+  void Validate(std::span<const NodeId> candidates,
+                const PathExpression& path, std::vector<NodeId>* survivors,
+                uint64_t* visited = nullptr);
+
+  /// Validate of the one candidate `node`: true iff it survives.
   bool HasIncomingPath(NodeId node, const PathExpression& path,
                        uint64_t* visited = nullptr);
 
   /// Opt-in validation-phase timing for the observability layer: while
-  /// enabled, wall time spent inside HasIncomingPath (the index strategies'
-  /// validation oracle) accumulates into a nanosecond counter. Off by
-  /// default — the clock reads are only paid on traced queries (the server
-  /// enables timing on the sampled ones; see docs/OBSERVABILITY.md).
+  /// enabled, wall time spent inside Validate and HasIncomingPath (the
+  /// index strategies' validation oracle) accumulates into a nanosecond
+  /// counter, one clock pair per call. Off by default — the clock reads are
+  /// only paid on traced queries (the server enables timing on the sampled
+  /// ones; see docs/OBSERVABILITY.md).
   void EnableValidationTiming(bool enabled) { timing_enabled_ = enabled; }
 
   /// Returns the accumulated validation nanoseconds and resets the counter.
@@ -69,8 +78,18 @@ class DataEvaluator {
   const DataGraph& graph() const { return graph_; }
 
  private:
-  bool HasIncomingPathImpl(NodeId node, const PathExpression& path,
-                           uint64_t* visited);
+  /// The backward search for one candidate; adds its visits to `*visited`.
+  /// A child step from a node with exactly one parent is one label check
+  /// and one move up; from the first node with zero or several parents, or
+  /// at a descendant step, the search goes on level by level.
+  bool Survives(NodeId node, const PathExpression& path, uint64_t* visited);
+
+  /// Marks, in the current epoch, each node reachable from `frontier`
+  /// through one or more edges (children if kDown, else parents) and calls
+  /// `reached` on it once, breadth first. The frontier is read in place;
+  /// `work_` queues the nodes reached so far.
+  template <bool kDown, typename Fn>
+  void Closure(const std::vector<NodeId>& frontier, Fn&& reached);
 
   /// The instances of step 0 of `path` (the root if anchored), into `out`.
   void StartFrontier(const PathExpression& path, std::vector<NodeId>* out);
@@ -94,6 +113,7 @@ class DataEvaluator {
   uint64_t epoch_ = 0;
   std::vector<NodeId> frontier_;
   std::vector<NodeId> next_;
+  std::vector<NodeId> work_;
   bool timing_enabled_ = false;
   uint64_t validation_ns_ = 0;
 };

@@ -27,26 +27,29 @@ class BoundedQueue {
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
   /// Enqueues without blocking. Returns false if the queue is full or
-  /// closed (the item is untouched in that case).
-  bool TryPush(T& item) {
+  /// closed (the item is untouched in that case). On success, `depth` (if
+  /// non-null) receives the queue's length with the item in it.
+  bool TryPush(T& item, size_t* depth = nullptr) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (closed_ || items_.size() >= capacity_) return false;
       items_.push_back(std::move(item));
+      if (depth != nullptr) *depth = items_.size();
     }
     not_empty_.notify_one();
     return true;
   }
 
   /// Blocks until space is available; returns false only if the queue was
-  /// closed first.
-  bool Push(T item) {
+  /// closed first. `depth` is as for TryPush.
+  bool Push(T item, size_t* depth = nullptr) {
     {
       std::unique_lock<std::mutex> lock(mu_);
       not_full_.wait(lock,
                      [&] { return closed_ || items_.size() < capacity_; });
       if (closed_) return false;
       items_.push_back(std::move(item));
+      if (depth != nullptr) *depth = items_.size();
     }
     not_empty_.notify_one();
     return true;

@@ -60,14 +60,15 @@ QueryServer::~QueryServer() { Shutdown(); }
 
 Status QueryServer::Submit(PathExpression query, Callback done) {
   Request request{std::move(query), std::move(done)};
-  if (!queue_.TryPush(request)) {
+  size_t depth = 0;
+  if (!queue_.TryPush(request, &depth)) {
     Metrics().rejected->Increment();
     return Status::Unavailable(queue_.closed()
                                    ? "server is shutting down"
                                    : "request queue full; retry later");
   }
   obs::FlightRecorder::Global().Record(obs::FlightEventType::kQueryAdmit,
-                                       queue_.size());
+                                       depth);
   return Status::Ok();
 }
 
@@ -77,9 +78,12 @@ Result<QueryResult> QueryServer::Execute(const PathExpression& query) {
   Request request{query, [promise](QueryResult&& r) {
                     promise->set_value(std::move(r));
                   }};
-  if (!queue_.Push(std::move(request))) {
+  size_t depth = 0;
+  if (!queue_.Push(std::move(request), &depth)) {
     return Status::Unavailable("server is shutting down");
   }
+  obs::FlightRecorder::Global().Record(obs::FlightEventType::kQueryAdmit,
+                                       depth);
   return answer.get();
 }
 

@@ -348,6 +348,19 @@ TEST(CliTest, DiagBundleWritesArtifactsThatParse) {
   }
   EXPECT_GT(slow_records, 0);
 
+  // The closed-loop client's Execute records a queue admission per query;
+  // the depth counts the admitted request itself.
+  std::ifstream flight(fs::path(out_dir) / "flight.jsonl");
+  int admits = 0;
+  while (std::getline(flight, line)) {
+    auto event = mrx::testing::ParseJson(line);
+    ASSERT_TRUE(event.has_value()) << line;
+    if (event->Find("type")->string_value != "query_admit") continue;
+    ++admits;
+    EXPECT_GE(event->Find("a")->number_value, 1) << line;
+  }
+  EXPECT_GE(admits, 40);
+
   std::remove(path.c_str());
   fs::remove_all(out_dir);
 }

@@ -243,6 +243,24 @@ TEST(FlightRecorderTest, EachThreadGetsItsOwnRing) {
   EXPECT_EQ(threads.size(), 2u);  // Distinct ordinals.
 }
 
+// A client or worker thread per request batch must not cost a ring each:
+// a thread that exits hands its ring, events included, to the next one.
+TEST(FlightRecorderTest, ExitedThreadsRingGoesToTheNextThread) {
+  FlightRecorder recorder({.events_per_thread = 16});
+  recorder.Record(FlightEventType::kQueryStart, 0);
+  for (uint64_t i = 1; i <= 5; ++i) {
+    std::thread client(
+        [&] { recorder.Record(FlightEventType::kQueryAdmit, i); });
+    client.join();
+  }
+  EXPECT_EQ(recorder.num_threads(), 2u);
+  std::vector<FlightEvent> events = recorder.Snapshot();
+  ASSERT_EQ(events.size(), 6u);
+  std::set<uint32_t> threads;
+  for (const FlightEvent& e : events) threads.insert(e.thread);
+  EXPECT_EQ(threads.size(), 6u);  // Each thread keeps its own ordinal.
+}
+
 TEST(FlightRecorderTest, TypeNamesAreStable) {
   EXPECT_STREQ(FlightRecorder::TypeName(
                    static_cast<uint16_t>(FlightEventType::kQueryStart)),

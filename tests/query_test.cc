@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "check/case_gen.h"
+#include "obs/query_cost.h"
 #include "query/data_evaluator.h"
 #include "query/path_expression.h"
 #include "tests/test_util.h"
@@ -289,6 +291,170 @@ TEST(DataEvaluatorTest, EvaluateAllMatchesEvaluateOnGeneratedCases) {
   EXPECT_GT(seen.unknown, 0u);
   EXPECT_GT(seen.anchored, 0u);
   EXPECT_GT(seen.one_step, 0u);
+}
+
+/// The level-by-level backward search that validation used before the
+/// single-parent chain walk, kept as the reference for its answers and its
+/// per-candidate visit counts: each step's frontier holds the distinct
+/// instances of that step; a child step visits each matching parent once,
+/// a descendant step every distinct proper ancestor of the frontier.
+bool ReferenceHasIncomingPath(const DataGraph& g, NodeId node,
+                              const PathExpression& path, uint64_t* visited) {
+  if (!path.StepMatches(path.num_steps() - 1, g.label(node))) return false;
+  std::vector<NodeId> frontier = {node};
+  ++*visited;
+  for (size_t step = path.num_steps() - 1; step > 0 && !frontier.empty();
+       --step) {
+    std::vector<char> seen(g.num_nodes(), 0);
+    std::vector<NodeId> next;
+    if (path.DescendantStep(step)) {
+      std::vector<NodeId> work = frontier;
+      for (size_t i = 0; i < work.size(); ++i) {
+        for (NodeId u : g.parents(work[i])) {
+          if (seen[u]) continue;
+          seen[u] = 1;
+          work.push_back(u);
+          ++*visited;
+          if (path.StepMatches(step - 1, g.label(u))) next.push_back(u);
+        }
+      }
+    } else {
+      for (NodeId v : frontier) {
+        for (NodeId u : g.parents(v)) {
+          if (path.StepMatches(step - 1, g.label(u)) && !seen[u]) {
+            seen[u] = 1;
+            next.push_back(u);
+            ++*visited;
+          }
+        }
+      }
+    }
+    frontier.swap(next);
+  }
+  if (path.anchored()) {
+    return std::find(frontier.begin(), frontier.end(), g.root()) !=
+           frontier.end();
+  }
+  return !frontier.empty();
+}
+
+/// A path that `g` likely has: the labels of a random upward walk from a
+/// random node, root first, then mutated with wildcards, descendant steps
+/// (which may skip ancestors), other labels and an anchor.
+PathExpression RandomIncomingPath(const DataGraph& g, Rng& rng) {
+  NodeId at = static_cast<NodeId>(rng.Below(g.num_nodes()));
+  const size_t want = 1 + rng.Below(5);
+  std::vector<LabelId> labels = {g.label(at)};
+  std::vector<uint8_t> descendant = {0};
+  while (labels.size() < want && !g.parents(at).empty()) {
+    const bool skip = rng.Chance(0.2);
+    for (int hop = skip ? 1 + static_cast<int>(rng.Below(3)) : 1;
+         hop > 0 && !g.parents(at).empty(); --hop) {
+      const auto parents = g.parents(at);
+      at = parents[rng.Below(parents.size())];
+    }
+    descendant.back() = skip;
+    labels.push_back(g.label(at));
+    descendant.push_back(0);
+  }
+  std::reverse(labels.begin(), labels.end());
+  std::reverse(descendant.begin(), descendant.end());
+  for (size_t i = 0; i < labels.size(); ++i) {
+    if (rng.Chance(0.15)) labels[i] = kWildcardLabel;
+    if (rng.Chance(0.1)) {
+      labels[i] = static_cast<LabelId>(rng.Below(g.symbols().size()));
+    }
+    if (i > 0 && rng.Chance(0.1)) descendant[i] = 1;
+  }
+  return PathExpression(std::move(labels), std::move(descendant),
+                        rng.Chance(0.25));
+}
+
+// The batch validation kernel against the reference search, on the check
+// harness's graphs (reference multi-parents, cycles, self-loops, deep
+// chains, one-node graphs): Validate keeps exactly the candidates in
+// Evaluate's target set, in input order, as one validation check, and each
+// candidate costs what the reference search visits.
+TEST(DataEvaluatorTest, ValidateMatchesTheLevelSearchOnGeneratedCases) {
+  struct {
+    size_t multi_parent = 0;
+    size_t descendant = 0;
+    size_t anchored = 0;
+    size_t wildcard = 0;
+    size_t survivors = 0;
+  } seen;
+  Rng rng(29);
+  check::CaseGenOptions options;
+  for (int c = 0; c < 300; ++c) {
+    const check::GeneratedCase gen = check::GenerateCase(rng, options);
+    Result<DataGraph> built = gen.graph.Build();
+    ASSERT_TRUE(built.ok()) << built.status();
+    const DataGraph& g = *built;
+    for (NodeId n = 0; n < g.num_nodes(); ++n) {
+      seen.multi_parent += g.parents(n).size() > 1;
+    }
+    std::vector<PathExpression> paths;
+    for (const check::QuerySpec& spec : gen.queries) {
+      Result<PathExpression> path = spec.Compile(g.symbols());
+      ASSERT_TRUE(path.ok()) << path.status();
+      paths.push_back(std::move(path).value());
+    }
+    for (int i = 0; i < 6; ++i) paths.push_back(RandomIncomingPath(g, rng));
+
+    // Every node, shuffled, and some twice.
+    std::vector<NodeId> candidates;
+    for (NodeId n = 0; n < g.num_nodes(); ++n) {
+      candidates.push_back(n);
+      if (rng.Chance(0.1)) candidates.push_back(n);
+    }
+    for (size_t i = candidates.size(); i > 1; --i) {
+      std::swap(candidates[i - 1], candidates[rng.Below(i)]);
+    }
+
+    DataEvaluator evaluator(g);
+    for (const PathExpression& path : paths) {
+      seen.descendant += path.HasDescendantAxis();
+      seen.anchored += path.anchored();
+      seen.wildcard += path.HasWildcard();
+      const std::vector<NodeId> target = evaluator.Evaluate(path);
+      std::vector<NodeId> want;
+      uint64_t want_visits = 0;
+      for (NodeId n : candidates) {
+        uint64_t visits = 0;
+        const bool in = ReferenceHasIncomingPath(g, n, path, &visits);
+        ASSERT_EQ(in, std::binary_search(target.begin(), target.end(), n))
+            << "reference, case " << c << " node " << n << " "
+            << path.ToString(g.symbols());
+        if (in) want.push_back(n);
+        want_visits += visits;
+        uint64_t one = 0;
+        ASSERT_EQ(evaluator.HasIncomingPath(n, path, &one), in)
+            << "case " << c << " node " << n << " "
+            << path.ToString(g.symbols());
+        ASSERT_EQ(one, visits) << "case " << c << " node " << n << " "
+                               << path.ToString(g.symbols());
+      }
+      std::vector<NodeId> survivors = {kInvalidNode};  // Appended after.
+      uint64_t visits = 0;
+      obs::QueryCostCounters cost;
+      {
+        obs::QueryCostScope scope(&cost);
+        evaluator.Validate(candidates, path, &survivors, &visits);
+      }
+      want.insert(want.begin(), kInvalidNode);
+      ASSERT_EQ(survivors, want)
+          << "case " << c << " " << path.ToString(g.symbols());
+      ASSERT_EQ(visits, want_visits)
+          << "case " << c << " " << path.ToString(g.symbols());
+      EXPECT_EQ(cost.validation_checks, 1u);
+      seen.survivors += want.size() - 1;
+    }
+  }
+  EXPECT_GT(seen.multi_parent, 0u);
+  EXPECT_GT(seen.descendant, 0u);
+  EXPECT_GT(seen.anchored, 0u);
+  EXPECT_GT(seen.wildcard, 0u);
+  EXPECT_GT(seen.survivors, 0u);
 }
 
 TEST(DataEvaluatorTest, PrefixOrderPutsPrefixesFirstAndKeepsTies) {
