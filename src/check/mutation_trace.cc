@@ -15,15 +15,13 @@
 #include "check/checker.h"
 #include "check/invariants.h"
 #include "check/oracle.h"
-#include "index/bisimulation.h"
-#include "index/d_k_index.h"
 #include "index/m_star_index.h"
-#include "mutate/incremental_maintainer.h"
 #include "mutate/mutable_graph.h"
 #include "mutate/random_batch.h"
 #include "query/data_evaluator.h"
 #include "server/concurrent_session.h"
 #include "util/string_util.h"
+#include "workload/fup_extractor.h"
 
 namespace mrx::check {
 namespace {
@@ -32,8 +30,8 @@ namespace {
 /// an alive set, and a flat edge set, with mutation semantics implemented
 /// from the Mutation contract alone (no MutableDataGraph code). If the
 /// subsystem materializes a graph the shadow disagrees with, the graph
-/// itself is wrong — partition exactness checks could not see that, since
-/// they compare against oracles run on the same (wrong) graph.
+/// itself is wrong — the answer and replay checks could not see that,
+/// since they compare against oracles run on the same (wrong) graph.
 class ShadowModel {
  public:
   explicit ShadowModel(const DataGraph& g) : root_(g.root()) {
@@ -157,111 +155,74 @@ class ShadowModel {
   uint32_t root_;
 };
 
-/// The static hierarchy's spec sequence, derived from scratch — the oracle
-/// the maintainer's ExportStaticSpecs must match byte for byte.
-std::vector<MStarComponentSpec> StaticSpecsOracle(const DataGraph& g,
-                                                  int k_max) {
-  std::vector<MStarComponentSpec> specs;
-  std::vector<uint32_t> prev_block_of;
-  BisimulationPartition part = ComputeKBisimulation(g, 0);
-  for (int i = 0; i <= k_max; ++i) {
-    if (i > 0) RefineBisimulationRound(g, &part);
-    MStarComponentSpec spec;
-    // Stage as vectors (scatter by block), then seal into Extents.
-    std::vector<std::vector<NodeId>> staged(part.num_blocks);
-    for (NodeId n = 0; n < g.num_nodes(); ++n) {
-      staged[part.block_of[n]].push_back(n);
-    }
-    spec.ks.assign(part.num_blocks, i);
-    spec.supernodes.assign(part.num_blocks, 0);
-    spec.extents.reserve(part.num_blocks);
-    for (uint32_t b = 0; b < part.num_blocks; ++b) {
-      if (i > 0) spec.supernodes[b] = prev_block_of[staged[b].front()];
-      spec.extents.push_back(Extent::FromSorted(std::move(staged[b])));
-    }
-    prev_block_of = part.block_of;
-    specs.push_back(std::move(spec));
+/// The first difference between two hierarchies over the same graph,
+/// compared component by component (alive node ids, k, supernode and
+/// extent); empty when they are equal.
+std::string HierarchyDiff(const MStarIndex& got, const MStarIndex& want) {
+  if (got.num_components() != want.num_components()) {
+    return std::to_string(got.num_components()) + " components, expected " +
+           std::to_string(want.num_components());
   }
-  return specs;
+  for (size_t i = 0; i < want.num_components(); ++i) {
+    const IndexGraph& a = got.component(i);
+    const IndexGraph& b = want.component(i);
+    const std::string where = "component " + std::to_string(i) + ": ";
+    const std::vector<IndexNodeId> nodes = b.AliveNodes();
+    if (a.AliveNodes() != nodes) return where + "node ids differ";
+    for (IndexNodeId v : nodes) {
+      if (a.node(v).k != b.node(v).k ||
+          a.node(v).extent != b.node(v).extent ||
+          (i > 0 && got.supernode(i, v) != want.supernode(i, v))) {
+        return where + "node " + std::to_string(v) + " differs";
+      }
+    }
+  }
+  return {};
 }
 
-/// Cross-checks one maintained state against the from-scratch oracles.
-void CheckStep(const mutate::IncrementalMaintainer& m,
-               const ShadowModel& shadow,
-               const std::vector<PathExpression>& queries,
-               const MutationTraceOptions& options, const std::string& where,
-               TraceResult* result) {
-  const DataGraph& g = m.graph();
+/// Cross-checks what `session` publishes now against the shadow model and
+/// ground truth: the graph (shadow, CSR audit), the index (built over that
+/// graph, Properties audit) and every query's answer. With `fups` it also
+/// checks that the index equals a fresh one over the same graph refined by
+/// `fups` in order — what the writer's replay must publish.
+void CheckPublished(server::ConcurrentSession& session,
+                    const ShadowModel& shadow,
+                    const std::vector<PathExpression>& queries,
+                    const std::vector<PathExpression>* fups,
+                    const MutationTraceOptions& options,
+                    const std::string& where, TraceResult* result) {
   auto fail = [&](std::string message) {
     result->violations.push_back(where + ": " + std::move(message));
   };
+  const std::shared_ptr<const DataGraph> graph = session.graph_snapshot();
+  const std::shared_ptr<const MStarIndex> index = session.index_snapshot();
+  const DataGraph& g = *graph;
 
   for (std::string& v : shadow.Compare(g)) fail(std::move(v));
-  ++result->checks;
-
+  result->checks += 2;  // The shadow, and the graph under the index.
+  if (&index->component(0).data() != &g) {
+    fail("M*: the published index is over another graph");
+    return;
+  }
   if (options.audit_invariants) {
     for (std::string& v : AuditDataGraphCsr(g)) fail(std::move(v));
-    ++result->checks;
+    for (std::string& v : AuditMStarIndex(*index)) fail(std::move(v));
+    result->checks += 2;
   }
-
-  for (int k = 0; k <= options.k_max; ++k) {
-    const BisimulationPartition oracle = ComputeKBisimulation(g, k);
-    const BisimulationPartition got = m.AkPartition(k);
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
     ++result->checks;
-    if (got.num_blocks != oracle.num_blocks ||
-        got.block_of !=
-            mutate::CanonicalBlockIds(oracle.block_of, oracle.num_blocks)) {
-      fail("A(" + std::to_string(k) + "): incremental partition (" +
-           std::to_string(got.num_blocks) + " blocks) != from-scratch (" +
-           std::to_string(oracle.num_blocks) + " blocks)");
+    if (session.Peek(queries[qi]).answer != GroundTruth(g, queries[qi])) {
+      fail("query " + std::to_string(qi) +
+           " disagrees with ground truth on the published graph");
     }
   }
-
-  if (options.maintain_dk) {
-    const std::vector<int32_t> kreq = ComputeDkLabelRequirements(g, queries);
-    const BisimulationPartition oracle = ComputeDkConstructPartition(g, kreq);
-    const BisimulationPartition got = m.DkPartition();
+  if (fups != nullptr) {
+    MStarIndex fresh(g);
+    fresh.RefineBatch(*fups);
     ++result->checks;
-    if (got.num_blocks != oracle.num_blocks ||
-        got.block_of !=
-            mutate::CanonicalBlockIds(oracle.block_of, oracle.num_blocks)) {
-      fail("D(k)-construct: incremental partition (" +
-           std::to_string(got.num_blocks) + " blocks) != from-scratch (" +
-           std::to_string(oracle.num_blocks) + " blocks)");
-    }
-  }
-
-  if (options.check_mstar) {
-    const std::vector<MStarComponentSpec> got = m.ExportStaticSpecs();
-    const std::vector<MStarComponentSpec> want =
-        StaticSpecsOracle(g, options.k_max);
-    ++result->checks;
-    for (size_t i = 0; i < want.size(); ++i) {
-      if (got[i].extents != want[i].extents || got[i].ks != want[i].ks ||
-          got[i].supernodes != want[i].supernodes) {
-        fail("M*: exported spec of component " + std::to_string(i) +
-             " differs from the static hierarchy's");
-        break;
-      }
-    }
-    Result<MStarIndex> index = m.BuildMStar();
-    if (!index.ok()) {
-      fail("M*: FromComponents rejected the exported specs: " +
-           index.status().ToString());
-    } else {
-      if (options.audit_invariants) {
-        for (std::string& v : AuditMStarIndex(*index)) fail(std::move(v));
-        ++result->checks;
-      }
-      DataEvaluator validator(g);
-      for (size_t qi = 0; qi < queries.size(); ++qi) {
-        ++result->checks;
-        const QueryResult answer = index->QueryTopDown(queries[qi], &validator);
-        if (answer.answer != GroundTruth(g, queries[qi])) {
-          fail("M*: query " + std::to_string(qi) +
-               " disagrees with ground truth on the mutated graph");
-        }
-      }
+    const std::string diff = HierarchyDiff(*index, fresh);
+    if (!diff.empty()) {
+      fail("M*: published index != fresh replay of the FUPs (" + diff + ")");
     }
   }
 }
@@ -401,7 +362,9 @@ Result<MutationTrace> ParseTrace(const std::string& text) {
                            ParseUint(tokens[2], "label count"));
       size_t cursor = 3;
       mutate::SubtreeSpec spec;
-      if (tokens.size() < cursor + nlabels + 1) {
+      // Counts are bounded by the tokens left, never summed with them: a
+      // hostile count must not wrap the bound.
+      if (nlabels >= tokens.size() - cursor) {
         return Status::ParseError("mrxtrace: truncated append");
       }
       for (uint64_t i = 0; i < nlabels; ++i) {
@@ -409,7 +372,8 @@ Result<MutationTrace> ParseTrace(const std::string& text) {
       }
       MRX_ASSIGN_OR_RETURN(uint64_t nedges,
                            ParseUint(tokens[cursor++], "edge count"));
-      if (tokens.size() != cursor + nedges * 3) {
+      if ((tokens.size() - cursor) % 3 != 0 ||
+          nedges != (tokens.size() - cursor) / 3) {
         return Status::ParseError("mrxtrace: truncated append edges");
       }
       for (uint64_t i = 0; i < nedges; ++i) {
@@ -487,21 +451,36 @@ TraceResult RunMutationTrace(const MutationTrace& trace,
     if (q.ok()) queries.push_back(*std::move(q));
   }
 
-  mutate::MaintainerOptions mo;
-  mo.k_max = options.k_max;
-  mo.rebuild_threshold = options.rebuild_threshold;
-  mo.maintain_dk = options.maintain_dk;
-  mo.dk_fups = queries;
-  mutate::IncrementalMaintainer m(*initial, mo);
+  // Promote every query as a FUP, in trace order, as a client would.
+  server::ConcurrentSessionOptions so;
+  so.refine_after = 1;
+  server::ConcurrentSession session(*initial, so);
+  FupExtractor promotions(FupExtractor::Options{1, 0});
+  for (const PathExpression& q : queries) {
+    promotions.Observe(q);
+    session.Query(q);
+  }
+  session.DrainRefinements();
+  const std::vector<PathExpression>& fups = promotions.fups();
   ShadowModel shadow(*initial);
 
-  CheckStep(m, shadow, queries, options, "seed", &result);
+  CheckPublished(session, shadow, queries, &fups, options, "seed", &result);
   for (size_t s = 0; s < trace.steps.size(); ++s) {
-    if (!m.Apply(trace.steps[s]).ok()) continue;  // A reject is a no-op.
-    shadow.Apply(trace.steps[s]);
-    ++result.steps_applied;
-    CheckStep(m, shadow, queries, options, "step " + std::to_string(s),
-              &result);
+    const std::string where = "step " + std::to_string(s);
+    // The hold keeps the coarse index published until it has been checked.
+    fault::hold_replay.store(true);
+    const bool applied = session.ApplyMutations(trace.steps[s]).ok();
+    if (applied) {
+      shadow.Apply(trace.steps[s]);
+      ++result.steps_applied;
+      CheckPublished(session, shadow, queries, nullptr, options,
+                     where + " (coarse)", &result);
+    }
+    fault::hold_replay.store(false);
+    if (!applied) continue;  // A reject is a no-op.
+    session.DrainRefinements();
+    CheckPublished(session, shadow, queries, &fups, options,
+                   where + " (replayed)", &result);
   }
   return result;
 }
@@ -551,7 +530,7 @@ MutationTrace ShrinkMutationTrace(const MutationTrace& trace,
         }
       }
     }
-    // Queries (they drive the D(k) schedule and the M* answer checks).
+    // Queries (they are the FUPs and the answer checks).
     for (size_t q = best.queries.size();
          q-- > 0 && best.queries.size() > 1 && attempts < max_attempts;) {
       MutationTrace candidate = best;

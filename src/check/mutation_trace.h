@@ -20,7 +20,7 @@ namespace mrx::check {
 ///
 /// Batch node ids refer to the compact id space of the graph version
 /// current when the batch is applied. Replay SKIPS rejected batches (a
-/// reject is a maintained no-op), which makes every *subsequence* of steps
+/// rejected batch changes nothing), which makes every *subsequence* of steps
 /// a valid trace — the property the shrinker leans on: dropping a step can
 /// turn later steps invalid, and those then skip instead of poisoning the
 /// replay.
@@ -41,10 +41,6 @@ Result<MutationTrace> ParseTrace(const std::string& text);
 struct MutationTraceOptions {
   size_t num_steps = 6;      ///< Mutation batches per trace.
   size_t ops_per_batch = 3;
-  int k_max = 3;
-  double rebuild_threshold = 0.25;
-  bool maintain_dk = true;   ///< Also keep + check the D(k) chain.
-  bool check_mstar = true;   ///< Exported specs vs a static rebuild.
   bool audit_invariants = true;
 
   CaseGenOptions gen;  ///< Initial graph + query workload shapes.
@@ -65,20 +61,25 @@ struct TraceResult {
   bool ok() const { return violations.empty(); }
 };
 
-/// \brief Replays `trace` through an IncrementalMaintainer and, after every
-/// applied batch, cross-checks the incrementally maintained state against
-/// from-scratch oracles on the current graph:
+/// \brief Replays `trace` through the serving writer and checks what it
+/// publishes against independent oracles.
 ///
-///   csr:    AuditDataGraphCsr on the materialized version
-///   A(k):   canonical block_of vs ComputeKBisimulation, k = 0..k_max
-///   D(k):   canonical block_of vs ComputeDkConstructPartition for the
-///           trace's query set (when maintain_dk)
-///   M*:     ExportStaticSpecs byte-equal to the static hierarchy's specs,
-///           and every trace query answered on BuildMStar() equal to
-///           DataEvaluator ground truth (when check_mstar)
+/// A ConcurrentSession (refine_after = 1) first promotes the trace's
+/// queries as FUPs, in order. Each batch is then applied with
+/// `ApplyMutations` while fault::hold_replay keeps the refiner from
+/// replacing the coarse index, and checked twice:
 ///
-/// The maintainer is the system under test; every oracle is an independent
-/// from-scratch rebuild.
+///   coarse:   the published graph against a shadow model of the Mutation
+///             contract and AuditDataGraphCsr; the published index is over
+///             that graph and passes AuditMStarIndex; every query's Peek
+///             answer equals DataEvaluator ground truth
+///   replayed: after the hold is released and DrainRefinements returns,
+///             the same checks, and the published index equals a fresh
+///             MStarIndex over the graph refined by RefineBatch over the
+///             FUPs in promotion order (extents, k and supernodes, component
+///             by component)
+///
+/// The seed state gets the replayed checks before the first batch.
 TraceResult RunMutationTrace(const MutationTrace& trace,
                              const MutationTraceOptions& options);
 

@@ -32,11 +32,10 @@ void PrintDatasetSummary(std::ostream& os, const std::string& name,
 
 /// \brief Writes one machine-readable bench-trajectory record:
 ///   {"bench":"scale_build","metrics":{"xmark_500k_serial_ms":294.8,...}}
-/// bench_scale_build emits this as BENCH_scale_build.json (and
-/// bench_mutation as BENCH_mutation.json) so the perf trajectory is
-/// diffable across changes (CI uploads it as an artifact). Non-finite
-/// values are serialized as 0 to keep the record valid JSON. Metrics appear
-/// in the given order.
+/// bench_scale_build emits this as BENCH_scale_build.json so the perf
+/// trajectory is diffable across changes (CI uploads it as an artifact).
+/// Non-finite values are serialized as 0 to keep the record valid JSON.
+/// Metrics appear in the given order.
 void WriteBenchJson(
     std::ostream& os, const std::string& bench_name,
     const std::vector<std::pair<std::string, double>>& metrics);

@@ -792,7 +792,6 @@ Result<LiveGraph::Step> LiveGraph::Apply(const MutationBatch& batch) {
 
   Step step;
   step.version = version_;
-  step.old_num_nodes = graph_->num_nodes();
   if (batch.empty()) return step;
 
   const uint64_t start_ns = obs::MonotonicNowNs();
@@ -806,24 +805,9 @@ Result<LiveGraph::Step> LiveGraph::Apply(const MutationBatch& batch) {
   MRX_ASSIGN_OR_RETURN(MutableDataGraph::Materialized mat,
                        live_.MaterializeAfter(*graph_, stable_of_, touch));
 
-  // Old compact ids map onto new ones as an identity prefix unless
-  // something was deleted: compaction preserves ascending stable order, and
-  // appends get the largest stable ids.
-  if (touch.any_deletion) {
-    step.new_to_old.assign(mat.graph.num_nodes(), kInvalidNode);
-    for (NodeId o = 0; o < step.old_num_nodes; ++o) {
-      const NodeId nc = mat.compact_of[stable_of_[o]];
-      if (nc != kInvalidNode) step.new_to_old[nc] = o;
-    }
-  }
   step.new_nodes.reserve(touch.new_nodes.size());
   for (uint32_t s : touch.new_nodes) step.new_nodes.push_back(mat.compact_of[s]);
-  step.parent_set_changed.reserve(touch.parent_set_changed.size());
-  for (uint32_t s : touch.parent_set_changed) {
-    step.parent_set_changed.push_back(mat.compact_of[s]);
-  }
   step.nodes_deleted = touch.nodes_deleted;
-  step.any_deletion = touch.any_deletion;
 
   graph_ = std::make_shared<const DataGraph>(std::move(mat.graph));
   stable_of_ = std::move(mat.stable_of);

@@ -20,8 +20,7 @@ namespace mrx::mutate {
 /// MutableDataGraph holds the same graph under *stable* node ids: ids are
 /// assigned once and never reused, so deletions leave holes instead of
 /// shifting everyone else. Materialize() compacts the alive nodes back into
-/// a fresh DataGraph plus the id maps the incremental maintainer needs to
-/// carry partitions across versions.
+/// a fresh DataGraph plus the id maps between stable and compact ids.
 ///
 /// Seeding copies no adjacency: a row (one node's children, or its
 /// parents) is read from the seed DataGraph's CSR until an op first edits
@@ -62,8 +61,8 @@ class MutableDataGraph {
   ChildRow children(uint32_t s) const;
   std::span<const uint32_t> parents(uint32_t s) const;
 
-  /// What one applied batch touched, in stable ids — the seed of the
-  /// maintainer's dirty set.
+  /// What one applied batch touched, in stable ids: the rows
+  /// MaterializeAfter() must rewrite.
   struct BatchTouch {
     std::vector<uint32_t> new_nodes;  ///< Appended, in op/spec order.
     /// Surviving nodes whose parent *set* changed (ref-edge endpoints and
@@ -179,23 +178,14 @@ class MutableDataGraph {
 /// \brief A MutableDataGraph and the frozen version it last materialized:
 /// the one place a batch becomes the next graph version (apply, patch the
 /// CSR forward, carry the id maps, count the version). The serving writer
-/// (ConcurrentSession) holds only this; IncrementalMaintainer keeps its
-/// partition chains on top of it.
+/// (ConcurrentSession) holds only this.
 class LiveGraph {
  public:
   /// What one batch changed, in the new version's compact ids.
   struct Step {
     uint64_t version = 0;             ///< Version number after the batch.
     std::vector<NodeId> new_nodes;    ///< Appended nodes, in op order.
-    /// Surviving old nodes whose parent set changed, ascending.
-    std::vector<NodeId> parent_set_changed;
-    /// New compact id → previous version's (kInvalidNode for appended
-    /// nodes); filled only when the batch deleted something; otherwise the
-    /// old ids are an identity prefix.
-    std::vector<NodeId> new_to_old;
-    size_t old_num_nodes = 0;
     size_t nodes_deleted = 0;
-    bool any_deletion = false;
   };
 
   /// Version 0 is `g` itself, shared rather than materialized again: a

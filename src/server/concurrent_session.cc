@@ -329,6 +329,10 @@ QueryResult ConcurrentSession::Peek(const PathExpression& query) {
 Result<ConcurrentSession::MutationReceipt> ConcurrentSession::ApplyMutations(
     const mutate::MutationBatch& batch) {
   std::lock_guard<std::mutex> lock(refine_mu_);
+  if (batch.empty()) {  // No new version: nothing to publish or replay.
+    const std::shared_ptr<mutate::VersionSnapshot> current = handle_.Acquire();
+    return MutationReceipt{current->version(), {}, current->epoch()};
+  }
   const uint64_t apply_start = obs::MonotonicNowNs();
   obs::StallWatchdog::ScopedActivity watch(mutate_activity_, apply_start);
   if (live_ == nullptr) {

@@ -180,8 +180,8 @@ class ConcurrentSession {
   /// snapshot over the coarse (A(0)-based) index of the new graph; the
   /// refiner replays the promoted FUPs afterwards and publishes again.
   /// Node ids in `batch` refer to graph_snapshot()'s compact id space at
-  /// version graph_version(). On failure nothing changes and readers keep
-  /// the current snapshot. Thread-safe; mutators serialize with each other
+  /// version graph_version(). On failure, or for an empty batch, nothing
+  /// changes and readers keep the current snapshot and cache. Thread-safe; mutators serialize with each other
   /// and the refiner.
   Result<MutationReceipt> ApplyMutations(const mutate::MutationBatch& batch);
 
@@ -262,6 +262,14 @@ class ConcurrentSession {
   /// pointer even across later publications.
   std::shared_ptr<const DataGraph> graph_snapshot() const {
     return handle_.Acquire()->graph_ptr();
+  }
+
+  /// The currently published index, kept alive (with the graph it is
+  /// over) by the returned pointer even across later publications.
+  std::shared_ptr<const MStarIndex> index_snapshot() const {
+    std::shared_ptr<const mutate::VersionSnapshot> snapshot =
+        handle_.Acquire();
+    return {snapshot, &snapshot->index()};
   }
 
  private:

@@ -24,8 +24,6 @@
 #include "index/m_star_index.h"
 #include "index/strategy_chooser.h"
 #include "index/twig_eval.h"
-#include "mutate/incremental_maintainer.h"
-#include "mutate/random_batch.h"
 #include "query/data_evaluator.h"
 #include "query/twig.h"
 #include "server/concurrent_session.h"
@@ -87,12 +85,6 @@ commands:
                                       in memory; scale-tier sizes OK);
                                       --nodes targets a node count directly
   workload <graph> [--count N] [--max-length L] [--seed N]
-  mutate <graph> [--steps N] [--ops N] [--seed N] [--k N] [--verify on]
-         [--out out.mrxg]             apply N seeded random mutation
-                                      batches with incremental A(k)/D(k)/
-                                      M*(k) maintenance (docs/UPDATES.md);
-                                      --verify cross-checks every step
-                                      against from-scratch rebuilds
   check [--mode diff|stress|mutate|mutate-stress] [--seed N] [--cases M]
         [--queries N] [--max-nodes N] [--out DIR] [--max-failures N]
         [--fault on] [--threads N] [--rounds N] [--refine-threads N]
@@ -102,8 +94,8 @@ commands:
                                         (docs/TESTING.md); exit 1 on any
                                         discrepancy or invariant violation.
                                         mutate replays seeded mutation
-                                        traces against from-scratch
-                                        oracles; mutate-stress hammers a
+                                        traces through the serving
+                                        writer; mutate-stress hammers a
                                         live session with concurrent
                                         readers + mutations
 
@@ -710,78 +702,6 @@ int CmdWorkload(const Options& options, std::ostream& out,
   return 0;
 }
 
-int CmdMutate(const Options& options, std::ostream& out, std::ostream& err) {
-  if (options.positional.size() != 1) {
-    err << "usage: mrx mutate <graph> [--steps N] [--ops N] [--seed N] "
-           "[--k N] [--verify on] [--out out.mrxg]\n";
-    return 2;
-  }
-  Result<DataGraph> g = LoadGraph(options.positional[0]);
-  if (!g.ok()) return Fail(err, g.status());
-
-  const size_t steps =
-      static_cast<size_t>(std::atoll(options.Flag("steps", "10").c_str()));
-  const bool verify = options.Flag("verify") == "on" ||
-                      options.Flag("verify") == "1" ||
-                      options.Flag("verify") == "true";
-  Rng rng(
-      static_cast<uint64_t>(std::atoll(options.Flag("seed", "1").c_str())));
-  mutate::RandomBatchOptions gen;
-  gen.num_ops =
-      static_cast<size_t>(std::atoll(options.Flag("ops", "3").c_str()));
-  mutate::MaintainerOptions mo;
-  mo.k_max = static_cast<int>(std::atoll(options.Flag("k", "3").c_str()));
-  mutate::IncrementalMaintainer m(*g, mo);
-
-  size_t rejected = 0;
-  for (size_t s = 0; s < steps; ++s) {
-    const mutate::MutationBatch batch =
-        mutate::GenerateRandomBatch(rng, m.graph(), gen);
-    Result<mutate::BatchReceipt> receipt = m.Apply(batch);
-    if (!receipt.ok()) {
-      ++rejected;
-      out << "v" << m.version() << ": batch rejected ("
-          << receipt.status().message() << ")\n";
-      continue;
-    }
-    out << "v" << receipt->version << ": +" << receipt->new_nodes.size()
-        << " -" << receipt->nodes_deleted << " nodes -> " << receipt->nodes
-        << " nodes / " << receipt->edges << " edges, cascade "
-        << receipt->dirty_nodes
-        << (receipt->full_rounds > 0 ? " (rebuild fallback)" : "")
-        << (receipt->dk_rebuilt ? " (D rebuilt)" : "") << "\n";
-    if (verify) {
-      for (int k = 0; k <= mo.k_max; ++k) {
-        const BisimulationPartition oracle =
-            ComputeKBisimulation(m.graph(), k);
-        const BisimulationPartition got = m.AkPartition(k);
-        if (got.num_blocks != oracle.num_blocks ||
-            got.block_of != mutate::CanonicalBlockIds(oracle.block_of,
-                                                      oracle.num_blocks)) {
-          err << "FAILED: A(" << k << ") diverged from from-scratch at v"
-              << receipt->version << "\n";
-          return 1;
-        }
-      }
-    }
-  }
-  const mutate::MaintainerStats& stats = m.stats();
-  out << "applied " << stats.batches << " batches (" << rejected
-      << " rejected): +" << stats.nodes_added << " -" << stats.nodes_deleted
-      << " nodes, " << stats.incremental_rounds << " incremental / "
-      << stats.full_rounds << " full rounds, " << stats.dk_rebuilds
-      << " D rebuilds" << (verify ? ", all steps verified" : "") << "\n";
-
-  const std::string out_path = options.Flag("out");
-  if (!out_path.empty()) {
-    const Status written =
-        WriteFile(out_path, storage::SerializeDataGraph(m.graph()));
-    if (!written.ok()) return Fail(err, written);
-    out << "wrote " << out_path << "\n";
-  }
-  return 0;
-}
-
 int CmdCheck(const Options& options, std::ostream& out, std::ostream& err) {
   const bool fault = options.Flag("fault") == "on" ||
                      options.Flag("fault") == "1" ||
@@ -972,7 +892,6 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
   if (command == "diag") return CmdDiag(*options, out, err);
   if (command == "generate") return CmdGenerate(*options, out, err);
   if (command == "workload") return CmdWorkload(*options, out, err);
-  if (command == "mutate") return CmdMutate(*options, out, err);
   if (command == "check") return CmdCheck(*options, out, err);
 
   err << "unknown command: " << command << "\n" << kUsage;

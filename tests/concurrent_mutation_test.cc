@@ -62,6 +62,34 @@ TEST(ConcurrentMutationTest, RejectedBatchChangesNothing) {
   EXPECT_EQ(session.graph_snapshot()->num_nodes(), g.num_nodes());
 }
 
+TEST(ConcurrentMutationTest, EmptyBatchIsANoOp) {
+  const DataGraph g = MakeFigure1Graph();
+  ConcurrentSessionOptions options;
+  options.refine_after = 1;
+  ConcurrentSession session(g, options);
+  const PathExpression q = Q(g, "//auction/bidder");
+  const std::vector<NodeId> answer = session.Query(q).answer;
+  session.DrainRefinements();  // q is a FUP: the published index is refined.
+  const uint64_t epoch = session.index_epoch();
+  const size_t components = session.published_components();
+  ASSERT_GT(components, 1u);
+  const uint64_t hits = session.cache_hits();
+
+  auto receipt = session.ApplyMutations({});
+  ASSERT_TRUE(receipt.ok()) << receipt.status().ToString();
+  EXPECT_EQ(receipt->version, 0u);
+  EXPECT_EQ(receipt->epoch, epoch);
+  EXPECT_TRUE(receipt->new_nodes.empty());
+  // No coarse publish, no cache wipe, no replay owed.
+  EXPECT_EQ(session.graph_version(), 0u);
+  EXPECT_EQ(session.index_epoch(), epoch);
+  EXPECT_EQ(session.published_components(), components);
+  EXPECT_EQ(session.Query(q).answer, answer);
+  EXPECT_EQ(session.cache_hits(), hits + 1);
+  session.DrainRefinements();
+  EXPECT_EQ(session.index_epoch(), epoch);
+}
+
 TEST(ConcurrentMutationTest, AnswersTrackTheMutatedGraph) {
   const DataGraph g = MakeFigure1Graph();
   ConcurrentSession session(g);

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "check/checker.h"
+#include "index/evaluator.h"
 #include "util/rng.h"
 
 namespace mrx::check {
@@ -15,7 +16,6 @@ MutationTraceOptions SmallOptions() {
   MutationTraceOptions options;
   options.num_steps = 4;
   options.ops_per_batch = 2;
-  options.k_max = 2;
   options.gen.max_nodes = 24;
   options.gen.num_queries = 3;
   options.gen.allow_dtd = false;
@@ -73,6 +73,13 @@ TEST(MutationTraceTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseTrace("mrxtrace 1\nbogus line\n").ok());
   EXPECT_FALSE(ParseTrace("mrxtrace 1\nn a\ne 0 1 sideways\n").ok());
   EXPECT_FALSE(ParseTrace("mrxtrace 1\nn a\nbatch\nappend 0 2 x\n").ok());
+  // Counts that would wrap a bound computed by adding or multiplying them.
+  EXPECT_FALSE(
+      ParseTrace("mrxtrace 1\nn a\nbatch\nappend 0 18446744073709551615\n")
+          .ok());
+  EXPECT_FALSE(ParseTrace("mrxtrace 1\nn a\nbatch\n"
+                          "append 0 1 x 6148914691236517206 0 0\n")
+                   .ok());
 }
 
 TEST(MutationTraceTest, HandCraftedTraceReplays) {
@@ -97,10 +104,7 @@ TEST(MutationTraceTest, HandCraftedTraceReplays) {
 }
 
 TEST(MutationTraceTest, ShrinkerKeepsTracesFailingAndDropsNoise) {
-  // A trace is "failing" here by an artificial criterion we can control:
-  // run with maintain_dk against options that replay with a different
-  // query set is not expressible, so instead check the structural
-  // contract on a passing trace: shrinking a passing trace returns it
+  // The structural contract on a passing trace: shrinking it returns it
   // unchanged.
   const MutationTraceOptions options = SmallOptions();
   Rng rng(CaseSeed(9, 0));
@@ -108,6 +112,21 @@ TEST(MutationTraceTest, ShrinkerKeepsTracesFailingAndDropsNoise) {
   ASSERT_TRUE(RunMutationTrace(trace, options).ok());
   const MutationTrace shrunk = ShrinkMutationTrace(trace, options, 50);
   EXPECT_EQ(shrunk.ToText(), trace.ToText());
+}
+
+TEST(MutationTraceTest, InjectedFaultIsReported) {
+  // The check must see a wrong answer from the serving writer: with the
+  // fault injected, every non-empty answer drops one node.
+  const MutationTraceOptions options = SmallOptions();
+  size_t failing = 0;
+  fault::inject_extent_drop.store(true);
+  for (uint64_t i = 0; i < 5; ++i) {
+    Rng rng(CaseSeed(11, i));
+    const MutationTrace trace = GenerateMutationTrace(rng, options);
+    if (!RunMutationTrace(trace, options).ok()) ++failing;
+  }
+  fault::inject_extent_drop.store(false);
+  EXPECT_GT(failing, 0u);
 }
 
 TEST(MutationTraceTest, CheckRunAggregatesCleanTraces) {
