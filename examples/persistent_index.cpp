@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <memory>
 
 #include "core/mrx.h"
 #include "datagen/xmark.h"
@@ -28,9 +29,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  SessionOptions options;
+  server::ConcurrentSessionOptions options;
   options.refine_after = 2;
-  AdaptiveIndexSession session(*graph, options);
+  server::ConcurrentSession session(*graph, options);
   const char* hot_queries[] = {
       "//open_auction/seller/person",
       "//open_auction/bidder/personref/person",
@@ -42,10 +43,13 @@ int main(int argc, char** argv) {
       session.Query(*q);
     }
   }
+  // Refinement runs in the background; wait for it, then take the index.
+  session.DrainRefinements();
+  const std::shared_ptr<const MStarIndex> index = session.index_snapshot();
   std::cout << "session answered " << session.queries_answered()
-            << " queries; index grew to "
-            << session.index().num_components() << " components, "
-            << session.index().PhysicalNodeCount() << " physical nodes\n";
+            << " queries; index grew to " << index->num_components()
+            << " components, " << index->PhysicalNodeCount()
+            << " physical nodes\n";
 
   // --- Persist graph + index. -------------------------------------------
   std::string dir = std::filesystem::temp_directory_path().string();
@@ -55,8 +59,7 @@ int main(int argc, char** argv) {
     std::cerr << s << "\n";
     return 1;
   }
-  if (Status s = storage::SaveMStarIndexToFile(session.index(), index_path);
-      !s.ok()) {
+  if (Status s = storage::SaveMStarIndexToFile(*index, index_path); !s.ok()) {
     std::cerr << s << "\n";
     return 1;
   }

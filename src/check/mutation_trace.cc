@@ -18,6 +18,7 @@
 #include "index/m_star_index.h"
 #include "mutate/mutable_graph.h"
 #include "mutate/random_batch.h"
+#include "obs/trace.h"
 #include "query/data_evaluator.h"
 #include "server/concurrent_session.h"
 #include "util/string_util.h"
@@ -468,7 +469,7 @@ TraceResult RunMutationTrace(const MutationTrace& trace,
   for (size_t s = 0; s < trace.steps.size(); ++s) {
     const std::string where = "step " + std::to_string(s);
     // The hold keeps the coarse index published until it has been checked.
-    fault::hold_replay.store(true);
+    fault::hold_replay.Arm();
     const bool applied = session.ApplyMutations(trace.steps[s]).ok();
     if (applied) {
       shadow.Apply(trace.steps[s]);
@@ -476,7 +477,7 @@ TraceResult RunMutationTrace(const MutationTrace& trace,
       CheckPublished(session, shadow, queries, nullptr, options,
                      where + " (coarse)", &result);
     }
-    fault::hold_replay.store(false);
+    fault::hold_replay.Release();
     if (!applied) continue;  // A reject is a no-op.
     session.DrainRefinements();
     CheckPublished(session, shadow, queries, &fups, options,
@@ -595,7 +596,9 @@ MutationStressReport RunMutationStress(const MutationStressOptions& options) {
   CaseGenOptions gen;
   gen.max_nodes = options.max_nodes;
   gen.num_queries = options.num_queries;
-  gen.allow_dtd = false;  // Keep graph build deterministic and fast here.
+  // Batches are drawn on the structural shapes only; with no batches the
+  // DTD-generated shapes join them.
+  gen.allow_dtd = options.mutation_batches == 0;
   GeneratedCase gcase = GenerateCase(rng, gen);
   report.shape = gcase.shape;
   Result<DataGraph> built = gcase.graph.Build();
@@ -609,8 +612,11 @@ MutationStressReport RunMutationStress(const MutationStressOptions& options) {
   }
   if (queries.empty()) return report;
 
+  obs::TraceRecorder tracer;  // Outlives the session that records into it.
   server::ConcurrentSessionOptions session_options;
   session_options.refine_after = options.refine_after;
+  session_options.refine_threads = options.refine_threads;
+  session_options.tracer = &tracer;
   server::ConcurrentSession session(g, session_options);
 
   std::atomic<bool> stop{false};
@@ -621,9 +627,8 @@ MutationStressReport RunMutationStress(const MutationStressOptions& options) {
   for (size_t t = 0; t < std::max<size_t>(1, options.threads); ++t) {
     readers.emplace_back([&, t] {
       uint64_t last_epoch = 0;
-      size_t i = t;
-      while (!stop.load(std::memory_order_relaxed)) {
-        const PathExpression& q = queries[i++ % queries.size()];
+      for (size_t r = 0; r < options.rounds || !stop.load(); ++r) {
+        const PathExpression& q = queries[(t + r) % queries.size()];
         const server::ConcurrentSession::VersionedAnswer a =
             session.QueryVersioned(q);
         queries_run.fetch_add(1, std::memory_order_relaxed);
@@ -656,14 +661,14 @@ MutationStressReport RunMutationStress(const MutationStressOptions& options) {
     // index (bounded, in case a sanitizer makes readers crawl). On graphs
     // this small an unforced replay closes that window in microseconds.
     const bool hold = b % 2 == 0;
-    if (hold) fault::hold_replay.store(true);
+    if (hold) fault::hold_replay.Arm();
     if (session.ApplyMutations(batch).ok()) ++report.mutations_applied;
     if (hold) {
       const uint64_t floor = queries_run.load() + readers.size();
       for (int spin = 0; spin < 200 && queries_run.load() < floor; ++spin) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
-      fault::hold_replay.store(false);
+      fault::hold_replay.Release();
       ++report.held_batches;
     }
   }
@@ -674,7 +679,11 @@ MutationStressReport RunMutationStress(const MutationStressOptions& options) {
   for (int spin = 0; spin < 2000 && queries_run.load() < floor; ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  stop.store(true, std::memory_order_relaxed);
+  // Readers now finish their floor of `rounds` queries, so this drain
+  // races the drain protocol against live readers and still ends: once
+  // they stop recording observations, the refiner catches up.
+  stop.store(true);
+  session.DrainRefinements();
   for (std::thread& t : readers) t.join();
   session.DrainRefinements();
 
@@ -682,17 +691,20 @@ MutationStressReport RunMutationStress(const MutationStressOptions& options) {
   report.mismatches = mismatches.load();
   report.epoch_regressions = epoch_regressions.load();
 
-  // Post-run: every query against ground truth on the final version.
+  // Post-run: every query against ground truth on the final version, on
+  // the observing and on the non-observing read path.
   std::shared_ptr<const DataGraph> final_graph = session.graph_snapshot();
   DataEvaluator oracle(*final_graph);
   for (const PathExpression& q : queries) {
-    if (session.Query(q).answer != oracle.Evaluate(q)) {
-      ++report.final_mismatches;
-    }
+    const std::vector<NodeId> want = oracle.Evaluate(q);
+    if (session.Query(q).answer != want) ++report.final_mismatches;
+    if (session.Peek(q).answer != want) ++report.final_mismatches;
   }
   for (const auto& shard : session.cache_shard_stats()) {
     report.stale_put_drops += shard.stale_drops;
   }
+  report.publications = session.index_publications();
+  report.trace_spans = tracer.size();
   return report;
 }
 

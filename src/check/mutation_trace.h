@@ -130,11 +130,17 @@ MutationCheckSummary RunMutationTraceCheck(const MutationCheckOptions& options);
 struct MutationStressOptions {
   uint64_t seed = 1;
   size_t threads = 4;        ///< Reader threads.
+  size_t rounds = 400;       ///< Queries each reader runs at least.
+  /// Batches the main thread applies; 0 leaves the readers alone with
+  /// the refiner.
   size_t mutation_batches = 40;
   size_t ops_per_batch = 3;
   size_t num_queries = 16;
   size_t max_nodes = 96;
   size_t refine_after = 2;   ///< Kept low so refinement races mutations.
+  /// The refiner's pool size; >1 runs pooled refinement and replay under
+  /// the same contention (results are identical either way).
+  size_t refine_threads = 1;
 };
 
 /// Outcome of one mutation stress run (designed for -DMRX_SANITIZE=thread).
@@ -150,6 +156,8 @@ struct MutationStressReport {
   uint64_t held_batches = 0;       ///< Batches applied with the refiner
                                    ///< held (fault::hold_replay) until the
                                    ///< readers ran on the coarse index.
+  uint64_t publications = 0;       ///< Index publications, all causes.
+  uint64_t trace_spans = 0;        ///< Spans the session's tracer kept.
 
   bool ok() const {
     return mismatches == 0 && epoch_regressions == 0 &&
@@ -163,8 +171,11 @@ struct MutationStressReport {
 /// coarse publish and the FUP replay, so readers are forced through that
 /// window. Every versioned answer is cross-checked against
 /// DataEvaluator ground truth on the snapshot that answered it; reader
-/// epochs must be monotone; after the run every query is re-checked on the
-/// final version.
+/// epochs must be monotone. A DrainRefinements() checkpoint runs while
+/// readers still query, and after the run every query's Query and Peek
+/// answers are re-checked on the final version. The session traces into
+/// a recorder of the harness's own, so the span path runs under the same
+/// contention. Designed to run under -DMRX_SANITIZE=thread.
 MutationStressReport RunMutationStress(const MutationStressOptions& options);
 
 }  // namespace mrx::check

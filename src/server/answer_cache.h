@@ -36,19 +36,17 @@ using CachedAnswerPtr = std::shared_ptr<const CachedAnswer>;
 
 /// \brief A thread-safe LRU cache of query answers, sharded by key hash.
 ///
-/// Both sessions memoize through it (the paper's §2 reading of APEX: "an
-/// efficiently organized cache of answers to FUPs"); the serial
-/// AdaptiveIndexSession uses a single shard. Each shard is an
+/// ConcurrentSession memoizes through it (the paper's §2 reading of APEX:
+/// "an efficiently organized cache of answers to FUPs"). Each shard is an
 /// independently locked LruCache, so workers hitting different shards
 /// never contend; the total capacity is split evenly across shards.
 ///
 /// Entries are tagged with the *generation* they were computed under: an
 /// owner-chosen number that changes exactly when cached answers may stop
 /// being right. ConcurrentSession uses the graph version, so only a
-/// mutation invalidates; the serial session, which never mutates, counts
-/// its refinements. Invalidate(g) clears the cache and makes g current; a
-/// racing insert that started under an older generation is rejected by
-/// Put, and Get(key, g) refuses an entry from another generation than the
+/// mutation invalidates. Invalidate(g) clears the cache and makes g
+/// current; a racing insert that started under an older generation is
+/// rejected by Put, and Get(key, g) refuses an entry from another generation than the
 /// reader's, so a reader never sees an answer computed on a different
 /// graph than its own (after a mutation, such an answer can be wrong).
 class ShardedAnswerCache {

@@ -1,6 +1,5 @@
 #include "server/concurrent_session.h"
 
-#include <chrono>
 #include <utility>
 
 #include "obs/flight_recorder.h"
@@ -64,10 +63,11 @@ ConcurrentSession::ConcurrentSession(const DataGraph& graph,
 
 ConcurrentSession::~ConcurrentSession() {
   // The refiner returns at its next check of stop_: an owed replay or a
-  // pending refinement would publish to nobody.
+  // pending refinement would publish to nobody. A refiner held on the
+  // pause point waits there, so Stop wakes it too.
   {
     std::lock_guard<std::mutex> lock(inbox_mu_);
-    stop_ = true;
+    fault::hold_replay.Stop(stop_);
   }
   inbox_cv_.notify_all();
   refiner_.join();
@@ -258,19 +258,7 @@ ConcurrentSession::VersionedAnswer ConcurrentSession::QueryInternal(
     d->answer_epoch = answer.epoch;
     d->cache_hit = false;
     d->precise = result.precise;
-    d->strategy = StrategyName(used);
-    d->estimated_cost = est_cost;
-    for (const StrategyCandidate& c :
-         snapshot->chooser().ExplainChoice(query)) {
-      obs::QueryDiag::Candidate row;
-      row.strategy = StrategyName(c.strategy);
-      row.estimated_cost = c.estimated_cost;
-      row.eligible = c.eligible;
-      // Fixed-strategy sessions override the chooser: flag what actually
-      // ran, keeping the chooser's estimates as the comparison column.
-      row.chosen = c.strategy == used;
-      d->considered.push_back(row);
-    }
+    ExplainStrategy(snapshot->chooser(), query, used, d);
     d->index_nodes_visited = result.stats.index_nodes_visited;
     d->data_nodes_validated = result.stats.data_nodes_validated;
     d->SetCost(cost);
@@ -425,10 +413,13 @@ void ConcurrentSession::RefineLoop() {
       std::unique_lock<std::mutex> lock(inbox_mu_);
       for (;;) {
         if (stop_) return;
-        if (replay_owed_ && fault::hold_replay.load()) {
-          // Held by the test-only pause point, which signals nothing when
-          // it is cleared: poll it.
-          inbox_cv_.wait_for(lock, std::chrono::milliseconds(1));
+        if (replay_owed_ && fault::hold_replay.armed()) {
+          // Held by the test-only pause point until its release (or this
+          // session's destruction) wakes it; readers keep recording
+          // observations meanwhile.
+          lock.unlock();
+          fault::hold_replay.Wait(stop_);
+          lock.lock();
         } else if (replay_owed_ || !inbox_.empty()) {
           break;
         } else {
@@ -452,7 +443,7 @@ void ConcurrentSession::RefineLoop() {
       // A mutation may have landed while this thread waited for the lock;
       // the pause point holds its replay too.
       owed = replay_owed_;
-      replay = owed && !fault::hold_replay.load();
+      replay = owed && !fault::hold_replay.armed();
     }
     const uint64_t batch_start = obs::MonotonicNowNs();
     obs::StallWatchdog::ScopedActivity watch(refine_activity_, batch_start);

@@ -10,7 +10,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/session.h"
+#include "core/strategy.h"
 #include "index/strategy_chooser.h"
 #include "mutate/mutable_graph.h"
 #include "mutate/mutation.h"
@@ -26,14 +26,53 @@
 
 namespace mrx::fault {
 
-/// Test-only pause point for the publish-first window: while true, a
-/// ConcurrentSession refiner that owes a FUP replay (a mutation has
-/// published its coarse index) holds still — it neither replays nor drains
-/// its inbox — so readers stay on the coarse index for as long as the
-/// flag is set. Clearing it releases the refiner within a millisecond;
-/// destroying the session releases it at once, without the replay. Tests
-/// and `mrx check --mode mutate-stress` set it; never set it elsewhere.
-inline std::atomic<bool> hold_replay{false};
+/// \brief A test-only pause point: an armed flag that a thread can wait
+/// on, and whose release wakes the waiter at once.
+class PausePoint {
+ public:
+  void Arm() { armed_.store(true, std::memory_order_relaxed); }
+
+  /// Disarms the point and wakes every thread held on it.
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      armed_.store(false, std::memory_order_relaxed);
+    }
+    cv_.notify_all();
+  }
+
+  /// One relaxed load: all a disarmed point costs the code it guards.
+  bool armed() const { return armed_.load(std::memory_order_relaxed); }
+
+  /// Blocks while armed, until Release() or until Stop(stop).
+  void Wait(const std::atomic<bool>& stop) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return !armed() || stop.load(); });
+  }
+
+  /// Sets `stop` under the point's mutex and wakes every held thread, so
+  /// one blocked in Wait(stop) returns.
+  void Stop(std::atomic<bool>& stop) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop.store(true);
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::atomic<bool> armed_{false};
+  std::mutex mu_;
+  std::condition_variable cv_;
+};
+
+/// The publish-first window's pause point: while armed, a ConcurrentSession
+/// refiner that owes a FUP replay (a mutation has published its coarse
+/// index) holds still — it neither replays nor drains its inbox — so
+/// readers stay on the coarse index until Release(). Destroying the session
+/// releases its refiner at once, without the replay. Tests and `mrx check
+/// --mode mutate|mutate-stress` arm it; never arm it elsewhere.
+inline PausePoint hold_replay;
 
 }  // namespace mrx::fault
 
@@ -42,7 +81,7 @@ namespace mrx::server {
 /// Options for ConcurrentSession.
 struct ConcurrentSessionOptions {
   /// Observations before a query becomes a FUP and triggers background
-  /// refinement (the serial session's refine_after).
+  /// refinement.
   size_t refine_after = 2;
 
   /// Evaluation strategy; kAuto uses a StrategyChooser rebuilt at each
@@ -92,8 +131,16 @@ struct ConcurrentSessionOptions {
   obs::StallWatchdog* watchdog = nullptr;
 };
 
-/// \brief The paper's Figure 5 closed loop as a *concurrent* service: the
-/// thread-safe counterpart of AdaptiveIndexSession.
+/// \brief The paper's Figure 5 closed loop — query processor, FUP
+/// processor, refine processor — as a concurrent service. It is the
+/// library's one implementation of that loop: QueryServer, `mrx diag`,
+/// perfbench and `mrx check` all serve through it.
+///
+///   1. initialize the index with k = 0 everywhere (A(0));
+///   2. answer incoming queries on the index, validating when imprecise;
+///   3. extract FUPs from the query stream;
+///   4. refine the index to support each new FUP;
+///   5. repeat.
 ///
 /// Threading model (see docs/SERVER.md for the full protocol):
 ///  - Any number of reader threads call Query()/Peek() concurrently. Each
@@ -129,9 +176,10 @@ struct ConcurrentSessionOptions {
 ///    cache — refinement changes no answer — and a hit on an entry from
 ///    another index epoch returns no target ids.
 ///
-/// Answers are always exact for the snapshot they were computed on (as in
-/// the serial session): under-refined index nodes are validated against
-/// that snapshot's data graph.
+/// Answers are always exact for the snapshot they were computed on:
+/// under-refined index nodes are validated against that snapshot's data
+/// graph. A caller that wants the refined index now (not just exact
+/// answers) calls DrainRefinements() and reads index_snapshot().
 class ConcurrentSession {
  public:
   /// What one ApplyMutations call did.
@@ -235,8 +283,8 @@ class ConcurrentSession {
   size_t cache_entries() const { return cache_.size(); }
 
   /// Per-shard answer-cache telemetry (hits/misses/evictions/stale drops);
-  /// the check_stress harness sums stale_drops to prove the epoch guard
-  /// fired rather than silently admitting stale entries.
+  /// `mrx check --mode mutate-stress` sums stale_drops to show the
+  /// version guard fired rather than silently admitting stale entries.
   std::vector<ShardedAnswerCache::ShardStats> cache_shard_stats() const {
     return cache_.PerShardStats();
   }
@@ -352,7 +400,9 @@ class ConcurrentSession {
   /// the FUPs over it yet. Set by ApplyMutations and cleared by the
   /// refiner's replay, both under refine_mu_ as well.
   bool replay_owed_ = false;
-  bool stop_ = false;
+  /// Set under inbox_mu_ and fault::hold_replay's mutex, so a refiner
+  /// waiting on either sees it.
+  std::atomic<bool> stop_{false};
 
   // --- Writer state (refiner thread and mutators) ------------------------
   /// Serializes every publication: the refiner's drain-refine-publish

@@ -1,14 +1,16 @@
 #include "tools/cli.h"
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "check/checker.h"
 #include "check/mrxcase.h"
 #include "check/mutation_trace.h"
-#include "check/stress.h"
 #include "datagen/nasa.h"
 #include "datagen/xmark.h"
 #include "graph/statistics.h"
@@ -85,7 +87,7 @@ commands:
                                       in memory; scale-tier sizes OK);
                                       --nodes targets a node count directly
   workload <graph> [--count N] [--max-length L] [--seed N]
-  check [--mode diff|stress|mutate|mutate-stress] [--seed N] [--cases M]
+  check [--mode diff|mutate|mutate-stress] [--seed N] [--cases M]
         [--queries N] [--max-nodes N] [--out DIR] [--max-failures N]
         [--fault on] [--threads N] [--rounds N] [--refine-threads N]
         [--steps N] [--ops N] [--batches N]
@@ -97,7 +99,13 @@ commands:
                                         traces through the serving
                                         writer; mutate-stress hammers a
                                         live session with concurrent
-                                        readers + mutations
+                                        readers (at least --rounds queries
+                                        each) while --batches mutation
+                                        batches land (0: readers and the
+                                        refiner only)
+
+numeric flags take non-negative decimal values; thread counts are at most
+256.
 
 graphs are detected by suffix: .xml (parsed) or .mrxg (binary).
 )";
@@ -127,11 +135,51 @@ Result<DataGraph> LoadGraph(const std::string& path) {
   return xml::BuildGraphFromXml(bytes);
 }
 
+/// Upper bound on every thread-count flag: far above the cores a run can
+/// use, far below the count that exhausts a process's threads.
+constexpr size_t kMaxThreads = 256;
+
+/// Bounds on the fractional flags, so the integer sizes and nanosecond
+/// counts computed from them stay in range.
+constexpr double kMaxScale = 1e6;
+constexpr double kMaxSlowQueryMs = 1e9;
+
 /// Parses "--key value" style options out of `args` from `begin` on;
 /// returns positional arguments. Unknown keys are an error via `err`.
 struct Options {
   std::vector<std::string> positional;
   std::vector<std::pair<std::string, std::string>> flags;
+  /// The first bad value Number() met, as a usage message; empty if none.
+  mutable std::string bad_number;
+
+  /// The numeric flag `key`, or `fallback` when it is absent. An empty
+  /// value, trailing junk, a sign or a value above `max` yields `fallback`
+  /// and records a message naming the flag in bad_number; a command
+  /// checks that with BadNumber() before it acts on any value.
+  template <typename T>
+  T Number(const std::string& key, T fallback,
+           T max = std::numeric_limits<T>::max()) const {
+    const auto it = std::find_if(flags.begin(), flags.end(),
+                                 [&](const auto& f) { return f.first == key; });
+    if (it == flags.end()) return fallback;
+    const std::string& text = it->second;
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    // !(value >= 0) also rejects NaN; max rejects infinity.
+    if (text.empty() || ec != std::errc() || ptr != end ||
+        !(value >= T{0}) || value > max) {
+      if (bad_number.empty()) {
+        std::ostringstream message;
+        message << "--" << key << " takes a non-negative number";
+        if (max != std::numeric_limits<T>::max()) message << " up to " << max;
+        message << ", got '" << text << "'";
+        bad_number = message.str();
+      }
+      return fallback;
+    }
+    return value;
+  }
 
   std::string Flag(const std::string& key,
                    const std::string& fallback = "") const {
@@ -180,6 +228,14 @@ Result<Options> ParseOptions(const std::vector<std::string>& args,
 int Fail(std::ostream& err, const Status& status) {
   err << "error: " << status << "\n";
   return 1;
+}
+
+/// True, after printing the message, when a Number() call met a bad
+/// value: the command then exits 2 without acting on it.
+bool BadNumber(const Options& options, std::ostream& err) {
+  if (options.bad_number.empty()) return false;
+  err << "error: " << options.bad_number << "\n";
+  return true;
 }
 
 int CmdStats(const Options& options, std::ostream& out, std::ostream& err) {
@@ -246,11 +302,11 @@ int CmdIndexBuild(const Options& options, std::ostream& out,
     err << "usage: mrx index build <graph> <out.mrxs> --fup <expr> ...\n";
     return 2;
   }
+  const size_t threads = options.Number<size_t>("threads", 1, kMaxThreads);
+  if (BadNumber(options, err)) return 2;
   Result<DataGraph> g = LoadGraph(options.positional[0]);
   if (!g.ok()) return Fail(err, g.status());
   MStarIndex index(*g);
-  const size_t threads =
-      static_cast<size_t>(std::atoll(options.Flag("threads", "1").c_str()));
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) {
     pool = std::make_unique<ThreadPool>(threads);
@@ -312,16 +368,7 @@ QueryResult RunExplained(const MStarIndex& index,
   const uint64_t eval_ns = obs::MonotonicNowNs() - start_ns;
   diag->query = query.ToString(g.symbols());
   diag->precise = result.precise;
-  diag->strategy = StrategyName(strategy);
-  diag->estimated_cost = chooser.EstimateCost(query, strategy);
-  for (const StrategyCandidate& c : chooser.ExplainChoice(query)) {
-    obs::QueryDiag::Candidate row;
-    row.strategy = StrategyName(c.strategy);
-    row.estimated_cost = c.estimated_cost;
-    row.eligible = c.eligible;
-    row.chosen = c.strategy == strategy;
-    diag->considered.push_back(row);
-  }
+  ExplainStrategy(chooser, query, strategy, diag);
   diag->index_nodes_visited = result.stats.index_nodes_visited;
   diag->data_nodes_validated = result.stats.data_nodes_validated;
   diag->SetCost(cost);
@@ -479,27 +526,23 @@ int CmdDiag(const Options& options, std::ostream& out, std::ostream& err) {
         << " (expected on or off)\n";
     return 2;
   }
+  const size_t total_queries = options.Number<size_t>("queries", 400);
+  const double slow_ms =
+      options.Number<double>("slow-query-ms", 0, kMaxSlowQueryMs);
+  const uint64_t watchdog_ms = options.Number<uint64_t>("watchdog-ms", 5000);
+  const size_t last_n = options.Number<size_t>("last", 0);
+  const std::string out_dir = options.Flag("out", "mrx-diag");
+  WorkloadOptions wo;
+  wo.num_queries = options.Number<size_t>("count", 40);
+  wo.max_query_length = 9;
+  wo.seed = options.Number<uint64_t>("seed", 1);
+  if (BadNumber(options, err)) return 2;
   Result<DataGraph> g = LoadGraph(options.positional[0]);
   if (!g.ok()) return Fail(err, g.status());
-
-  const size_t total_queries = static_cast<size_t>(
-      std::atoll(options.Flag("queries", "400").c_str()));
-  const double slow_ms = std::atof(options.Flag("slow-query-ms", "0").c_str());
-  const uint64_t watchdog_ms = static_cast<uint64_t>(
-      std::atoll(options.Flag("watchdog-ms", "5000").c_str()));
-  const size_t last_n =
-      static_cast<size_t>(std::atoll(options.Flag("last", "0").c_str()));
-  const std::string out_dir = options.Flag("out", "mrx-diag");
 
   LabelPathEnumerationOptions eo;
   eo.max_length = 9;
   LabelPathSet paths = EnumerateLabelPaths(*g, eo);
-  WorkloadOptions wo;
-  wo.num_queries =
-      static_cast<size_t>(std::atoll(options.Flag("count", "40").c_str()));
-  wo.max_query_length = 9;
-  wo.seed =
-      static_cast<uint64_t>(std::atoll(options.Flag("seed", "1").c_str()));
   std::vector<PathExpression> workload = GenerateWorkload(paths, wo);
   if (workload.empty()) {
     err << "error: graph yields an empty workload\n";
@@ -624,11 +667,10 @@ int CmdGenerate(const Options& options, std::ostream& out,
   }
   const std::string& dataset = options.positional[0];
   const std::string& out_path = options.positional[1];
-  const double scale = std::atof(options.Flag("scale", "0.1").c_str());
-  const uint64_t seed =
-      static_cast<uint64_t>(std::atoll(options.Flag("seed", "7").c_str()));
-  const size_t nodes =
-      static_cast<size_t>(std::atoll(options.Flag("nodes", "0").c_str()));
+  const double scale = options.Number<double>("scale", 0.1, kMaxScale);
+  const uint64_t seed = options.Number<uint64_t>("seed", 7);
+  const size_t nodes = options.Number<size_t>("nodes", 0);
+  if (BadNumber(options, err)) return 2;
 
   if (EndsWith(out_path, ".mrxg")) {
     // Streamed direct-to-graph path: the serialized document never exists,
@@ -684,18 +726,16 @@ int CmdWorkload(const Options& options, std::ostream& out,
            "[--seed N]\n";
     return 2;
   }
+  WorkloadOptions wo;
+  wo.num_queries = options.Number<size_t>("count", 20);
+  wo.max_query_length = options.Number<size_t>("max-length", 9);
+  wo.seed = options.Number<uint64_t>("seed", 1);
+  if (BadNumber(options, err)) return 2;
   Result<DataGraph> g = LoadGraph(options.positional[0]);
   if (!g.ok()) return Fail(err, g.status());
   LabelPathEnumerationOptions eo;
   eo.max_length = 9;
   LabelPathSet paths = EnumerateLabelPaths(*g, eo);
-  WorkloadOptions wo;
-  wo.num_queries =
-      static_cast<size_t>(std::atoll(options.Flag("count", "20").c_str()));
-  wo.max_query_length = static_cast<size_t>(
-      std::atoll(options.Flag("max-length", "9").c_str()));
-  wo.seed =
-      static_cast<uint64_t>(std::atoll(options.Flag("seed", "1").c_str()));
   for (const PathExpression& q : GenerateWorkload(paths, wo)) {
     out << q.ToString(g->symbols()) << "\n";
   }
@@ -740,52 +780,18 @@ int CmdCheck(const Options& options, std::ostream& out, std::ostream& err) {
   }
 
   const std::string mode = options.Flag("mode", "diff");
-  if (mode == "stress") {
-    check::StressOptions so;
-    so.seed =
-        static_cast<uint64_t>(std::atoll(options.Flag("seed", "1").c_str()));
-    so.threads = static_cast<size_t>(
-        std::atoll(options.Flag("threads", "4").c_str()));
-    so.rounds = static_cast<size_t>(
-        std::atoll(options.Flag("rounds", "400").c_str()));
-    so.num_queries = static_cast<size_t>(
-        std::atoll(options.Flag("queries", "32").c_str()));
-    so.max_nodes = static_cast<size_t>(
-        std::atoll(options.Flag("max-nodes", "96").c_str()));
-    so.refine_threads = static_cast<size_t>(
-        std::atoll(options.Flag("refine-threads", "1").c_str()));
-    obs::TraceRecorder tracer;
-    so.tracer = &tracer;
-    const check::StressReport report = check::RunStressCheck(so);
-    out << "stress: shape=" << report.shape << " queries="
-        << report.queries_run << " mismatches=" << report.mismatches
-        << " epoch_regressions=" << report.epoch_regressions
-        << " final_mismatches=" << report.final_mismatches << "\n"
-        << "stress: publications=" << report.publications
-        << " refinements=" << report.refinements << " stale_put_drops="
-        << report.stale_put_drops << " trace_spans=" << tracer.size()
-        << "\n";
-    out << (report.ok() ? "OK\n" : "FAILED\n");
-    return report.ok() ? 0 : 1;
-  }
   if (mode == "mutate") {
     check::MutationCheckOptions mo;
-    mo.seed =
-        static_cast<uint64_t>(std::atoll(options.Flag("seed", "1").c_str()));
-    mo.num_traces = static_cast<size_t>(
-        std::atoll(options.Flag("cases", "200").c_str()));
-    mo.trace.num_steps = static_cast<size_t>(
-        std::atoll(options.Flag("steps", "6").c_str()));
-    mo.trace.ops_per_batch =
-        static_cast<size_t>(std::atoll(options.Flag("ops", "3").c_str()));
-    mo.trace.gen.num_queries = static_cast<size_t>(
-        std::atoll(options.Flag("queries", "6").c_str()));
-    mo.trace.gen.max_nodes = static_cast<size_t>(
-        std::atoll(options.Flag("max-nodes", "48").c_str()));
+    mo.seed = options.Number<uint64_t>("seed", 1);
+    mo.num_traces = options.Number<size_t>("cases", 200);
+    mo.trace.num_steps = options.Number<size_t>("steps", 6);
+    mo.trace.ops_per_batch = options.Number<size_t>("ops", 3);
+    mo.trace.gen.num_queries = options.Number<size_t>("queries", 6);
+    mo.trace.gen.max_nodes = options.Number<size_t>("max-nodes", 48);
     mo.out_dir = options.Flag("out");
-    mo.max_failures = static_cast<size_t>(
-        std::atoll(options.Flag("max-failures", "8").c_str()));
+    mo.max_failures = options.Number<size_t>("max-failures", 8);
     mo.log = &out;
+    if (BadNumber(options, err)) return 2;
     const check::MutationCheckSummary summary =
         check::RunMutationTraceCheck(mo);
     out << "mutate: " << summary.traces << " traces, "
@@ -803,49 +809,45 @@ int CmdCheck(const Options& options, std::ostream& out, std::ostream& err) {
   }
   if (mode == "mutate-stress") {
     check::MutationStressOptions so;
-    so.seed =
-        static_cast<uint64_t>(std::atoll(options.Flag("seed", "1").c_str()));
-    so.threads = static_cast<size_t>(
-        std::atoll(options.Flag("threads", "4").c_str()));
-    so.mutation_batches = static_cast<size_t>(
-        std::atoll(options.Flag("batches", "40").c_str()));
-    so.ops_per_batch =
-        static_cast<size_t>(std::atoll(options.Flag("ops", "3").c_str()));
-    so.num_queries = static_cast<size_t>(
-        std::atoll(options.Flag("queries", "16").c_str()));
-    so.max_nodes = static_cast<size_t>(
-        std::atoll(options.Flag("max-nodes", "96").c_str()));
+    so.seed = options.Number<uint64_t>("seed", 1);
+    so.threads = options.Number<size_t>("threads", 4, kMaxThreads);
+    so.rounds = options.Number<size_t>("rounds", 400);
+    so.mutation_batches = options.Number<size_t>("batches", 40);
+    so.ops_per_batch = options.Number<size_t>("ops", 3);
+    so.num_queries = options.Number<size_t>("queries", 16);
+    so.max_nodes = options.Number<size_t>("max-nodes", 96);
+    so.refine_threads =
+        options.Number<size_t>("refine-threads", 1, kMaxThreads);
+    if (BadNumber(options, err)) return 2;
     const check::MutationStressReport report = check::RunMutationStress(so);
     out << "mutate-stress: shape=" << report.shape << " queries="
         << report.queries_run << " mutations=" << report.mutations_applied
         << " mismatches=" << report.mismatches << " epoch_regressions="
         << report.epoch_regressions << " final_mismatches="
-        << report.final_mismatches << " stale_put_drops="
-        << report.stale_put_drops << " held_batches=" << report.held_batches
-        << "\n";
+        << report.final_mismatches << "\n"
+        << "mutate-stress: stale_put_drops=" << report.stale_put_drops
+        << " held_batches=" << report.held_batches
+        << " publications=" << report.publications
+        << " trace_spans=" << report.trace_spans << "\n";
     out << (report.ok() ? "OK\n" : "FAILED\n");
     return report.ok() ? 0 : 1;
   }
   if (mode != "diff") {
     err << "unknown check mode: " << mode
-        << " (expected diff, stress, mutate, or mutate-stress)\n";
+        << " (expected diff, mutate, or mutate-stress)\n";
     return 2;
   }
 
   check::CheckOptions co;
-  co.seed =
-      static_cast<uint64_t>(std::atoll(options.Flag("seed", "1").c_str()));
-  co.num_cases = static_cast<size_t>(
-      std::atoll(options.Flag("cases", "100").c_str()));
-  co.gen.num_queries = static_cast<size_t>(
-      std::atoll(options.Flag("queries", "6").c_str()));
-  co.gen.max_nodes = static_cast<size_t>(
-      std::atoll(options.Flag("max-nodes", "48").c_str()));
+  co.seed = options.Number<uint64_t>("seed", 1);
+  co.num_cases = options.Number<size_t>("cases", 100);
+  co.gen.num_queries = options.Number<size_t>("queries", 6);
+  co.gen.max_nodes = options.Number<size_t>("max-nodes", 48);
   co.out_dir = options.Flag("out");
-  co.max_failures = static_cast<size_t>(
-      std::atoll(options.Flag("max-failures", "8").c_str()));
+  co.max_failures = options.Number<size_t>("max-failures", 8);
   co.inject_extent_drop = fault;
   co.log = &out;
+  if (BadNumber(options, err)) return 2;
   const check::CheckSummary summary = check::RunCheck(co);
   out << "check: " << summary.cases << " cases, " << summary.queries
       << " queries, " << summary.checks << " oracle checks\n"

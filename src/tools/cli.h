@@ -33,14 +33,20 @@ namespace mrx::tools {
 ///                                           queries, span trace,
 ///                                           Prometheus/JSONL expositions,
 ///                                           diag.json) into DIR
-///   check [--mode diff|stress] [--seed N] [--cases M] [--out DIR]
-///         [--fault on] [--threads N] [--rounds N] [--replay f.mrxcase]
+///   check [--mode diff|mutate|mutate-stress] [--seed N] [--cases M]
+///         [--out DIR] [--fault on] [--threads N] [--rounds N]
+///         [--batches N] [--replay f.mrxcase|f.mrxtrace]
 ///                                           differential correctness
 ///                                           harness (docs/TESTING.md):
 ///                                           randomized oracle cross-checks
-///                                           + invariant audits (diff) or a
-///                                           concurrent-session hammer
-///                                           (stress); exit 1 on failure
+///                                           + invariant audits (diff),
+///                                           mutation-trace replay (mutate)
+///                                           or a concurrent-session hammer
+///                                           (mutate-stress); exit 1 on
+///                                           failure
+///
+/// A numeric flag with an empty, signed, non-numeric or out-of-range value
+/// (thread counts are bounded) is a usage error: exit 2, naming the flag.
 ///
 /// Returns a process exit code; all human output goes to `out`, errors to
 /// `err`. File formats are detected by suffix (.xml / .mrxg / .mrxs).

@@ -10,7 +10,6 @@
 #include "check/mrxcase.h"
 #include "check/oracle.h"
 #include "check/shrinker.h"
-#include "check/stress.h"
 #include "index/a_k_index.h"
 #include "index/evaluator.h"
 #include "tests/test_util.h"
@@ -274,19 +273,6 @@ TEST(CheckerTest, WritesReplayableMrxcaseFiles) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(StressTest, SmokeRunsCleanAgainstGroundTruth) {
-  StressOptions options;
-  options.seed = 5;
-  options.threads = 3;
-  options.rounds = 100;
-  StressReport report = RunStressCheck(options);
-  EXPECT_TRUE(report.ok())
-      << "mismatches=" << report.mismatches
-      << " epoch_regressions=" << report.epoch_regressions
-      << " final=" << report.final_mismatches;
-  EXPECT_EQ(report.queries_run, 300u);
-}
-
 TEST(CheckCliTest, CheckVerbExitCodes) {
   std::ostringstream out, err;
   EXPECT_EQ(tools::RunCli({"check", "--cases", "20"}, out, err), 0)
@@ -302,6 +288,11 @@ TEST(CheckCliTest, CheckVerbExitCodes) {
 
   std::ostringstream out3, err3;
   EXPECT_EQ(tools::RunCli({"check", "--mode", "bogus"}, out3, err3), 2);
+
+  // The writer-less stress mode is `--mode mutate-stress --batches 0`.
+  std::ostringstream out4, err4;
+  EXPECT_EQ(tools::RunCli({"check", "--mode", "stress"}, out4, err4), 2);
+  EXPECT_NE(err4.str().find("unknown check mode"), std::string::npos);
 }
 
 }  // namespace

@@ -239,6 +239,35 @@ TEST(CliTest, MissingFlagValueFails) {
   std::remove(path.c_str());
 }
 
+TEST(CliTest, BadNumericFlagsExitTwoNamingTheFlag) {
+  // Numbers are checked before a command opens a file or starts a thread,
+  // so none of these runs does either.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> runs =
+      {{{"index", "build", "no.xml", "no.mrxs", "--threads", "-1"},
+        "--threads"},
+       {{"index", "build", "no.xml", "no.mrxs", "--threads", "100000"},
+        "--threads"},
+       {{"check", "--mode", "mutate-stress", "--threads", "-1"}, "--threads"},
+       {{"check", "--mode", "mutate-stress", "--refine-threads", "257"},
+        "--refine-threads"},
+       {{"check", "--mode", "mutate-stress", "--rounds", "1e3"}, "--rounds"},
+       {{"check", "--cases", "abc"}, "--cases"},
+       {{"check", "--mode", "mutate", "--cases", "12x"}, "--cases"},
+       {{"check", "--max-nodes", ""}, "--max-nodes"},
+       {{"check", "--seed", "99999999999999999999999"}, "--seed"},
+       {{"workload", "no.xml", "--count", "-3"}, "--count"},
+       {{"generate", "xmark", "no.xml", "--scale", "nan"}, "--scale"},
+       {{"generate", "xmark", "no.xml", "--scale", "1e7"}, "--scale"},
+       {{"diag", "no.xml", "--slow-query-ms", "-0.5"}, "--slow-query-ms"},
+       {{"diag", "no.xml", "--slow-query-ms", "1e300"}, "--slow-query-ms"}};
+  for (const auto& [args, flag] : runs) {
+    CliRun r = RunTool(args);
+    EXPECT_EQ(r.code, 2) << flag << ": " << r.err;
+    EXPECT_NE(r.err.find(flag), std::string::npos) << r.err;
+    EXPECT_TRUE(r.out.empty()) << r.out;
+  }
+}
+
 // --- Query diagnostics verbs (ISSUE 7) -------------------------------------
 
 TEST(CliTest, QueryExplainPrintsEstimateNextToActuals) {

@@ -255,13 +255,13 @@ TEST(ConcurrentMutationTest, PooledWriterRacesReaders) {
   }
 }
 
-/// Sets fault::hold_replay for its scope, so a failing assertion cannot
+/// Arms fault::hold_replay for its scope, so a failing assertion cannot
 /// leave the refiner held for the tests that follow.
 class ReplayHold {
  public:
-  ReplayHold() { fault::hold_replay.store(true); }
+  ReplayHold() { fault::hold_replay.Arm(); }
   ~ReplayHold() { Release(); }
-  void Release() { fault::hold_replay.store(false); }
+  void Release() { fault::hold_replay.Release(); }
 };
 
 TEST(ConcurrentMutationTest, CoarseIndexServesTheWindowBeforeTheReplay) {

@@ -1,7 +1,7 @@
 // Tests for server::ConcurrentSession: N threads replaying the same
 // workload stream must produce answers byte-identical to a serial
-// AdaptiveIndexSession replay (answers are exact regardless of how far
-// background refinement has progressed), and the publication protocol
+// DataEvaluator pass over the stream (answers are exact regardless of how
+// far background refinement has progressed), and the publication protocol
 // (drain, epoch bump, cache invalidation, inbox shedding) must behave
 // deterministically. The multi-threaded tests avoid sleeps and use
 // DrainRefinements() for checkpoints, so they are ThreadSanitizer-friendly.
@@ -48,14 +48,12 @@ TEST(ConcurrentSessionTest, AnswersMatchSerialReplay) {
   DataGraph g = MakeFigure1Graph();
   std::vector<PathExpression> workload = Figure1Workload(g);
 
-  // Serial ground truth: one AdaptiveIndexSession replay of the stream.
-  SessionOptions serial_options;
-  serial_options.refine_after = 2;
-  AdaptiveIndexSession serial(g, serial_options);
+  // Serial ground truth: the data-graph evaluation of every query.
+  DataEvaluator truth(g);
   std::vector<std::vector<NodeId>> expected;
   expected.reserve(workload.size());
   for (const PathExpression& q : workload) {
-    expected.push_back(serial.Query(q).answer);
+    expected.push_back(truth.Evaluate(q));
   }
 
   for (auto strategy : {SessionOptions::Strategy::kTopDown,

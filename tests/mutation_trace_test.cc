@@ -159,5 +159,22 @@ TEST(MutationTraceTest, StressRunStaysExact) {
   EXPECT_GT(report.queries_run, 0u);
 }
 
+TEST(MutationTraceTest, StressWithoutBatchesRacesReadersAndThePooledRefiner) {
+  MutationStressOptions options;
+  options.seed = 5;
+  options.threads = 3;
+  options.rounds = 100;
+  options.mutation_batches = 0;
+  options.refine_threads = 2;
+  const MutationStressReport report = RunMutationStress(options);
+  EXPECT_TRUE(report.ok()) << "mismatches=" << report.mismatches
+                           << " epoch_regressions=" << report.epoch_regressions
+                           << " final=" << report.final_mismatches;
+  EXPECT_GE(report.queries_run, options.threads * options.rounds);
+  EXPECT_EQ(report.mutations_applied, 0u);
+  EXPECT_EQ(report.held_batches, 0u);
+  EXPECT_GT(report.trace_spans, 0u);
+}
+
 }  // namespace
 }  // namespace mrx::check

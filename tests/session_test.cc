@@ -62,45 +62,58 @@ TEST(FupExtractorTest, MinFrequencyOneRefinesImmediately) {
   EXPECT_TRUE(extractor.Observe(Q(g, "//r/a/b")));
 }
 
+// SessionTest drives the whole Figure 5 loop (server::ConcurrentSession)
+// one query at a time, with DrainRefinements() as the point where the
+// refiner has caught up. The answer cache is off where a test reads the
+// evaluated answer's precision or cost: a refinement publish keeps cached
+// answers, precision flag included.
+
+using server::ConcurrentSession;
+using server::ConcurrentSessionOptions;
+
+size_t PublishedComponents(const ConcurrentSession& session) {
+  return session.index_snapshot()->num_components();
+}
+
 TEST(SessionTest, RefinesAfterThresholdAndBecomesPrecise) {
   DataGraph g = MakeFigure3Graph();
-  SessionOptions options;
+  ConcurrentSessionOptions options;
   options.refine_after = 2;
-  AdaptiveIndexSession session(g, options);
+  options.cache_results = false;
+  ConcurrentSession session(g, options);
   PathExpression p = Q(g, "//r/a/b");
 
   QueryResult first = session.Query(p);
   EXPECT_FALSE(first.precise);  // Still the A(0) index.
   EXPECT_EQ(first.answer, (std::vector<NodeId>{4}));
-  EXPECT_EQ(session.index().num_components(), 1u);
+  session.DrainRefinements();
+  EXPECT_EQ(PublishedComponents(session), 1u);
 
-  QueryResult second = session.Query(p);  // Promotion happens here.
-  EXPECT_TRUE(second.precise);
-  EXPECT_EQ(second.answer, (std::vector<NodeId>{4}));
-  EXPECT_EQ(session.index().num_components(), 3u);
-  EXPECT_EQ(session.queries_answered(), 2u);
+  // The second observation promotes p; the refiner refines and publishes.
+  EXPECT_EQ(session.Query(p).answer, (std::vector<NodeId>{4}));
+  session.DrainRefinements();
+  EXPECT_EQ(PublishedComponents(session), 3u);
+  QueryResult third = session.Query(p);
+  EXPECT_TRUE(third.precise);
+  EXPECT_EQ(third.answer, (std::vector<NodeId>{4}));
+  EXPECT_EQ(session.queries_answered(), 3u);
   EXPECT_GT(session.cumulative_stats().total(), 0u);
 }
 
 TEST(SessionTest, PeekDoesNotObserve) {
   DataGraph g = MakeFigure3Graph();
-  SessionOptions options;
+  ConcurrentSessionOptions options;
   options.refine_after = 1;
-  AdaptiveIndexSession session(g, options);
+  ConcurrentSession session(g, options);
   PathExpression p = Q(g, "//r/a/b");
   session.Peek(p);
   session.Peek(p);
-  EXPECT_EQ(session.index().num_components(), 1u);
+  session.DrainRefinements();
+  EXPECT_EQ(PublishedComponents(session), 1u);
   EXPECT_EQ(session.queries_answered(), 0u);
   session.Query(p);
-  EXPECT_EQ(session.index().num_components(), 3u);
-}
-
-TEST(SessionTest, ManualRefine) {
-  DataGraph g = MakeFigure3Graph();
-  AdaptiveIndexSession session(g);
-  session.Refine(Q(g, "//r/a/b"));
-  EXPECT_TRUE(session.Peek(Q(g, "//r/a/b")).precise);
+  session.DrainRefinements();
+  EXPECT_EQ(PublishedComponents(session), 3u);
 }
 
 TEST(SessionTest, StrategiesAllAnswerExactly) {
@@ -112,56 +125,24 @@ TEST(SessionTest, StrategiesAllAnswerExactly) {
         SessionOptions::Strategy::kBottomUp,
         SessionOptions::Strategy::kHybrid,
         SessionOptions::Strategy::kAuto}) {
-    SessionOptions options;
+    ConcurrentSessionOptions options;
     options.strategy = strategy;
     options.refine_after = 1;
-    AdaptiveIndexSession session(g, options);
-    EXPECT_EQ(session.Query(p).answer, eval.Evaluate(p));
-    EXPECT_EQ(session.Query(p).answer, eval.Evaluate(p));
+    options.cache_results = false;
+    ConcurrentSession session(g, options);
+    EXPECT_EQ(session.Query(p).answer, eval.Evaluate(p));  // On A(0).
+    session.DrainRefinements();
+    EXPECT_EQ(session.Query(p).answer, eval.Evaluate(p));  // Refined.
   }
-}
-
-TEST(SessionTest, ResultCacheServesRepeats) {
-  DataGraph g = MakeFigure1Graph();
-  SessionOptions options;
-  options.cache_results = true;
-  options.refine_after = 100;  // No refinement in this test.
-  AdaptiveIndexSession session(g, options);
-  PathExpression p = Q(g, "//site/people/person");
-
-  QueryResult cold = session.Query(p);
-  EXPECT_GT(cold.stats.total(), 0u);
-  EXPECT_EQ(session.cache_hits(), 0u);
-
-  QueryResult warm = session.Query(p);
-  EXPECT_EQ(session.cache_hits(), 1u);
-  EXPECT_EQ(warm.answer, cold.answer);
-  EXPECT_EQ(warm.stats.total(), 0u);  // Served from cache.
-}
-
-TEST(SessionTest, CacheInvalidatedByRefinement) {
-  DataGraph g = MakeFigure1Graph();
-  SessionOptions options;
-  options.cache_results = true;
-  options.refine_after = 2;
-  AdaptiveIndexSession session(g, options);
-  PathExpression p = Q(g, "//site/people/person");
-  session.Query(p);                      // Cold, cached.
-  QueryResult r = session.Query(p);      // Promotion -> cache cleared.
-  EXPECT_EQ(session.cache_hits(), 0u);
-  EXPECT_TRUE(r.precise);
-  QueryResult hit = session.Query(p);    // Re-cached, now a hit.
-  EXPECT_EQ(session.cache_hits(), 1u);
-  EXPECT_EQ(hit.answer, r.answer);
 }
 
 TEST(SessionTest, CacheEvictsOldestAtCapacity) {
   DataGraph g = MakeFigure1Graph();
-  SessionOptions options;
-  options.cache_results = true;
+  ConcurrentSessionOptions options;
   options.cache_capacity = 2;
+  options.cache_shards = 1;
   options.refine_after = 100;
-  AdaptiveIndexSession session(g, options);
+  ConcurrentSession session(g, options);
   PathExpression a = Q(g, "//person");
   PathExpression b = Q(g, "//item");
   PathExpression c = Q(g, "//bidder");
@@ -176,11 +157,11 @@ TEST(SessionTest, CacheEvictsOldestAtCapacity) {
 
 TEST(SessionTest, CacheHitRefreshesRecencySoEvictionIsLru) {
   DataGraph g = MakeFigure1Graph();
-  SessionOptions options;
-  options.cache_results = true;
+  ConcurrentSessionOptions options;
   options.cache_capacity = 2;
+  options.cache_shards = 1;
   options.refine_after = 100;
-  AdaptiveIndexSession session(g, options);
+  ConcurrentSession session(g, options);
   PathExpression a = Q(g, "//person");
   PathExpression b = Q(g, "//item");
   PathExpression c = Q(g, "//bidder");
@@ -197,12 +178,14 @@ TEST(SessionTest, CacheHitRefreshesRecencySoEvictionIsLru) {
 
 TEST(SessionTest, FullWorkloadDrivesCostDown) {
   DataGraph g = MakeFigure1Graph();
-  SessionOptions options;
+  ConcurrentSessionOptions options;
   options.refine_after = 2;
-  AdaptiveIndexSession session(g, options);
+  options.cache_results = false;
+  ConcurrentSession session(g, options);
   PathExpression p = Q(g, "//site/auctions/auction/bidder/person");
   uint64_t cold = session.Query(p).stats.total();
-  session.Query(p);  // Triggers refinement.
+  session.Query(p);  // Promotes p.
+  session.DrainRefinements();
   uint64_t warm = session.Query(p).stats.total();
   EXPECT_LT(warm, cold);
 }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <iterator>
 
-#include "core/session.h"
+#include "core/strategy.h"
 #include "harness/datasets.h"
 #include "index/strategy_chooser.h"
 #include "query/data_evaluator.h"
